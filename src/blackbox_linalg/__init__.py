@@ -15,12 +15,10 @@ from .errors import (BlackboxLinalgError, DegenerateSequence, DimensionError,
                      FieldTooSmall, HankelSingular, IndexOutOfRange,
                      InsufficientPrimes, MalformedHeader, MatrixMarketError,
                      NonSquareWhereSquareRequired, NotInvertible,
-                     ResidueSingular, RetriesExhausted, Singular,
-                     SingularMatrix)
-from .field import PrimeField, ff_inv, is_probable_prime, matmul_mod
-from .hankel import (BlockHankel, HankelInverseRep, SigmaBasisResult,
-                     build_hankel, hankel_inverse_apply, hankel_inverse_rep,
-                     sigma_basis)
+                     RetriesExhausted, Singular, SingularMatrix)
+from .field import PrimeField, is_probable_prime, matmul_mod
+from .hankel import (BlockHankel, HankelInverseRep, build_hankel,
+                     hankel_inverse_apply, hankel_inverse_rep)
 from .inverse import (InversionConfig, InversionResult, blackbox_inverse,
                       blackbox_inverse_apply, precondition, verify_inverse)
 from .mmio import (MatrixMarketData, read_matrix_market, to_dense_residues,
@@ -31,12 +29,9 @@ from .nullrank import (RankCertificate, berlekamp_massey, nullspace_rank,
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DenseOperator, DiagonalOperator, EmbeddedOperator,
                         IdentityOperator, LeadingMinorOperator, SparseOperator,
-                        ToeplitzLowerUnit, ToeplitzUpperUnit, ZeroOperator,
-                        compose, precond_apply, sparse_apply)
+                        ToeplitzLowerUnit, ToeplitzUpperUnit)
 from .polymat import MatrixPolynomial, polymat_mul
-from .projection import (BlockProjection, KrylovSequence, ProjectionTriple,
-                         efficient_projection_triple, krylov_apply_left,
-                         krylov_apply_right, krylov_sequence, u_contract,
-                         u_expand)
+from .projection import (BlockProjection, krylov_apply_left, krylov_apply_right,
+                         u_contract, u_expand)
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line surface: invert, apply-inverse, nullspace, rank, det, bench.
 
 Exit codes: 0 success, 1 verified-negative (singular with certificate),
-2 retries exhausted, 3 usage or input errors.  Reports serialize
+2 retries exhausted or a field too small for the size, 3 usage or input
+errors, invalid flag values included.  Reports serialize
 deterministically (sorted keys); given the same input and seed every
 output matrix is byte-identical and every report field except wall_time
 is identical.
@@ -13,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -59,6 +60,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _size_list(text: str) -> list:
+    sizes = [int(x) for x in text.split(",") if x]
+    if not sizes:
+        raise ValueError("no sizes")
+    return sizes
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bbla", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -90,13 +98,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require K extra independent agreeing runs (det is Monte Carlo)")
     p = sub.add_parser("bench", help="operation-count sweep over a size grid")
     p.add_argument("what", choices=["invert"])
-    p.add_argument("--sizes", default="64,128,256,512")
+    p.add_argument("--sizes", type=_size_list, default="64,128,256,512")
     p.add_argument("--density", type=int, default=5, help="nonzeros per row")
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--retries", type=int, default=8)
     p.add_argument("--json", action="store_true", dest="as_json")
     return parser
+
+
+def _settings(args):
+    """The field and inversion config the flags ask for; invalid values are
+    usage errors (exit 3), not failures of the run."""
+    if args.command == "bench" and not 1 <= args.density <= min(args.sizes):
+        raise _UsageError(f"--density must be in 1..{min(args.sizes)} "
+                          "(at most the smallest size)")
+    try:
+        field = PrimeField(args.prime)
+        cfg = InversionConfig(s=getattr(args, "block_size", 0), seed=args.seed,
+                              max_retries=args.retries,
+                              verify=not getattr(args, "no_verify", False))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    return field, cfg
 
 
 def _digest(*paths) -> str:
@@ -134,7 +158,9 @@ def _report(args, command, digest, outcome, stats=None, extra=None) -> RunReport
 
 def random_sparse_operator(n: int, density: int, field: PrimeField, rng) -> SparseOperator:
     """Random sparse test matrix: nonzero diagonal plus ~(density-1) random
-    off-diagonal entries per row."""
+    off-diagonal entries per row (so density <= n)."""
+    if density > n:
+        raise ValueError(f"density {density} does not fit an {n} x {n} matrix")
     triples = {(i, i): int(rng.integers(1, field.p)) for i in range(n)}
     extra = (density - 1) * n
     while extra > 0:
@@ -147,22 +173,25 @@ def random_sparse_operator(n: int, density: int, field: PrimeField, rng) -> Spar
     return SparseOperator(n, [(i, j, v) for (i, j), v in triples.items()], field)
 
 
-def _cmd_bench(args):
-    sizes = [int(x) for x in args.sizes.split(",") if x]
-    field = PrimeField(args.prime)
+def _cmd_bench(args, field, cfg):
+    """Per-size application counts on random invertible instances; each size
+    draws at most ``--retries`` instances."""
+    sizes = args.sizes
     counts = []
     t0 = time.perf_counter()
     for idx, n in enumerate(sizes):
         per_size_seed = args.seed + 1000003 * idx
         rng = np.random.default_rng(per_size_seed)
-        while True:
+        for _ in range(cfg.max_retries):
             A = random_sparse_operator(n, args.density, field, rng)
             try:
-                res = blackbox_inverse(A, InversionConfig(
-                    seed=per_size_seed, max_retries=args.retries))
+                res = blackbox_inverse(A, replace(cfg, seed=per_size_seed))
                 break
             except (SingularMatrix, RetriesExhausted):
                 continue
+        else:
+            raise RetriesExhausted(
+                f"no invertible size-{n} instance in {cfg.max_retries} draws")
         counts.append(res.stats["bb_applies_last_attempt"])
     slope = float(np.polyfit(np.log(sizes), np.log(counts), 1)[0])
     report = RunReport(
@@ -177,16 +206,29 @@ def _cmd_bench(args):
     return 0, report
 
 
+def _outcome(args, command, digest, code, outcome, message=None):
+    """Exit code and report of a run that ended without a result."""
+    report = _report(args, command, digest, outcome)
+    if args.as_json:
+        print(report.to_json())
+    else:
+        print(message or outcome, file=sys.stderr)
+    return code, report
+
+
 def run_command(argv):
     """Parse and execute; returns (exit_code, RunReport or None)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        field, cfg = _settings(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3, None
     if args.command == "bench":
-        return _cmd_bench(args)
+        try:
+            return _cmd_bench(args, field, cfg)
+        except (RetriesExhausted, FieldTooSmall) as exc:
+            return _outcome(args, "bench invert", "", 2, f"failed: {exc}")
     try:
         data = read_matrix_market(args.input)
     except (OSError, MatrixMarketError, ValueError) as exc:
@@ -197,9 +239,6 @@ def run_command(argv):
         digest_paths.append(args.rhs)
     try:
         digest = _digest(*digest_paths)
-        field = PrimeField(args.prime)
-        cfg = InversionConfig(s=args.block_size, seed=args.seed,
-                              max_retries=args.retries, verify=not args.no_verify)
         if args.command in ("invert", "apply-inverse", "nullspace", "rank"):
             A = to_sparse_operator(data, field)
         if args.command == "invert":
@@ -227,30 +266,21 @@ def run_command(argv):
             report = _report(args, args.command, digest, "ok", stats,
                              {"rank": cert.rank, "nullity": A.n - cert.rank})
         elif args.command == "det":
-            report = _cmd_det(args, data, field, digest)
+            report = _cmd_det(args, data, field, cfg, digest)
         if args.as_json:
             print(report.to_json())
         return 0, report
     except SingularMatrix:
-        report = _report(args, args.command, digest, "singular")
-        if args.as_json:
-            print(report.to_json())
-        else:
-            print("matrix is singular (certified)", file=sys.stderr)
-        return 1, report
+        return _outcome(args, args.command, digest, 1, "singular",
+                        "matrix is singular (certified)")
     except (RetriesExhausted, FieldTooSmall) as exc:
-        report = _report(args, args.command, digest, f"failed: {exc}")
-        if args.as_json:
-            print(report.to_json())
-        else:
-            print(f"failed: {exc}", file=sys.stderr)
-        return 2, report
+        return _outcome(args, args.command, digest, 2, f"failed: {exc}")
     except MatrixMarketError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3, None
 
 
-def _cmd_det(args, data, field, digest):
+def _cmd_det(args, data, field, cfg, digest):
     data.require_square()
     t0 = time.perf_counter()
     if args.crt:
@@ -267,14 +297,9 @@ def _cmd_det(args, data, field, digest):
         extra = {"det": str(value), "crt_primes": primes, "monte_carlo": True}
     else:
         A = to_sparse_operator(data, field)
-        cfg = InversionConfig(s=args.block_size, seed=args.seed,
-                              max_retries=args.retries)
         value = det_mod_p(A, cfg)
         for k in range(args.confirm):
-            confirm_cfg = InversionConfig(s=args.block_size,
-                                          seed=args.seed + 7919 * (k + 1),
-                                          max_retries=args.retries)
-            if det_mod_p(A, confirm_cfg) != value:
+            if det_mod_p(A, replace(cfg, seed=args.seed + 7919 * (k + 1))) != value:
                 raise RetriesExhausted("independent determinant runs disagree")
         extra = {"det": str(value), "monte_carlo": True, "confirm": args.confirm}
     if not args.as_json:

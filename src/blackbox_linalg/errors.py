@@ -34,12 +34,9 @@ class FieldTooSmall(BlackboxLinalgError):
         self.required = required
 
 
-class ResidueSingular(BlackboxLinalgError):
-    """A residue/normalizer in the block-Hankel inversion is singular."""
-
-
 class HankelSingular(BlackboxLinalgError):
-    """Block-Hankel matrix judged singular after resampling attempts."""
+    """The block-Hankel inversion degenerated: a singular residue or
+    normalizer, or a block-Hankel matrix judged singular after resampling."""
 
 
 class SingularMatrix(BlackboxLinalgError):

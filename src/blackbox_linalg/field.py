@@ -63,18 +63,6 @@ class PrimeField:
     def __hash__(self):
         return hash(("PrimeField", self.p))
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a = int(a) % self.p
         if a == 0:
@@ -95,11 +83,6 @@ class PrimeField:
             base = base * base % self.p
             e >>= 1
         return result
-
-
-def ff_inv(a: int, field: PrimeField) -> int:
-    """Inverse of a nonzero residue; raises NotInvertible on zero."""
-    return field.inv(a)
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -125,11 +108,6 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     hi = A >> 16
     lo = A & 0xFFFF
     return (((hi @ B) % p << 16) + (lo @ B)) % p
-
-
-def matvec_mod(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ v) mod p for a vector v."""
-    return matmul_mod(A, np.asarray(v, dtype=np.int64).reshape(-1, 1), p).ravel()
 
 
 def reduce_mod(A, p: int) -> np.ndarray:

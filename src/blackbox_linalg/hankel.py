@@ -1,5 +1,6 @@
-"""Block-Hankel matrices, the order-basis (sigma-basis) algorithm, the
-off-diagonal inverse representation, and its application to dense blocks.
+"""Block-Hankel matrices: the projected sweep that builds them, the order-basis
+(M-Basis) algorithm, the off-diagonal inverse representation, and its
+application to dense blocks.
 
 Conventions, fixed and verified against dense oracles:
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import dense_inverse
-from .errors import DimensionError, HankelSingular, ResidueSingular, Singular
+from .errors import DimensionError, HankelSingular, Singular
 from .field import matmul_mod, reduce_mod
 from .operators import BlackBoxOperator
 from .polymat import MatrixPolynomial, polymat_mul
@@ -84,25 +85,24 @@ class BlockHankel:
         return out
 
 
-def build_hankel(B: BlackBoxOperator, P: BlockProjection) -> BlockHankel:
-    """The projected sequence alpha_k = u.T B^{k+1} u for k = 0..2m-2,
-    from one left Krylov sweep of length 2m ((2m-1)*s vector applications)
-    and O(n^2) contraction additions."""
-    p = B.field.p
+def build_hankel(B: BlackBoxOperator, P: BlockProjection, keep_left: bool = False):
+    """One transposed Krylov sweep ((2m-1) s vector applications plus O(n^2)
+    contraction additions) giving the Hankel sequence alpha_k = u.T B^{k+1} u
+    for k = 0..2m-2.
+
+    Returns (H, K_l): with ``keep_left`` K_l is the n x n stacked left Krylov
+    matrix [u.T; u.T B; ...; u.T B^{m-1}] the full inverse needs, otherwise
+    None (A^{-1} M never holds it)."""
+    p, s, m = B.field.p, P.s, P.m
+    Kl = np.empty((P.n, P.n), dtype=np.int64) if keep_left else None
     alpha = []
     W = P.u_matrix()
-    for _ in range(2 * P.m - 1):
+    for k in range(2 * m - 1):
+        if keep_left and k < m:
+            Kl[k * s:(k + 1) * s] = W.T
         W = B.apply_transpose_matrix(W)
         alpha.append(u_contract(P, W, p).T % p)
-    return BlockHankel(s=P.s, m=P.m, alpha=alpha, p=p)
-
-
-@dataclass
-class SigmaBasisResult:
-    """Order basis: every row r of ``basis`` satisfies r(x) F(x) = 0 mod x^order."""
-    basis: MatrixPolynomial
-    row_degrees: list
-    order: int
+    return BlockHankel(s=s, m=m, alpha=alpha, p=p), Kl
 
 
 def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None = None):
@@ -149,24 +149,8 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
     return M, deg, E, snapshot
 
 
-def sigma_basis(F: MatrixPolynomial, sigma: int, shifts=None) -> SigmaBasisResult:
-    """Minimal order basis of F to order ``sigma`` (left relations).
-
-    ``shifts`` are initial row degrees (default all zero); the Pade systems
-    here use (0,...,0, 1,...,1) to force the lower-degree second component.
-    """
-    rows = F.rows
-    if shifts is None:
-        shifts = [0] * rows
-    ncoeff = max(len(F.coeffs), sigma + 1)
-    Farr = np.zeros((rows, F.cols, ncoeff), dtype=np.int64)
-    for k, c in enumerate(F.coeffs):
-        if k < ncoeff:
-            Farr[:, :, k] = c
-    M, deg, _, _ = _mbasis(Farr, sigma, shifts, F.p)
-    coeffs = [M[:, :, k].copy() for k in range(M.shape[2])]
-    basis = MatrixPolynomial(coeffs, F.p).trim()
-    return SigmaBasisResult(basis=basis, row_degrees=deg, order=sigma)
+# fresh trailing blocks tried after a degenerate residue before giving up
+TAIL_RESAMPLES = 3
 
 
 @dataclass
@@ -198,7 +182,7 @@ def _stacked_series(alpha, s: int, m: int, p: int, ncoeff: int) -> np.ndarray:
 def _pade_families(alpha, s: int, m: int, p: int):
     """One attempt at the four families for a given trailing block choice.
 
-    Raises ResidueSingular when a degree profile or a normalizer degenerates
+    Raises HankelSingular when a degree profile or a normalizer degenerates
     (the signature of a singular H or an unlucky trailing block)."""
     shifts = [0] * s + [1] * s
     alpha_t = [a.T.copy() for a in alpha]
@@ -211,23 +195,23 @@ def _pade_families(alpha, s: int, m: int, p: int):
         # q-family: order 2m-2, rows of degree <= m-1, residue at x^{2m-2}
         sel = sorted(range(2 * s), key=lambda i: (degq[i], i))[:s]
         if max(degq[i] for i in sel) > m - 1:
-            raise ResidueSingular(f"q-run degree profile {sorted(degq)}")
+            raise HankelSingular(f"q-run degree profile {sorted(degq)}")
         R = Eq[sel, :, 2 * m - 2] % p
         try:
             R_inv = dense_inverse(R, p)
         except Singular as exc:
-            raise ResidueSingular("q-run residue singular") from exc
+            raise HankelSingular("q-run residue singular") from exc
         qbar = [Mq[sel, :s, k] % p for k in range(m)]
         q = [matmul_mod(R_inv, c, p) for c in qbar]
         # v-family: order 2m, rows of degree <= m, normalizer = constant term
         selv = sorted(range(2 * s), key=lambda i: (degv[i], i))[:s]
         if max(degv[i] for i in selv) > m:
-            raise ResidueSingular(f"v-run degree profile {sorted(degv)}")
+            raise HankelSingular(f"v-run degree profile {sorted(degv)}")
         V0 = Mv[selv, :s, 0] % p
         try:
             V0_inv = dense_inverse(V0, p)
         except Singular as exc:
-            raise ResidueSingular("v-run constant term singular") from exc
+            raise HankelSingular("v-run constant term singular") from exc
         vbar = [Mv[selv, :s, k] % p for k in range(m + 1)]
         v = [matmul_mod(V0_inv, c, p) for c in vbar]
         out[side] = (q, v)
@@ -238,13 +222,12 @@ def _pade_families(alpha, s: int, m: int, p: int):
     return q, q_star, v, v_star
 
 
-def hankel_inverse_rep(H: BlockHankel, rng=None, max_tail_resamples: int = 3) -> HankelInverseRep:
+def hankel_inverse_rep(H: BlockHankel, rng=None) -> HankelInverseRep:
     """The four coefficient families of the inversion formula.
 
     Degenerate residues trigger a fresh random trailing block up to
-    ``max_tail_resamples`` times; persistent failure (or a failed
-    verification on a random vector) raises HankelSingular, the signature
-    of a singular H."""
+    TAIL_RESAMPLES times; persistent failure (or a failed verification on a
+    random vector) raises HankelSingular, the signature of a singular H."""
     s, m, p = H.s, H.m, H.p
     if rng is None:
         rng = np.random.default_rng(0)
@@ -257,13 +240,13 @@ def hankel_inverse_rep(H: BlockHankel, rng=None, max_tail_resamples: int = 3) ->
 
     alpha = list(H.alpha)
     last_error = None
-    for attempt in range(1 + max_tail_resamples):
+    for attempt in range(1 + TAIL_RESAMPLES):
         if attempt:
             alpha[2 * m - 1] = rng.integers(0, p, size=(s, s), dtype=np.int64)
             alpha[2 * m] = rng.integers(0, p, size=(s, s), dtype=np.int64)
         try:
             q, q_star, v, v_star = _pade_families(alpha, s, m, p)
-        except ResidueSingular as exc:
+        except HankelSingular as exc:
             last_error = exc
             continue
         rep = HankelInverseRep(s=s, m=m, p=p, q=q, q_star=q_star, v=v, v_star=v_star)

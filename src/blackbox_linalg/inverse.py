@@ -1,18 +1,27 @@
-"""Las Vegas black-box inversion and apply-inverse-to-matrix.
+"""Las Vegas black-box inversion: the dense inverse A^{-1} and A^{-1} M.
 
-Pipeline per attempt, for B = D (U A) D with a random butterfly U and a
-random block-constant diagonal D:
+Both are one pipeline.  Each attempt preconditions B = D (U A) D with a
+random butterfly U and a random block-constant diagonal D, so that
 
-  1. one left Krylov sweep of 2m blocks ((2m-1) s transpose applications)
-     yielding both the projected Hankel sequence and the stacked left
-     Krylov matrix,
-  2. block-Hankel inversion via the order-basis machinery (no applications),
-  3. a Horner sweep for the right Krylov product ((m-1) n applications),
-  4. unwrap A^{-1} = D (...) D U with one dense butterfly multiplication,
-  5. verification A X = I (n applications) unless disabled.
+    A^{-1} M = D K_r H^{-1} K_l D U M,   H = K_l B K_r,
+
+with K_r = [u, B u, ..., B^{m-1} u] and K_l its transposed analogue for the
+stacked-identity projection u.  Per attempt:
+
+  1. one transposed sweep of (2m-1) s applications gives the Hankel blocks
+     of H (and, for the inverse, K_l itself),
+  2. the order-basis representation of H^{-1} (no applications),
+  3. the left product: for A^{-1} it is K_l from the sweep, for A^{-1} M
+     it is K_l (D U M) by a Krylov sweep of (m-1) k applications,
+  4. H^{-1} applied to it, then the Horner sweep for K_r ((m-1) k
+     applications),
+  5. the final map: D Z D U (one dense butterfly multiplication) for the
+     inverse, D Z for A^{-1} M,
+  6. verification A X = M (k applications) unless disabled.
 
 Any internal degeneracy or a failed verification retries with completely
-fresh randomness; accepted answers are always exact.
+fresh randomness; accepted answers are always exact.  When every attempt
+fails, a certified rank deficiency turns into SingularMatrix.
 """
 from __future__ import annotations
 
@@ -22,14 +31,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (FieldTooSmall, HankelSingular, ResidueSingular,
-                     RetriesExhausted, SingularMatrix)
+from .errors import (FieldTooSmall, HankelSingular, RetriesExhausted,
+                     SingularMatrix)
 from .field import reduce_mod
-from .hankel import BlockHankel, hankel_inverse_apply, hankel_inverse_rep
+from .hankel import build_hankel, hankel_inverse_apply, hankel_inverse_rep
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
-                        DiagonalOperator, EmbeddedOperator, IdentityOperator)
-from .projection import (BlockProjection, krylov_apply_left,
-                         krylov_apply_right, u_contract)
+                        DiagonalOperator, EmbeddedOperator)
+from .projection import BlockProjection, krylov_apply_left, krylov_apply_right
 
 
 @dataclass
@@ -41,12 +49,14 @@ class InversionConfig:
     verify: bool = True
 
     def __post_init__(self):
+        if self.s < 0:
+            raise ValueError("blocking factor s must be >= 0 (0 = auto)")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
 
     def block_size(self, n: int) -> int:
         if self.s:
-            return min(max(self.s, 1), n)
+            return min(self.s, n)
         return min(max(round(math.sqrt(n)), 1), n)
 
 
@@ -56,18 +66,26 @@ class InversionResult:
     stats: dict = dc_field(default_factory=dict)
 
 
+def run_stats(A: BlackBoxOperator, base_count: int, t0: float, retries: int,
+              **extra) -> dict:
+    """The cost report of a Las Vegas result: black-box applications of A
+    since ``base_count``, failed attempts before the accepted one, and wall
+    time since ``t0``."""
+    return {"bb_apply_count": A.total_applications - base_count,
+            "retries": retries, "wall_time": time.perf_counter() - t0, **extra}
+
+
 def field_size_bound(n: int, m: int) -> int:
     """Required field size 2 (m+1) n ceil(log2 n) for the success analysis."""
     return 2 * (m + 1) * n * math.ceil(math.log2(n)) if n > 1 else 2
 
 
-def precondition(A: BlackBoxOperator, s: int, rng, identity: bool = False):
+def precondition(A: BlackBoxOperator, s: int, rng):
     """B = D (U A) D plus the recipe turning a B-pipeline result back into
     A^{-1} (two diagonal scalings and one dense butterfly multiplication,
     O(n^2 log n) field operations).
 
-    ``identity`` forces U = D = I (tests).  Raises FieldTooSmall when p is
-    below the 2 (m+1) n ceil(log2 n) bound."""
+    Raises FieldTooSmall when p is below the 2 (m+1) n ceil(log2 n) bound."""
     n = A.n
     field = A.field
     if n % s:
@@ -76,55 +94,29 @@ def precondition(A: BlackBoxOperator, s: int, rng, identity: bool = False):
     bound = field_size_bound(n, m)
     if field.p <= bound:
         raise FieldTooSmall(field.p, bound)
-    if identity:
-        U: BlackBoxOperator = IdentityOperator(n, field)
-        D = DiagonalOperator(np.ones(n, dtype=np.int64), field)
-    else:
-        U = ButterflyOperator(n, field, rng)
-        D = DiagonalOperator.block_constant(
-            rng.integers(1, field.p, size=m, dtype=np.int64), s, field)
+    U = ButterflyOperator(n, field, rng)
+    D = DiagonalOperator.block_constant(
+        rng.integers(1, field.p, size=m, dtype=np.int64), s, field)
     B = ComposedOperator([D, U, A, D])
 
     def unwrap(Z: np.ndarray) -> np.ndarray:
         p = field.p
         W = D.d[:, None] * Z % p * D.d[None, :] % p
-        if identity:
-            return W
         return U.apply_transpose_matrix(W.T).T.copy()
 
     return B, D, U, unwrap
 
 
-def _padded(A: BlackBoxOperator, s: int):
-    if A.n % s:
-        n_big = ((A.n + s - 1) // s) * s
-        return EmbeddedOperator(A, n_big)
-    return A
-
-
-def verify_inverse(A: BlackBoxOperator, X: np.ndarray) -> bool:
-    """True iff A X = I exactly; costs exactly n vector applications."""
+def verify_inverse(A: BlackBoxOperator, X: np.ndarray,
+                   M: np.ndarray | None = None) -> bool:
+    """True iff A X = M exactly (M defaults to the identity); costs one
+    application per column of X."""
     X = reduce_mod(X, A.field.p)
-    if X.shape != (A.n, A.n):
+    if M is None:
+        M = np.eye(A.n, dtype=np.int64)
+    if X.shape != M.shape:
         return False
-    return bool(np.array_equal(A.apply_matrix(X), np.eye(A.n, dtype=np.int64)))
-
-
-def _left_sweep(B, P, want_kl: bool = True):
-    """One transpose-apply sweep: the Hankel blocks alpha_k = u^T B^{k+1} u
-    for k = 0..2m-2 and (optionally) the stacked left Krylov matrix."""
-    p = B.field.p
-    m = P.m
-    alpha = []
-    kl_rows = [P.u_matrix().T.copy()] if want_kl else None
-    W = P.u_matrix()
-    for i in range(1, 2 * m):
-        W = B.apply_transpose_matrix(W)
-        alpha.append(u_contract(P, W, p).T % p)
-        if want_kl and i < m:
-            kl_rows.append(W.T.copy())
-    Kl = np.concatenate(kl_rows, axis=0) if want_kl else None
-    return alpha, Kl
+    return bool(np.array_equal(A.apply_matrix(X), M))
 
 
 def blackbox_inverse(A: BlackBoxOperator, cfg: InversionConfig | None = None,
@@ -133,45 +125,60 @@ def blackbox_inverse(A: BlackBoxOperator, cfg: InversionConfig | None = None,
 
     Raises FieldTooSmall, SingularMatrix (with a certified kernel vector)
     or RetriesExhausted."""
+    return _solve(A, None, cfg, _certify_singular)
+
+
+def blackbox_inverse_apply(A: BlackBoxOperator, M: np.ndarray,
+                           cfg: InversionConfig | None = None,
+                           _certify_singular: bool = True) -> InversionResult:
+    """A^{-1} M without materializing A^{-1} (M may be a vector); raises
+    like blackbox_inverse."""
+    M = reduce_mod(M, A.field.p)
+    if M.shape[0] != A.n:
+        raise ValueError(f"M has {M.shape[0]} rows, operator is {A.n}")
+    res = _solve(A, M[:, None] if M.ndim == 1 else M, cfg, _certify_singular)
+    res.matrix = res.matrix.reshape(M.shape)
+    return res
+
+
+def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg, certify_singular):
+    """The attempt loop of both entry points: A^{-1} when M is None, else
+    A^{-1} M for a reduced n x k block M."""
     cfg = cfg or InversionConfig()
+    p = A.field.p
     n = A.n
     s = cfg.block_size(n)
-    work = _padded(A, s)
+    work = EmbeddedOperator(A, (n + s - 1) // s * s) if n % s else A
     P = BlockProjection(work.n, s)
-    m = P.m
+    M_pad = None if M is None else np.pad(M, ((0, work.n - n), (0, 0)))
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     base_count = A.total_applications
     for attempt in range(cfg.max_retries):
         attempt_base = A.total_applications
         B, D, U, unwrap = precondition(work, s, rng)
+        H, Kl = build_hankel(B, P, keep_left=M is None)
         try:
-            alpha, Kl = _left_sweep(B, P)
-            rep = hankel_inverse_rep(
-                BlockHankel(s=s, m=m, alpha=alpha, p=A.field.p), rng)
-            Y = hankel_inverse_apply(rep, Kl)
-            Z = krylov_apply_right(B, P, Y)
-            X = unwrap(Z)[:n, :n]
-        except (ResidueSingular, HankelSingular):
+            rep = hankel_inverse_rep(H, rng)
+        except HankelSingular:
             continue
-        if cfg.verify and not verify_inverse(A, X):
+        left = Kl if M is None else krylov_apply_left(
+            B, P, D.apply_matrix(U.apply_matrix(M_pad)))
+        Z = krylov_apply_right(B, P, hankel_inverse_apply(rep, left))
+        X = unwrap(Z)[:n, :n] if M is None else (D.d[:, None] * Z % p)[:n]
+        if cfg.verify and not verify_inverse(A, X, M):
             continue
-        return InversionResult(matrix=X, stats={
-            "bb_apply_count": A.total_applications - base_count,
-            "bb_applies_last_attempt": A.total_applications - attempt_base,
-            "retries": attempt,
-            "seed": cfg.seed,
-            "s": s,
-            "m": m,
-            "verified": cfg.verify,
-            "wall_time": time.perf_counter() - t0,
-        })
-    if _certify_singular:
+        return InversionResult(matrix=X, stats=run_stats(
+            A, base_count, t0, attempt,
+            bb_applies_last_attempt=A.total_applications - attempt_base,
+            seed=cfg.seed, s=s, m=P.m, verified=cfg.verify))
+    if certify_singular:
         kernel = _singular_certificate(A, cfg)
         if kernel is not None:
             raise SingularMatrix(kernel)
+    what = "inversion" if M is None else "apply-inverse"
     raise RetriesExhausted(
-        f"inversion failed {cfg.max_retries} attempts without a singularity certificate")
+        f"{what} failed {cfg.max_retries} attempts without a singularity certificate")
 
 
 def _singular_certificate(A: BlackBoxOperator, cfg: InversionConfig):
@@ -186,66 +193,3 @@ def _singular_certificate(A: BlackBoxOperator, cfg: InversionConfig):
     if cert.rank < A.n and cert.nullspace.shape[1]:
         return cert.nullspace[:, 0].copy()
     return None
-
-
-def blackbox_inverse_apply(A: BlackBoxOperator, M: np.ndarray,
-                           cfg: InversionConfig | None = None,
-                           _certify_singular: bool = True) -> InversionResult:
-    """A^{-1} M without materializing A^{-1}: the left Krylov product is
-    formed directly against M, then pushed through the Hankel inverse and
-    the Horner sweep."""
-    cfg = cfg or InversionConfig()
-    p = A.field.p
-    n = A.n
-    M = reduce_mod(M, p)
-    if M.ndim == 1:
-        res = blackbox_inverse_apply(A, M.reshape(-1, 1), cfg, _certify_singular)
-        res.matrix = res.matrix.ravel()
-        return res
-    if M.shape[0] != n:
-        raise ValueError(f"M has {M.shape[0]} rows, operator is {n}")
-    s = cfg.block_size(n)
-    work = _padded(A, s)
-    P = BlockProjection(work.n, s)
-    m = P.m
-    Mpad = M
-    if work.n != n:
-        Mpad = np.zeros((work.n, M.shape[1]), dtype=np.int64)
-        Mpad[:n] = M
-    rng = np.random.default_rng(cfg.seed)
-    t0 = time.perf_counter()
-    base_count = A.total_applications
-    for attempt in range(cfg.max_retries):
-        attempt_base = A.total_applications
-        B, D, U, unwrap = precondition(work, s, rng)
-        try:
-            alpha, _ = _left_sweep(B, P, want_kl=False)
-            rep = hankel_inverse_rep(
-                BlockHankel(s=s, m=m, alpha=alpha, p=p), rng)
-            # A^{-1} M = D K^(r) H^{-1} K^(l) D U M
-            M1 = D.apply_matrix(U.apply_matrix(Mpad))
-            T = krylov_apply_left(B, P, M1)
-            S = hankel_inverse_apply(rep, T)
-            Z = krylov_apply_right(B, P, S)
-            X = D.d[:, None] * Z % p
-            X = X[:n]
-        except (ResidueSingular, HankelSingular):
-            continue
-        if cfg.verify and not np.array_equal(A.apply_matrix(X), M):
-            continue
-        return InversionResult(matrix=X, stats={
-            "bb_apply_count": A.total_applications - base_count,
-            "bb_applies_last_attempt": A.total_applications - attempt_base,
-            "retries": attempt,
-            "seed": cfg.seed,
-            "s": s,
-            "m": m,
-            "verified": cfg.verify,
-            "wall_time": time.perf_counter() - t0,
-        })
-    if _certify_singular:
-        kernel = _singular_certificate(A, cfg)
-        if kernel is not None:
-            raise SingularMatrix(kernel)
-    raise RetriesExhausted(
-        f"apply-inverse failed {cfg.max_retries} attempts without a singularity certificate")

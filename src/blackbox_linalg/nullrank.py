@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import RetriesExhausted
-from .inverse import InversionConfig, blackbox_inverse, blackbox_inverse_apply
+from .inverse import (InversionConfig, blackbox_inverse, blackbox_inverse_apply,
+                      run_stats)
 from .operators import (BlackBoxOperator, ComposedOperator, DiagonalOperator,
                         LeadingMinorOperator, ToeplitzLowerUnit,
                         ToeplitzUpperUnit)
@@ -117,7 +118,7 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
                 continue
             return RankCertificate(
                 rank=n, nullspace=np.zeros((n, 0), dtype=np.int64), seed=cfg.seed,
-                stats=_stats(A, base_count, attempt, t0))
+                stats=run_stats(A, base_count, t0, attempt))
         if r == 0:
             N_tilde = (p - 1) * np.eye(n, dtype=np.int64) % p
         else:
@@ -142,14 +143,7 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
             # cannot happen for invertible U; kept as a hard assertion
             continue
         return RankCertificate(rank=r, nullspace=N, seed=cfg.seed,
-                               stats=_stats(A, base_count, attempt, t0))
+                               stats=run_stats(A, base_count, t0, attempt))
     raise RetriesExhausted(
         f"rank/nullspace failed {cfg.max_retries} preconditioning attempts")
 
-
-def _stats(A, base_count, attempt, t0):
-    return {
-        "bb_apply_count": A.total_applications - base_count,
-        "retries": attempt,
-        "wall_time": time.perf_counter() - t0,
-    }

@@ -100,11 +100,6 @@ class IdentityOperator(BlackBoxOperator):
         return V.copy()
 
 
-class ZeroOperator(BlackBoxOperator):
-    def _apply_block(self, V, transposed):
-        return np.zeros_like(V)
-
-
 class DenseOperator(BlackBoxOperator):
     """Wraps an explicit n x n matrix (tests, small oracles, dense inputs)."""
 
@@ -168,11 +163,6 @@ class SparseOperator(BlackBoxOperator):
         M = np.zeros((self.n, self.n), dtype=np.int64)
         M[self.rows, self.cols] = self.vals
         return M
-
-
-def sparse_apply(S: SparseOperator, v: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """Exact S v (or S.T v); increments the operator's counter."""
-    return S.apply_transpose(v) if transposed else S.apply(v)
 
 
 class DiagonalOperator(BlackBoxOperator):
@@ -359,17 +349,6 @@ class ButterflyOperator(BlackBoxOperator):
         return V
 
 
-def precond_apply(P: BlackBoxOperator, v: np.ndarray,
-                  transposed: bool = False, inverted: bool = False) -> np.ndarray:
-    """Apply a preconditioner in any of its four modes: P, P^T, P^-1, P^-T."""
-    if not inverted:
-        return P.apply_transpose(v) if transposed else P.apply(v)
-    arr = np.asarray(v)
-    V = arr.reshape(-1, 1) if arr.ndim == 1 else arr
-    out = P.apply_inverse_matrix(V, transposed=transposed)
-    return out.ravel() if arr.ndim == 1 else out
-
-
 class ComposedOperator(BlackBoxOperator):
     """Product of operators: apply = right-to-left application; counter
     attribution flows to every constituent."""
@@ -394,10 +373,6 @@ class ComposedOperator(BlackBoxOperator):
                 V = op._apply_block(V, False)
                 op._count(V.shape[1], False)
         return V
-
-
-def compose(ops) -> ComposedOperator:
-    return ComposedOperator(ops)
 
 
 class EmbeddedOperator(BlackBoxOperator):

@@ -23,14 +23,6 @@ class MatrixPolynomial:
             raise DimensionError("coefficient blocks differ in shape")
         self.p = p
 
-    @classmethod
-    def zero(cls, rows: int, cols: int, p: int) -> "MatrixPolynomial":
-        return cls([np.zeros((rows, cols), dtype=np.int64)], p)
-
-    @classmethod
-    def constant(cls, block, p: int) -> "MatrixPolynomial":
-        return cls([block], p)
-
     @property
     def rows(self) -> int:
         return self.coeffs[0].shape[0]
@@ -56,30 +48,6 @@ class MatrixPolynomial:
             if c.any():
                 last = k
         return MatrixPolynomial(self.coeffs[:last + 1], self.p)
-
-    def add(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        if (self.rows, self.cols, self.p) != (other.rows, other.cols, other.p):
-            raise DimensionError("shape/modulus mismatch in addition")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return MatrixPolynomial(
-            [(self.coeff(k) + other.coeff(k)) % self.p for k in range(n)], self.p)
-
-    def sub(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return MatrixPolynomial(
-            [(self.coeff(k) - other.coeff(k)) % self.p for k in range(n)], self.p)
-
-    def transpose_blocks(self) -> "MatrixPolynomial":
-        """Transpose every coefficient block (the transpose of the polynomial)."""
-        return MatrixPolynomial([c.T.copy() for c in self.coeffs], self.p)
-
-    def eval_at(self, x: int) -> np.ndarray:
-        """Horner evaluation at a scalar point."""
-        x = int(x) % self.p
-        out = self.coeffs[-1].copy()
-        for c in reversed(self.coeffs[:-1]):
-            out = (out * x + c) % self.p
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, MatrixPolynomial):

@@ -1,21 +1,19 @@
-"""The structured block projection (m stacked s x s identities), block-Krylov
-sequences, and the fast structure-exploiting products of Krylov matrices with
-dense blocks.
+"""The structured block projection (m stacked s x s identities) and the fast
+structure-exploiting products of block-Krylov matrices with dense blocks.
 
-The projection u is never materialized on production paths: contracting with
-u.T is a fold of m row slices (additions only), expanding by u is a vertical
-tile, and Krylov-matrix products run through Horner-style operator applies.
+Products with u never multiply by it: contracting with u.T is a fold of m row
+slices (additions only), expanding by u is a vertical tile, and
+Krylov-matrix products run through Horner-style operator applies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 from .field import reduce_mod
-from .operators import (BlackBoxOperator, ComposedOperator, DiagonalOperator,
-                        ToeplitzLowerUnit, ToeplitzUpperUnit)
+from .operators import BlackBoxOperator
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,7 @@ class BlockProjection:
         return self.n // self.s
 
     def u_matrix(self) -> np.ndarray:
-        """Materialized u: m stacked copies of I_s (tests and tiny products)."""
+        """Materialized u: m stacked copies of I_s (the start block of a sweep)."""
         return np.tile(np.eye(self.s, dtype=np.int64), (self.m, 1))
 
 
@@ -51,36 +49,6 @@ def u_expand(P: BlockProjection, M: np.ndarray, p: int) -> np.ndarray:
     if M.shape[0] != P.s:
         raise DimensionError(f"expected {P.s} rows, got {M.shape[0]}")
     return np.tile(M, (P.m, 1))
-
-
-@dataclass
-class KrylovSequence:
-    """Block-Krylov iterates: blocks[i] = B^i u (right) or u.T B^i (left)."""
-    side: str
-    blocks: list = dc_field(default_factory=list)
-
-    def assemble(self) -> np.ndarray:
-        """The n x ks (right) or ks x n (left) Krylov matrix."""
-        if self.side == "right":
-            return np.concatenate(self.blocks, axis=1)
-        return np.concatenate(self.blocks, axis=0)
-
-
-def krylov_sequence(B: BlackBoxOperator, P: BlockProjection, count: int,
-                    side: str = "right") -> KrylovSequence:
-    """First ``count`` block-Krylov iterates; (count-1)*s vector applications."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    u = P.u_matrix()
-    seq = KrylovSequence(side=side)
-    W = u
-    for i in range(count):
-        seq.blocks.append(W.T.copy() if side == "left" else W.copy())
-        if i + 1 < count:
-            W = B.apply_transpose_matrix(W) if side == "left" else B.apply_matrix(W)
-    return seq
 
 
 def krylov_apply_right(B: BlackBoxOperator, P: BlockProjection,
@@ -117,39 +85,3 @@ def krylov_apply_left(B: BlackBoxOperator, P: BlockProjection,
             W = B.apply_matrix(W)
             out[i * s:(i + 1) * s, lo:lo + s] = u_contract(P, W, p)
     return out
-
-
-@dataclass
-class ProjectionTriple:
-    """Efficient block projection (R, u_hat, v_hat) with its factors."""
-    R: ComposedOperator
-    u_hat: np.ndarray   # s x n
-    v_hat: np.ndarray   # n x s
-    L: ToeplitzLowerUnit
-    D: DiagonalOperator
-    U: ToeplitzUpperUnit
-
-
-def efficient_projection_triple(A: BlackBoxOperator, s: int, rng) -> ProjectionTriple:
-    """R = L D^2 U from random unit-triangular Toeplitz L, U and a random
-    block-constant diagonal D, with u_hat.T = (L.T)^{-1} D^{-1} u and
-    v_hat = L D u.
-
-    With probability >= 1/2 the m-step Krylov matrices of (R A, v_hat) and
-    ((R A).T, u_hat.T) are both nonsingular; callers verify and resample.
-    """
-    field = A.field
-    n = A.n
-    P = BlockProjection(n, s)
-    L = ToeplitzLowerUnit.random(n, field, rng)
-    U = ToeplitzUpperUnit.random(n, field, rng)
-    dvals = rng.integers(1, field.p, size=P.m, dtype=np.int64)
-    D = DiagonalOperator.block_constant(dvals, s, field)
-    D2 = DiagonalOperator(D.d * D.d % field.p, field)
-    R = ComposedOperator([L, D2, U])
-    u = P.u_matrix()
-    X = D.apply_inverse_matrix(u)
-    X = L.apply_inverse_matrix(X, transposed=True)
-    u_hat = X.T.copy()
-    v_hat = L.apply_matrix(D.apply_matrix(u))
-    return ProjectionTriple(R=R, u_hat=u_hat, v_hat=v_hat, L=L, D=D, U=U)

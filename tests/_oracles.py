@@ -2,9 +2,17 @@
 
 These deliberately avoid the library's code paths: extended Euclid instead
 of Fermat, naive convolution loops instead of the polynomial kernels,
-fraction-free (Bareiss) elimination over big integers for determinants.
+fraction-free (Bareiss) elimination over big integers for determinants,
+plain repeated application instead of the Horner Krylov products.  The one
+exception is ``sigma_basis``, a test-facing wrapper that exposes the
+library's internal order-basis routine for property checks.
 """
+from types import SimpleNamespace
+
 import numpy as np
+
+from blackbox_linalg import MatrixPolynomial
+from blackbox_linalg.hankel import _mbasis
 
 
 def ext_euclid_inverse(a: int, p: int) -> int:
@@ -66,3 +74,31 @@ def dense_mul_int(A, B, p: int):
     A = np.asarray(A, dtype=object)
     B = np.asarray(B, dtype=object)
     return np.asarray((A @ B) % p, dtype=np.int64)
+
+
+def krylov_sequence(B, P, count, side="right"):
+    """First ``count`` block-Krylov iterates B^i u (right) or u.T B^i (left)
+    of the stacked-identity projection, by plain repeated application
+    ((count-1) s applications); ``assemble()`` stacks them into the n x ks
+    (right) or ks x n (left) Krylov matrix."""
+    W = P.u_matrix()
+    blocks = []
+    for i in range(count):
+        blocks.append(W.T.copy() if side == "left" else W)
+        if i + 1 < count:
+            W = B.apply_transpose_matrix(W) if side == "left" else B.apply_matrix(W)
+    axis = 1 if side == "right" else 0
+    return SimpleNamespace(blocks=blocks,
+                           assemble=lambda: np.concatenate(blocks, axis=axis))
+
+
+def sigma_basis(F, sigma, shifts=None):
+    """Order basis of the MatrixPolynomial F to order ``sigma`` through the
+    library's M-Basis: every row r of ``basis`` has r F = 0 mod x^sigma, and
+    ``row_degrees`` starts from ``shifts`` (default all zero)."""
+    Farr = np.zeros((F.rows, F.cols, max(len(F.coeffs), sigma + 1)), dtype=np.int64)
+    for k, c in enumerate(F.coeffs):
+        Farr[:, :, k] = c
+    M, deg, _, _ = _mbasis(Farr, sigma, shifts or [0] * F.rows, F.p)
+    basis = MatrixPolynomial(list(np.moveaxis(M, 2, 0)), F.p).trim()
+    return SimpleNamespace(basis=basis, row_degrees=deg)

@@ -13,12 +13,12 @@ from blackbox_linalg import (BlockHankel, BlockProjection, DenseOperator,
                              blackbox_inverse, blackbox_inverse_apply,
                              dense_det, dense_inverse, dense_rank,
                              det_integer_crt, det_mod_p, hankel_inverse_apply,
-                             hankel_inverse_rep, krylov_sequence, matmul_mod,
-                             nullspace_rank, polymat_mul, sigma_basis)
+                             hankel_inverse_rep, matmul_mod, nullspace_rank,
+                             polymat_mul)
 from blackbox_linalg.cli import random_sparse_operator, run_command
 from blackbox_linalg.determinant import word_size_primes
 
-from _oracles import bareiss_det
+from _oracles import bareiss_det, krylov_sequence, sigma_basis
 
 FIELD = PrimeField(2147483629)
 P = FIELD.p

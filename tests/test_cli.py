@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from blackbox_linalg import read_matrix_market, to_dense_residues, PrimeField
+from blackbox_linalg import cli
 from blackbox_linalg.cli import run_command
+from blackbox_linalg.errors import SingularMatrix
 
 
 def write_coordinate(path, n, triples):
@@ -147,3 +149,46 @@ def test_bench_small_grid():
     assert code == 0
     assert len(report.extra["counts"]) == 2
     assert report.extra["slope"] > 0.5
+
+
+@pytest.mark.parametrize("flag,value", [("--retries", "0"), ("--prime", "4"),
+                                        ("--block-size", "-3")])
+def test_invalid_flag_values_are_usage_errors(identity_fixture, flag, value):
+    code, report = run_command(["invert", identity_fixture, flag, value])
+    assert code == 3
+    assert report is None
+
+
+def test_bench_invalid_flag_values_are_usage_errors():
+    code, _ = run_command(["bench", "invert", "--sizes", "16", "--retries", "0"])
+    assert code == 3
+    code, _ = run_command(["bench", "invert", "--sizes", "16,x"])
+    assert code == 3
+
+
+def test_bench_density_that_cannot_be_placed_exits_3():
+    # a 4 x 4 matrix has 12 off-diagonal slots; density 5 asks for 16
+    code, report = run_command(["bench", "invert", "--sizes", "4"])
+    assert code == 3
+    assert report is None
+
+
+def test_bench_field_too_small_exits_2():
+    code, report = run_command(["bench", "invert", "--sizes", "16", "--prime", "5"])
+    assert code == 2
+    assert report.outcome.startswith("failed: field size 5")
+
+
+def test_bench_gives_up_after_retries(monkeypatch):
+    calls = []
+
+    def always_singular(A, cfg):
+        calls.append(cfg.seed)
+        raise SingularMatrix(np.ones(A.n, dtype=np.int64))
+
+    monkeypatch.setattr(cli, "blackbox_inverse", always_singular)
+    code, report = run_command(["bench", "invert", "--sizes", "16",
+                                "--retries", "3", "--json"])
+    assert code == 2
+    assert report.outcome.startswith("failed: no invertible")
+    assert len(calls) == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blackbox_linalg import PrimeField, ff_inv, matmul_mod
+from blackbox_linalg import PrimeField, matmul_mod
 from blackbox_linalg.errors import DimensionError, NotInvertible
 from blackbox_linalg.field import is_probable_prime
 
@@ -9,11 +9,11 @@ from _oracles import dense_mul_int, ext_euclid_inverse
 
 
 def test_ff_inv_identity():
-    assert ff_inv(1, PrimeField(7)) == 1
+    assert PrimeField(7).inv(1) == 1
 
 
 def test_ff_inv_known():
-    assert ff_inv(2, PrimeField(7)) == 4  # 2*4 = 8 = 1 mod 7
+    assert PrimeField(7).inv(2) == 4  # 2*4 = 8 = 1 mod 7
 
 
 def test_ff_inv_random_against_euclid_oracle():
@@ -21,21 +21,21 @@ def test_ff_inv_random_against_euclid_oracle():
     rng = np.random.default_rng(0)
     for _ in range(100):
         a = int(rng.integers(1, F.p))
-        b = ff_inv(a, F)
+        b = F.inv(a)
         assert a * b % F.p == 1
         assert b == ext_euclid_inverse(a, F.p)
 
 
 def test_ff_inv_zero_raises():
     with pytest.raises(NotInvertible):
-        ff_inv(0, PrimeField(7))
+        PrimeField(7).inv(0)
 
 
 def test_ff_inv_involution():
     F = PrimeField(10007)
     rng = np.random.default_rng(1)
     for a in rng.integers(1, F.p, size=50):
-        assert ff_inv(ff_inv(int(a), F), F) == a
+        assert F.inv(F.inv(int(a))) == a
 
 
 def test_prime_field_rejects_composite_and_small():

@@ -5,9 +5,10 @@ from blackbox_linalg import (BlockHankel, BlockProjection, DenseOperator,
                              IdentityOperator, MatrixPolynomial, PrimeField,
                              build_hankel, dense_inverse, dense_rank,
                              hankel_inverse_apply, hankel_inverse_rep,
-                             krylov_sequence, matmul_mod, polymat_mul,
-                             sigma_basis)
+                             matmul_mod, polymat_mul)
 from blackbox_linalg.errors import HankelSingular
+
+from _oracles import krylov_sequence, sigma_basis
 
 F = PrimeField(10007)
 P = F.p
@@ -24,7 +25,8 @@ def random_nonsingular_hankel(rng, s, m, p=P):
 
 def test_build_hankel_identity_operator():
     bp = BlockProjection(6, 2)
-    H = build_hankel(IdentityOperator(6, F), bp)
+    H, Kl = build_hankel(IdentityOperator(6, F), bp)
+    assert Kl is None
     for k in range(2 * bp.m - 1):
         assert np.array_equal(H.alpha[k], 3 * np.eye(2, dtype=np.int64))
 
@@ -33,7 +35,7 @@ def test_build_hankel_m1_single_block():
     rng = np.random.default_rng(50)
     B = DenseOperator(rng.integers(0, P, size=(3, 3), dtype=np.int64), F)
     bp = BlockProjection(3, 3)
-    H = build_hankel(B, bp)
+    H, _ = build_hankel(B, bp)
     assert H.m == 1
     assert np.array_equal(H.alpha[0], B.matrix)  # u = I_3 here
 
@@ -43,11 +45,12 @@ def test_build_hankel_matches_dense_krylov_product():
     n, s = 12, 3
     bp = BlockProjection(n, s)
     B = DenseOperator(rng.integers(0, P, size=(n, n), dtype=np.int64), F)
-    H = build_hankel(B, bp)
+    H, got_kl = build_hankel(B, bp, keep_left=True)
     Kr = krylov_sequence(B, bp, bp.m, side="right").assemble()
     Kl = krylov_sequence(B, bp, bp.m, side="left").assemble()
     expect = matmul_mod(Kl, matmul_mod(B.matrix, Kr, P), P)
     assert np.array_equal(H.materialize(), expect)
+    assert np.array_equal(got_kl, Kl)  # the sweep's own left Krylov matrix
 
 
 def test_build_hankel_apply_count():
@@ -57,6 +60,8 @@ def test_build_hankel_apply_count():
     B = DenseOperator(rng.integers(0, P, size=(n, n), dtype=np.int64), F)
     build_hankel(B, bp)
     assert B.total_applications == (2 * bp.m - 1) * s
+    build_hankel(B, bp, keep_left=True)  # keeping K_l costs nothing extra
+    assert B.total_applications == 2 * (2 * bp.m - 1) * s
 
 
 def test_sigma_basis_zero_constant_term():

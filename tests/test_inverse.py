@@ -4,7 +4,7 @@ import pytest
 from blackbox_linalg import (DenseOperator, DiagonalOperator, IdentityOperator,
                              InversionConfig, PrimeField, blackbox_inverse,
                              blackbox_inverse_apply, dense_inverse, dense_rank,
-                             ff_inv, matmul_mod, precondition, verify_inverse)
+                             matmul_mod, precondition, verify_inverse)
 from blackbox_linalg.cli import random_sparse_operator
 from blackbox_linalg.errors import FieldTooSmall, SingularMatrix
 
@@ -16,14 +16,6 @@ def nonsingular_sparse(rng, n, field, density=5):
         A = random_sparse_operator(n, density, field, rng)
         if dense_rank(A.to_dense_matrix(), field.p) == n:
             return A
-
-
-def test_precondition_identity_override():
-    rng = np.random.default_rng(70)
-    A = nonsingular_sparse(rng, 8, BIG)
-    B, D, U, unwrap = precondition(A, 2, rng, identity=True)
-    v = rng.integers(0, BIG.p, size=8, dtype=np.int64)
-    assert np.array_equal(B.apply(v), A.apply(v))
 
 
 def test_precondition_materializes_to_duad():
@@ -76,7 +68,7 @@ def test_inverse_diagonal_known():
     d = np.arange(1, n + 1, dtype=np.int64)
     A = DiagonalOperator(d, field)
     res = blackbox_inverse(A, InversionConfig(s=4, seed=1))
-    expect = np.diag([ff_inv(int(x), field) for x in d]).astype(np.int64)
+    expect = np.diag([field.inv(int(x)) for x in d]).astype(np.int64)
     assert np.array_equal(res.matrix, expect)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 
 from blackbox_linalg import (DenseOperator, InversionConfig, PrimeField,
-                             ZeroOperator, berlekamp_massey, dense_inverse,
+                             SparseOperator, berlekamp_massey, dense_inverse,
                              dense_rank, matmul_mod, nullspace_rank,
                              wiedemann_minpoly)
 from blackbox_linalg.errors import RetriesExhausted
@@ -34,7 +34,7 @@ def test_bm_fibonacci_recurrence():
 
 
 def test_minpoly_zero_operator():
-    A = ZeroOperator(5, BIG)
+    A = SparseOperator(5, [], BIG)  # the zero matrix
     f = wiedemann_minpoly(A, np.random.default_rng(0))
     assert np.array_equal(f, np.array([0, 1]))  # x
 
@@ -60,7 +60,7 @@ def test_minpoly_distinct_eigenvalues_matches_charpoly():
 
 
 def test_nullspace_zero_matrix():
-    A = ZeroOperator(6, BIG)
+    A = SparseOperator(6, [], BIG)  # the zero matrix
     cert = nullspace_rank(A, InversionConfig(seed=0))
     assert cert.rank == 0
     assert cert.nullspace.shape == (6, 6)

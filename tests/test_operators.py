@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from blackbox_linalg import (ButterflyOperator, DenseOperator,
-                             DiagonalOperator, EmbeddedOperator,
+from blackbox_linalg import (ButterflyOperator, ComposedOperator,
+                             DenseOperator, DiagonalOperator, EmbeddedOperator,
                              IdentityOperator, LeadingMinorOperator,
                              PrimeField, SparseOperator, ToeplitzLowerUnit,
-                             ToeplitzUpperUnit, compose, dense_rank, matmul_mod,
-                             precond_apply, sparse_apply)
+                             ToeplitzUpperUnit, dense_rank, matmul_mod)
 from blackbox_linalg.errors import DimensionError
 
 F = PrimeField(10007)
@@ -16,14 +15,14 @@ P = F.p
 def test_sparse_identity_triples():
     S = SparseOperator(3, [(i, i, 1) for i in range(3)], F)
     v = np.array([5, 6, 7], dtype=np.int64)
-    assert np.array_equal(sparse_apply(S, v), v)
+    assert np.array_equal(S.apply(v), v)
 
 
 def test_sparse_shift_matrix():
     S = SparseOperator(2, [(0, 1, 1)], F)  # [[0, 1], [0, 0]]
     v = np.array([3, 4], dtype=np.int64)
-    assert np.array_equal(sparse_apply(S, v), [4, 0])
-    assert np.array_equal(sparse_apply(S, v, transposed=True), [0, 3])
+    assert np.array_equal(S.apply(v), [4, 0])
+    assert np.array_equal(S.apply_transpose(v), [0, 3])
 
 
 def test_sparse_random_against_dense():
@@ -58,8 +57,8 @@ def test_sparse_validation():
 def test_diagonal_ones_is_identity():
     D = DiagonalOperator(np.ones(5, dtype=np.int64), F)
     v = np.arange(5, dtype=np.int64)
-    assert np.array_equal(precond_apply(D, v), v)
-    assert np.array_equal(precond_apply(D, v, inverted=True), v)
+    assert np.array_equal(D.apply(v), v)
+    assert np.array_equal(D.apply_inverse_matrix(v[:, None]).ravel(), v)
 
 
 def test_toeplitz_forward_and_inverse():
@@ -70,11 +69,11 @@ def test_toeplitz_forward_and_inverse():
     L = ToeplitzLowerUnit(col, F)
     e1 = np.zeros(5, dtype=np.int64)
     e1[0] = 1
-    y = precond_apply(L, e1)
+    y = L.apply(e1)
     expect = np.zeros(5, dtype=np.int64)
     expect[0], expect[1] = 1, c
     assert np.array_equal(y, expect)
-    assert np.array_equal(precond_apply(L, y, inverted=True), e1)
+    assert np.array_equal(L.apply_inverse_matrix(y[:, None]).ravel(), e1)
 
 
 def test_toeplitz_matches_dense_materialization():
@@ -117,7 +116,7 @@ def test_butterfly_determinant_is_one():
 def test_compose_identity_sandwich():
     rng = np.random.default_rng(24)
     A = DenseOperator(rng.integers(0, P, size=(6, 6), dtype=np.int64), F)
-    C = compose([IdentityOperator(6, F), A, IdentityOperator(6, F)])
+    C = ComposedOperator([IdentityOperator(6, F), A, IdentityOperator(6, F)])
     v = rng.integers(0, P, size=6, dtype=np.int64)
     assert np.array_equal(C.apply(v), A.apply(v))
 
@@ -126,7 +125,7 @@ def test_compose_scalar_diagonal():
     rng = np.random.default_rng(25)
     S = SparseOperator(4, [(i, (i + 1) % 4, 3) for i in range(4)], F)
     D = DiagonalOperator(2 * np.ones(4, dtype=np.int64), F)
-    C = compose([D, S, D])
+    C = ComposedOperator([D, S, D])
     v = rng.integers(0, P, size=4, dtype=np.int64)
     assert np.array_equal(C.apply(v), 4 * S.apply(v) % P)
 
@@ -138,7 +137,7 @@ def test_compose_ldu_materialization():
     U = ToeplitzUpperUnit.random(n, F, rng)
     d = rng.integers(1, P, size=n, dtype=np.int64)
     D2 = DiagonalOperator(d * d % P, F)
-    R = compose([L, D2, U])
+    R = ComposedOperator([L, D2, U])
     got = R.to_dense()
     I = np.eye(n, dtype=np.int64)
     expect = matmul_mod(L.apply_matrix(I),
@@ -188,9 +187,10 @@ def test_inverted_then_plain_is_identity():
     for op in kinds:
         for transposed in (False, True):
             v = rng.integers(0, P, size=n, dtype=np.int64)
-            w = precond_apply(op, v, transposed=transposed, inverted=True)
-            back = precond_apply(op, w, transposed=transposed)
-            assert np.array_equal(back, v), type(op).__name__
+            w = op.apply_inverse_matrix(v[:, None], transposed=transposed)
+            back = (op.apply_transpose_matrix(w) if transposed
+                    else op.apply_matrix(w))
+            assert np.array_equal(back.ravel(), v), type(op).__name__
 
 
 def test_counter_totals_under_composition():
@@ -198,7 +198,7 @@ def test_counter_totals_under_composition():
     n = 6
     A = DenseOperator(rng.integers(0, P, size=(n, n), dtype=np.int64), F)
     D = DiagonalOperator.random(n, F, rng)
-    C = compose([D, A, D])
+    C = ComposedOperator([D, A, D])
     V = rng.integers(0, P, size=(n, 3), dtype=np.int64)
     C.apply_matrix(V)
     C.apply(V[:, 0])

@@ -1,0 +1,34 @@
+"""The benchmark's traced mode wraps library functions and operator methods
+by name; a rename or a move must not silently zero its per-layer metrics.
+
+perfbench/tracing.py is only imported here, never modified.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import blackbox_linalg.operators as operators
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve_in_their_modules():
+    for modname, fname, _span, _work in _tracing().FUNCTIONS:
+        module = importlib.import_module(f"blackbox_linalg.{modname}")
+        fn = getattr(module, fname, None)
+        assert callable(fn), f"{modname}.{fname} is missing"
+        assert fn.__module__ == module.__name__, f"{modname}.{fname} is not defined there"
+
+
+def test_traced_operator_families_define_apply_block():
+    for clsname in _tracing().OPERATOR_FAMILIES:
+        cls = getattr(operators, clsname, None)
+        assert cls is not None, f"operators.{clsname} is missing"
+        assert "_apply_block" in vars(cls), f"{clsname} does not define _apply_block"
