@@ -1,9 +1,9 @@
 """Exact dense matrix kernels over a prime field.
 
 These serve double duty: small subproblems inside the block algorithms
-(the m = 1 Hankel fallback, residue normalizations) and the independent
-oracles the test suite checks everything against.  Matrices are plain
-row-major int64 numpy arrays with entries in [0, p).
+(the Pade residue normalizations, s x s generator determinants) and the
+independent oracles the test suite checks everything against.  Matrices
+are plain row-major int64 numpy arrays with entries in [0, p).
 
 Elimination pivots on the first nonzero entry (lowest row index); exact
 arithmetic needs no magnitude-based pivoting.

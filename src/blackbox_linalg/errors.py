@@ -35,8 +35,8 @@ class FieldTooSmall(BlackboxLinalgError):
 
 
 class HankelSingular(BlackboxLinalgError):
-    """The block-Hankel inversion degenerated: a singular residue or
-    normalizer, or a block-Hankel matrix judged singular after resampling."""
+    """The block-Hankel inversion degenerated: a degree profile, a singular
+    residue or normalizer, or a failed verification; H is singular."""
 
 
 class SingularMatrix(BlackboxLinalgError):

@@ -4,10 +4,12 @@ application to dense blocks.
 
 Conventions, fixed and verified against dense oracles:
 
-  * H is m x m blocks with block (i, j) = alpha_{i+j}; alpha_0..alpha_{2m-2}
-    determine H, alpha_{2m-1} is a free trailing block (defaulted to zero,
-    resampled when a residue degenerates) and the alpha_{2m} slot is accepted
-    for interface completeness but never referenced.
+  * H is m x m blocks with block (i, j) = alpha_{i+j}; the 2m-1 blocks
+    alpha_0..alpha_{2m-2} define H.  The v-runs read one more block,
+    alpha_{2m-1}, which H does not determine: it is taken as zero when
+    absent.  For nonsingular H any choice works (a reduced order basis then
+    has exactly s rows of degree m, with an invertible constant term), so a
+    degenerate run means H is singular.  No block past alpha_{2m-1} is read.
   * q-family: A(x) Q(x) = P(x) + x^{2m-2} I  (mod x^{2m-1}),
     deg Q <= m-1, deg P <= m-2; starred version multiplies A from the left.
   * v-family: A(x) V(x) = U(x)  (mod x^{2m}), V(0) = I,
@@ -38,7 +40,8 @@ from .projection import BlockProjection, u_contract
 
 @dataclass
 class BlockHankel:
-    """A 2m-term block sequence defining an n x n block-Hankel matrix."""
+    """The blocks alpha_0..alpha_{2m-2} (optionally alpha_{2m-1}) of an
+    n x n block-Hankel matrix, kept as given."""
     s: int
     m: int
     alpha: list
@@ -52,9 +55,6 @@ class BlockHankel:
         for a in self.alpha:
             if a.shape != (self.s, self.s):
                 raise DimensionError(f"block shape {a.shape} != ({self.s}, {self.s})")
-        # pad the free trailing blocks with zeros
-        while len(self.alpha) < 2 * self.m + 1:
-            self.alpha.append(np.zeros((self.s, self.s), dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -110,8 +110,8 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
 
     Returns (M, degrees, E, snapshot): M is (rows x rows x sigma+1), E the
     updated residual series M*F (useful one coefficient past the order for
-    residues).  ``snapshot_at`` captures (M, degrees, E) copies after that
-    many order steps, letting one run serve two orders.
+    residues).  ``snapshot_at`` (below ``sigma``) captures (M, degrees, E)
+    copies after that many order steps, letting one run serve two orders.
     """
     rows, cols, ncoeff = F.shape
     E = F.copy() % p
@@ -144,34 +144,27 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
             E[i, :, 1:] = E[i, :, :-1]
             E[i, :, 0] = 0
             deg[i] += 1
-    if snapshot_at == sigma:
-        snapshot = (M.copy(), list(deg), E.copy())
     return M, deg, E, snapshot
-
-
-# fresh trailing blocks tried after a degenerate residue before giving up
-TAIL_RESAMPLES = 3
 
 
 @dataclass
 class HankelInverseRep:
-    """Coefficient families feeding the off-diagonal inversion formula.
-
-    For m = 1 the Pade machinery is bypassed and ``dense_inv`` holds the
-    single inverted block.  The n x n inverse is never stored.
+    """Coefficient families feeding the off-diagonal inversion formula:
+    q and q_star have m blocks, v and v_star m + 1 (v_0 = I).  For m = 1 this
+    is q_0 = q*_0 = alpha_0^{-1}.  The n x n inverse is never stored.
     """
     s: int
     m: int
     p: int
-    q: list | None = None
-    q_star: list | None = None
-    v: list | None = None
-    v_star: list | None = None
-    dense_inv: np.ndarray | None = None
+    q: list
+    q_star: list
+    v: list
+    v_star: list
 
 
 def _stacked_series(alpha, s: int, m: int, p: int, ncoeff: int) -> np.ndarray:
-    """[A; -I] as a (2s x s x ncoeff) coefficient array."""
+    """[A; -I] as a (2s x s x ncoeff) coefficient array; blocks of A past
+    the given ones are zero."""
     F = np.zeros((2 * s, s, ncoeff), dtype=np.int64)
     for k in range(min(len(alpha), ncoeff)):
         F[:s, :, k] = alpha[k]
@@ -180,10 +173,10 @@ def _stacked_series(alpha, s: int, m: int, p: int, ncoeff: int) -> np.ndarray:
 
 
 def _pade_families(alpha, s: int, m: int, p: int):
-    """One attempt at the four families for a given trailing block choice.
+    """The four families, star side first.
 
-    Raises HankelSingular when a degree profile or a normalizer degenerates
-    (the signature of a singular H or an unlucky trailing block)."""
+    Raises HankelSingular at the first degree profile or normalizer that
+    degenerates, the signature of a singular H."""
     shifts = [0] * s + [1] * s
     alpha_t = [a.T.copy() for a in alpha]
     out = {}
@@ -222,40 +215,22 @@ def _pade_families(alpha, s: int, m: int, p: int):
     return q, q_star, v, v_star
 
 
-def hankel_inverse_rep(H: BlockHankel, rng=None) -> HankelInverseRep:
-    """The four coefficient families of the inversion formula.
+def hankel_inverse_rep(H: BlockHankel, rng) -> HankelInverseRep:
+    """The four coefficient families of the inversion formula, from one
+    order-basis run per side.
 
-    Degenerate residues trigger a fresh random trailing block up to
-    TAIL_RESAMPLES times; persistent failure (or a failed verification on a
-    random vector) raises HankelSingular, the signature of a singular H."""
+    The families are determined by H, so there is nothing to retry here: a
+    degenerate degree profile or normalizer, or a representation that fails
+    the check on one random vector drawn from ``rng``, raises HankelSingular,
+    the signature of a singular H."""
     s, m, p = H.s, H.m, H.p
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if m == 1:
-        try:
-            inv = dense_inverse(H.alpha[0], p)
-        except Singular as exc:
-            raise HankelSingular("single-block Hankel is singular") from exc
-        return HankelInverseRep(s=s, m=m, p=p, dense_inv=inv)
-
-    alpha = list(H.alpha)
-    last_error = None
-    for attempt in range(1 + TAIL_RESAMPLES):
-        if attempt:
-            alpha[2 * m - 1] = rng.integers(0, p, size=(s, s), dtype=np.int64)
-            alpha[2 * m] = rng.integers(0, p, size=(s, s), dtype=np.int64)
-        try:
-            q, q_star, v, v_star = _pade_families(alpha, s, m, p)
-        except HankelSingular as exc:
-            last_error = exc
-            continue
-        rep = HankelInverseRep(s=s, m=m, p=p, q=q, q_star=q_star, v=v, v_star=v_star)
-        # Las Vegas check: rep applied to H r must give back r
-        r = rng.integers(0, p, size=(H.n, 1), dtype=np.int64)
-        if np.array_equal(hankel_inverse_apply(rep, H.apply(r)), r % p):
-            return rep
+    q, q_star, v, v_star = _pade_families(H.alpha, s, m, p)
+    rep = HankelInverseRep(s=s, m=m, p=p, q=q, q_star=q_star, v=v, v_star=v_star)
+    # Las Vegas check: rep applied to H r must give back r
+    r = rng.integers(0, p, size=(H.n, 1), dtype=np.int64)
+    if not np.array_equal(hankel_inverse_apply(rep, H.apply(r)), r):
         raise HankelSingular("inverse representation failed verification")
-    raise HankelSingular(f"residues stayed singular after resampling: {last_error}")
+    return rep
 
 
 def hankel_inverse_apply(rep: HankelInverseRep, M: np.ndarray) -> np.ndarray:
@@ -267,15 +242,12 @@ def hankel_inverse_apply(rep: HankelInverseRep, M: np.ndarray) -> np.ndarray:
         return hankel_inverse_apply(rep, M.reshape(-1, 1)).ravel()
     if M.shape[0] != s * m:
         raise DimensionError(f"expected {s * m} rows, got {M.shape[0]}")
-    if rep.dense_inv is not None:
-        return matmul_mod(rep.dense_inv, M, p)
 
     m_rev = MatrixPolynomial(
         [M[(m - 1 - j) * s:(m - j) * s] for j in range(m)], p)
     qs_rev = MatrixPolynomial([rep.q_star[m - 1 - d] for d in range(m)], p)
     vs_rev = MatrixPolynomial([rep.v_star[m - d] for d in range(m)], p)
     v_poly = MatrixPolynomial(rep.v[:m], p)
-    q_poly = MatrixPolynomial(rep.q[:m - 1], p) if m > 1 else None
 
     prod = polymat_mul(qs_rev, m_rev, max_degree=m - 1)
     X = MatrixPolynomial([prod.coeff(m - 1 - i) for i in range(m)], p)
@@ -283,7 +255,9 @@ def hankel_inverse_apply(rep: HankelInverseRep, M: np.ndarray) -> np.ndarray:
     Y = MatrixPolynomial([prod.coeff(m - 1 - i) for i in range(m)], p)
 
     z1 = polymat_mul(v_poly, X, max_degree=m - 1)
-    z2 = polymat_mul(q_poly, Y, max_degree=m - 2)
+    # T3 T4 has no block rows when m = 1
+    z2 = polymat_mul(MatrixPolynomial(rep.q[:m - 1], p), Y,
+                     max_degree=m - 2) if m > 1 else None
     out = np.zeros((s * m, M.shape[1]), dtype=np.int64)
     for i in range(m):
         block = z1.coeff(m - 1 - i)

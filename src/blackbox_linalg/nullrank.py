@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import RetriesExhausted
+from .field import matmul_mod
 from .inverse import (InversionConfig, blackbox_inverse, blackbox_inverse_apply,
                       run_stats)
 from .operators import (BlackBoxOperator, ComposedOperator, DiagonalOperator,
@@ -70,9 +71,8 @@ def wiedemann_minpoly(A: BlackBoxOperator, rng) -> np.ndarray:
     v = rng.integers(0, p, size=n, dtype=np.int64)
     seq = []
     w = v
-    hi, lo = u >> 16, u & 0xFFFF
     for i in range(2 * n):
-        seq.append(int((int(hi @ w) % p << 16) + int(lo @ w)) % p)
+        seq.append(int(matmul_mod(u[None, :], w[:, None], p)[0, 0]))
         if i + 1 < 2 * n:
             w = A.apply(w)
     return berlekamp_massey(seq, p)

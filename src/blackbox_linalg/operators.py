@@ -174,7 +174,6 @@ class DiagonalOperator(BlackBoxOperator):
             raise ValueError("diagonal entries must be nonzero")
         super().__init__(len(d), field)
         self.d = d
-        self._d_inv = None
 
     @classmethod
     def block_constant(cls, values, s: int, field: PrimeField) -> "DiagonalOperator":
@@ -185,19 +184,8 @@ class DiagonalOperator(BlackBoxOperator):
     def random(cls, n: int, field: PrimeField, rng) -> "DiagonalOperator":
         return cls(rng.integers(1, field.p, size=n, dtype=np.int64), field)
 
-    @property
-    def d_inv(self) -> np.ndarray:
-        if self._d_inv is None:
-            self._d_inv = self.field.inv_vec(self.d)
-        return self._d_inv
-
     def _apply_block(self, V, transposed):
         return self.d[:, None] * V % self.field.p
-
-    def apply_inverse_matrix(self, V: np.ndarray, transposed: bool = False) -> np.ndarray:
-        V = self._check(V)
-        self._count(V.shape[1], transposed)
-        return self.d_inv[:, None] * V % self.field.p
 
     def determinant(self) -> int:
         det = 1
@@ -215,8 +203,7 @@ def _split_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 class ToeplitzLowerUnit(BlackBoxOperator):
     """Unit lower-triangular Toeplitz matrix, defined by its first column
-    (entry 0 forced to 1).  Apply is O(n^2) worst case via convolution;
-    solves are forward/back substitution."""
+    (entry 0 forced to 1).  Apply is O(n^2) worst case via convolution."""
 
     kind = "lower"
 
@@ -247,30 +234,6 @@ class ToeplitzLowerUnit(BlackBoxOperator):
         # transpose of lower-Toeplitz(c) is upper-Toeplitz with first row c
         return self._conv_apply(V, lower=not transposed)
 
-    def _solve(self, V, lower: bool):
-        """Unit-triangular solve, O(n^2) per column batch."""
-        p = self.field.p
-        c = self.coeffs
-        chi, clo = c >> 16, c & 0xFFFF
-        X = V % p
-        n = self.n
-        if lower:
-            for i in range(1, n):
-                seg_hi = chi[i:0:-1] @ X[:i]
-                seg_lo = clo[i:0:-1] @ X[:i]
-                X[i] = (X[i] - ((seg_hi % p << 16) + seg_lo)) % p
-        else:
-            for i in range(n - 2, -1, -1):
-                seg_hi = chi[1:n - i] @ X[i + 1:]
-                seg_lo = clo[1:n - i] @ X[i + 1:]
-                X[i] = (X[i] - ((seg_hi % p << 16) + seg_lo)) % p
-        return X
-
-    def apply_inverse_matrix(self, V: np.ndarray, transposed: bool = False) -> np.ndarray:
-        V = self._check(V)
-        self._count(V.shape[1], transposed)
-        return self._solve(V, lower=not transposed)
-
 
 class ToeplitzUpperUnit(ToeplitzLowerUnit):
     """Unit upper-triangular Toeplitz matrix, defined by its first row."""
@@ -279,11 +242,6 @@ class ToeplitzUpperUnit(ToeplitzLowerUnit):
 
     def _apply_block(self, V, transposed):
         return self._conv_apply(V, lower=transposed)
-
-    def apply_inverse_matrix(self, V: np.ndarray, transposed: bool = False) -> np.ndarray:
-        V = self._check(V)
-        self._count(V.shape[1], transposed)
-        return self._solve(V, lower=transposed)
 
 
 class ButterflyOperator(BlackBoxOperator):
@@ -334,18 +292,6 @@ class ButterflyOperator(BlackBoxOperator):
         else:
             for lo, hi, a, b, c, d in self.stages:
                 self._mix(V, lo, hi, a, b, c, d)
-        return V
-
-    def apply_inverse_matrix(self, V: np.ndarray, transposed: bool = False) -> np.ndarray:
-        V = self._check(V).copy()
-        p = self.field.p
-        self._count(V.shape[1], transposed)
-        if transposed:
-            for lo, hi, a, b, c, d in self.stages:
-                self._mix(V, lo, hi, d, (-c) % p, (-b) % p, a)
-        else:
-            for lo, hi, a, b, c, d in reversed(self.stages):
-                self._mix(V, lo, hi, d, (-b) % p, (-c) % p, a)
         return V
 
 

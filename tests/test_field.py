@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blackbox_linalg import PrimeField, matmul_mod
 from blackbox_linalg.errors import DimensionError, NotInvertible
@@ -78,3 +79,45 @@ def test_matmul_mod_shapes():
     out = matmul_mod(np.zeros((3, 0), dtype=np.int64),
                      np.zeros((0, 4), dtype=np.int64), 7)
     assert out.shape == (3, 4) and not out.any()
+
+
+KINDS = ("0", "1", "p-1", "uniform", "mixed")
+
+
+def _residues(rng, shape, p, kind):
+    """Entries 0, 1, p-1 or uniform; ``mixed`` picks one of these per entry."""
+    picks = {"0": np.zeros(shape, dtype=np.int64),
+             "1": np.ones(shape, dtype=np.int64),
+             "p-1": np.full(shape, p - 1, dtype=np.int64),
+             "uniform": rng.integers(0, p, size=shape, dtype=np.int64)}
+    if kind != "mixed":
+        return picks[kind]
+    return np.choose(rng.integers(0, 4, size=shape), [picks[k] for k in KINDS[:4]])
+
+
+@st.composite
+def _residue_operands(draw):
+    p = draw(st.sampled_from((3, 10007, 2147483629)))
+    r, k, c = (draw(st.integers(1, 6)), draw(st.integers(0, 40)),
+               draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = _residues(rng, (r, k), p, draw(st.sampled_from(KINDS)))
+    B = _residues(rng, (k, c), p, draw(st.sampled_from(KINDS)))
+    return A, B, p
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_residue_operands())
+def test_matmul_mod_exact_property(operands):
+    A, B, p = operands
+    assert np.array_equal(matmul_mod(A, B, p), dense_mul_int(A, B, p))
+
+
+def test_matmul_mod_exact_past_chunk_bound():
+    # inner dimension above 2**15 takes the chunked path; all-(p-1) entries
+    # give the largest partial sums
+    p = 2147483629
+    k = 70000
+    A = np.full((2, k), p - 1, dtype=np.int64)
+    B = np.full((k, 3), p - 1, dtype=np.int64)
+    assert np.array_equal(matmul_mod(A, B, p), dense_mul_int(A, B, p))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import blackbox_linalg.hankel as hankel
 from blackbox_linalg import (BlockHankel, BlockProjection, DenseOperator,
                              IdentityOperator, MatrixPolynomial, PrimeField,
                              build_hankel, dense_inverse, dense_rank,
@@ -113,17 +114,20 @@ def test_sigma_basis_minimal_degrees_sum():
     assert sum(res.row_degrees) == sigma * s
 
 
-def test_rep_m1_dense_fallback():
+def test_rep_m1_single_block():
+    # m = 1 runs the Pade path too: q_0 = q*_0 = alpha_0^{-1}, no T3 T4 term
     rng = np.random.default_rng(55)
     a0 = rng.integers(0, P, size=(3, 3), dtype=np.int64)
     while dense_rank(a0, P) < 3:
         a0 = rng.integers(0, P, size=(3, 3), dtype=np.int64)
     H = BlockHankel(s=3, m=1, alpha=[a0], p=P)
-    rep = hankel_inverse_rep(H)
-    assert np.array_equal(rep.dense_inv, dense_inverse(a0, P))
+    rep = hankel_inverse_rep(H, rng)
     M = rng.integers(0, P, size=(3, 4), dtype=np.int64)
     assert np.array_equal(hankel_inverse_apply(rep, M),
-                          matmul_mod(rep.dense_inv, M, P))
+                          matmul_mod(dense_inverse(a0, P), M, P))
+    a0[2] = (a0[0] + a0[1]) % P  # dependent rows: alpha_0 singular
+    with pytest.raises(HankelSingular):
+        hankel_inverse_rep(BlockHankel(s=3, m=1, alpha=[a0], p=P), rng)
 
 
 def test_rep_scalar_m2_frozen_example():
@@ -222,15 +226,40 @@ def test_reconstruction_sweep_100_random():
             f"trial {trial}: s={s} m={m}"
 
 
-def test_singular_hankel_raises():
+def test_singular_hankel_raises(monkeypatch):
+    # the families are determined by H: the first degenerate order-basis
+    # run is final, nothing is redrawn
     rng = np.random.default_rng(63)
     s, m = 2, 3
     a = rng.integers(0, P, size=(s, s), dtype=np.int64)
     alpha = [a.copy() for _ in range(2 * m - 1)]  # rank s < n
     H = BlockHankel(s=s, m=m, alpha=alpha, p=P)
     assert dense_rank(H.materialize(), P) < H.n
+    runs = []
+    real = hankel._mbasis
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hankel, "_mbasis", counted)
     with pytest.raises(HankelSingular):
         hankel_inverse_rep(H, rng)
+    assert len(runs) == 1
+
+
+def test_rep_ignores_trailing_block():
+    # alpha_{2m-1} is not a block of H: any value gives the same inverse
+    rng = np.random.default_rng(65)
+    for s, m in ((1, 2), (2, 3), (3, 4)):
+        H = random_nonsingular_hankel(rng, s, m)
+        tail = rng.integers(0, P, size=(s, s), dtype=np.int64)
+        H_tail = BlockHankel(s=s, m=m, alpha=H.alpha + [tail], p=P)
+        I = np.eye(H.n, dtype=np.int64)
+        got = hankel_inverse_apply(hankel_inverse_rep(H, rng), I)
+        assert np.array_equal(
+            hankel_inverse_apply(hankel_inverse_rep(H_tail, rng), I), got)
+        assert np.array_equal(got, dense_inverse(H.materialize(), P))
 
 
 def test_rep_handles_singular_leading_subblocks():
