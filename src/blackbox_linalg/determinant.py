@@ -84,14 +84,21 @@ def block_generator(alpha, m: int, p: int,
                 blk[:, c] = w[:, d - k]
         coeffs.append(blk)
     gen = MatrixPolynomial(coeffs, p)
-    # annihilation check over the sampled window, per column
+    # annihilation check over the sampled window, all windows i at once:
+    # row c of acc holds column c of sum_k alpha_{i+k} F_k for every i, one
+    # product per k of F_k^T by the side-by-side alpha_{k..k+W-1}^T.
+    # Column c must vanish on windows i < len(alpha) - d_c (past them it
+    # reads coefficients above d_c, which are zero in that column).
+    windows = max(len(alpha) - min(degs), 0)
+    side = np.concatenate([a.T for a in alpha], axis=1)
+    acc = np.zeros((s, windows * s), dtype=np.int64)
+    for k in range(min(dmax + 1, len(alpha))):
+        w = min(windows, len(alpha) - k) * s
+        acc[:, :w] += matmul_mod(gen.coeff(k).T, side[:, k * s:k * s + w], p)
+        acc[:, :w] %= p
     for c, d in enumerate(degs):
-        for i in range(len(alpha) - d):
-            acc = np.zeros(s, dtype=np.int64)
-            for k in range(d + 1):
-                acc = (acc + matmul_mod(alpha[i + k], gen.coeff(k)[:, c:c + 1], p).ravel()) % p
-            if acc.any():
-                raise DegenerateSequence("generator fails annihilation on the sample")
+        if acc[c, :max(len(alpha) - d, 0) * s].any():
+            raise DegenerateSequence("generator fails annihilation on the sample")
     return GeneratorResult(F=gen, degree=dmax, det_at_zero=dense_det(LC, p),
                            col_degrees=degs, det_lead=det_lead)
 

@@ -1,9 +1,30 @@
 """Word-size prime field arithmetic and the exact dense multiply kernel.
 
 Residues are stored in int64 numpy arrays (or plain ints).  The modulus is
-capped at 2**31 so that any single product of two residues fits in an int64;
-accumulated dot products go through a 16-bit split (see ``matmul_mod``) which
-keeps every partial sum exact for inner dimensions up to 2**15.
+capped at 2**31 so that any single product of two residues fits in an int64.
+
+``matmul_mod`` multiplies residue matrices exactly on float64 BLAS, in the
+style of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008).  Operands are
+split into 16-bit limbs, x = x_h 2**16 + x_l with x_h < 2**15 and
+x_l < 2**16.  With A' = A 2**16 mod p,
+
+    A B = A (B_h 2**16 + B_l) = A' B_h + A B_l              (mod p)
+        = (A'_h B_h + A_h B_l) 2**16 + (A'_l B_h + A_l B_l)
+        = X 2**16 + Y,
+
+and one float64 GEMM of the limb matrices [[A'_h, A_h], [A'_l, A_l]]
+(2r x 2k) by [B_h; B_l] (2k x w) gives [X; Y].  A float64 holds every
+integer below 2**53 exactly.  One term of X is below 2**32 and one term of
+Y below 2**32.6, so with inner dimension k < 2**20 (``MAX_INNER``) every
+partial sum of the GEMM is an integer below 2**52.6: no rounding happens,
+in whatever order the BLAS adds.  Longer inner dimensions are cut into
+chunks below the bound.  The result is then reduced in int64:
+(X mod p) 2**16 + Y < 2**53, mod p.
+
+B is processed in column panels of w columns, with w chosen so that the
+panel's limbs and products hold at most ``PANEL_ELEMENTS`` elements; the
+temporaries are bounded by that budget and by the limbs of A, never by the
+size of the output.
 """
 from __future__ import annotations
 
@@ -85,29 +106,63 @@ class PrimeField:
         return result
 
 
+# Inner dimensions at or above this are cut into chunks: below it every
+# partial sum of the limb GEMM stays below 2**53 (see the module docstring).
+MAX_INNER = 1 << 20
+# Element budget of one column panel of B: its limbs (2k x w) plus the
+# panel's products, as float64 and as int64 (2r x w each).
+PANEL_ELEMENTS = 1 << 16
+
+
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Exact (A @ B) mod p for int64 residue matrices.
 
-    Splits A into 16-bit halves so every accumulated partial sum stays below
-    2**63 for inner dimensions up to 2**15.
+    One float64 GEMM on 16-bit limbs per column panel of B (see the module
+    docstring), exact for inner dimension below ``MAX_INNER`` (longer ones
+    are chunked), with at most ``PANEL_ELEMENTS`` limb and product elements
+    per panel.  Entries must lie in (-2**31, 2**31); the result is in
+    [0, p).
     """
-    A = np.ascontiguousarray(A, dtype=np.int64)
-    B = np.ascontiguousarray(B, dtype=np.int64)
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise DimensionError(f"cannot multiply {A.shape} by {B.shape}")
-    k = A.shape[1]
-    if k == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    if k >= 1 << 15:
-        # fall back to chunked accumulation; not hit at desk scale
-        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-        step = (1 << 15) - 1
+    r, k = A.shape
+    if k >= MAX_INNER:
+        out = np.zeros((r, B.shape[1]), dtype=np.int64)
+        step = MAX_INNER - 1
         for lo in range(0, k, step):
-            out = (out + matmul_mod(A[:, lo:lo + step], B[lo:lo + step], p)) % p
+            out += matmul_mod(A[:, lo:lo + step], B[lo:lo + step], p)
+            out %= p
         return out
-    hi = A >> 16
-    lo = A & 0xFFFF
-    return (((hi @ B) % p << 16) + (lo @ B)) % p
+    c = B.shape[1]
+    # rows [A' >> 16, A >> 16] give X, rows [A' & 0xFFFF, A & 0xFFFF] give Y
+    scaled = A << 16
+    scaled -= scaled // p * p
+    L = np.empty((2 * r, 2 * k))
+    L[:r, :k] = scaled >> 16
+    L[:r, k:] = A >> 16
+    L[r:, :k] = scaled & 0xFFFF
+    L[r:, k:] = A & 0xFFFF
+    out = np.empty((r, c), dtype=np.int64)
+    width = max(1, PANEL_ELEMENTS // (2 * k + 4 * r + 1))
+    R = np.empty((2 * k, min(width, c)))
+    for lo in range(0, c, width):
+        panel = B[:, lo:lo + width]
+        limbs = R[:, :panel.shape[1]]
+        np.right_shift(panel, 16, out=limbs[:k], casting="unsafe")
+        np.bitwise_and(panel, 0xFFFF, out=limbs[k:], casting="unsafe")
+        XY = (L @ limbs).astype(np.int64)
+        X, Y = XY[:r], XY[r:]
+        X -= X // p * p
+        X <<= 16
+        X += Y
+        # Y is spent: it takes the quotient (floor division by a scalar is
+        # several times faster than numpy's remainder)
+        np.floor_divide(X, p, out=Y)
+        Y *= p
+        np.subtract(X, Y, out=out[:, lo:lo + width])
+    return out
 
 
 def reduce_mod(A, p: int) -> np.ndarray:

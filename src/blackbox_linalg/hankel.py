@@ -21,8 +21,13 @@ Conventions, fixed and verified against dense oracles:
 The families are computed by the quadratic M-Basis: an order basis of the
 stacked series [A; -I] with initial row degrees (0,...,0, 1,...,1), raised
 one order at a time by constant-term elimination (pivot = minimal current
-row degree, ties by lowest row index).  The q-runs use order 2m-2 and the
-v-runs order 2m.  Row selection takes the s rows of smallest degree.
+row degree, ties by lowest row index).  Each order step eliminates on the
+constant term alone and records its row operations in one constant
+rows x rows transform T, which is then applied with one ``matmul_mod`` to
+the live window of the basis (coefficients up to its largest row degree,
+at most k after k steps) and of the residual (coefficients k..; the lower
+ones are zero) before the pivot rows are shifted by x.  The q-runs use order 2m-2 and the v-runs order 2m.  Row
+selection takes the s rows of smallest degree.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ import numpy as np
 
 from .dense import dense_inverse
 from .errors import DimensionError, HankelSingular, Singular
-from .field import matmul_mod, reduce_mod
+from .field import PANEL_ELEMENTS, matmul_mod, reduce_mod
 from .operators import BlackBoxOperator
 from .polymat import MatrixPolynomial, polymat_mul
 from .projection import BlockProjection, u_contract
@@ -105,6 +110,28 @@ def build_hankel(B: BlackBoxOperator, P: BlockProjection, keep_left: bool = Fals
     return BlockHankel(s=s, m=m, alpha=alpha, p=p), Kl
 
 
+def _transform_window(T: np.ndarray, pivots, W: np.ndarray, p: int) -> None:
+    """W <- T W mod p in place, one column panel at a time (W is a 2-D
+    view; no copy of it is made).
+
+    T differs from the identity only in its pivot columns, so
+    T W = T[:, pivots] W[pivots] + (W with its pivot rows zeroed): one
+    product with the pivot count as inner dimension."""
+    Tp = T[:, pivots]
+    width = max(1, PANEL_ELEMENTS // W.shape[0])
+    for lo in range(0, W.shape[1], width):
+        panel = W[:, lo:lo + width]
+        top = panel[pivots]
+        panel[pivots] = 0
+        prod = matmul_mod(Tp, top, p)
+        panel += prod
+        # reduce through the spent prod: numpy's floor division by a
+        # scalar is several times faster than its remainder
+        np.floor_divide(panel, p, out=prod)
+        prod *= p
+        panel -= prod
+
+
 def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None = None):
     """Iterative order basis on F (rows x cols x ncoeff int64 array).
 
@@ -112,39 +139,58 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
     updated residual series M*F (useful one coefficient past the order for
     residues).  ``snapshot_at`` (below ``sigma``) captures (M, degrees, E)
     copies after that many order steps, letting one run serve two orders.
+
+    Order step k eliminates on the constant term delta = E_k alone and
+    records its row operations in a rows x rows transform T, then applies T
+    with one ``matmul_mod`` each to M's coefficients 0..d and to E's
+    coefficients k.. (the lower ones are zero once order k is reached).
+    Row i of M has degree at most deg_i - min(shifts) (row operations only
+    add rows that come earlier in pivot order, of no larger degree), and at
+    most k, so d = min(k, max(deg) - min(shifts)).  M and E are held coefficient-major
+    (row x coeff x col), so each window is a strided 2-D view updated in
+    place; they are returned as (row x col x coeff) views.
     """
     rows, cols, ncoeff = F.shape
-    E = F.copy() % p
-    M = np.zeros((rows, rows, sigma + 1), dtype=np.int64)
-    M[:, :, 0] = np.eye(rows, dtype=np.int64)
+    E = np.ascontiguousarray(F.transpose(0, 2, 1)) % p
+    M = np.zeros((rows, sigma + 1, rows), dtype=np.int64)
+    M[:, 0, :] = np.eye(rows, dtype=np.int64)
     deg = list(shifts)
+    low = min(deg, default=0)
     snapshot = None
     for k in range(sigma):
         if k == snapshot_at:
-            snapshot = (M.copy(), list(deg), E.copy())
-        delta = E[:, :, k] % p
+            snapshot = (M.transpose(0, 2, 1).copy(), list(deg),
+                        E.transpose(0, 2, 1).copy())
+        # [delta | T]: the constant term and the row operations done on it
+        DT = np.zeros((rows, cols + rows), dtype=np.int64)
+        DT[:, :cols] = E[:, k, :]
+        DT[:, cols:] = np.eye(rows, dtype=np.int64)
         order = np.array(sorted(range(rows), key=lambda r: (deg[r], r)))
         pivots = []
         for pos, i in enumerate(order):
-            nz = np.nonzero(delta[i])[0]
+            nz = DT[i, :cols].nonzero()[0]
             if len(nz) == 0:
                 continue
             pivots.append(i)
-            c = int(nz[0])
+            c = nz[0]
             later = order[pos + 1:]
-            later = later[delta[later, c] % p != 0]
+            later = later[DT[later, c] != 0]
             if len(later):
-                f = delta[later, c] * pow(int(delta[i, c]), p - 2, p) % p
-                delta[later] = (delta[later] - f[:, None] * delta[i]) % p
-                M[later] = (M[later] - f[:, None, None] * M[i]) % p
-                E[later] = (E[later] - f[:, None, None] * E[i]) % p
+                f = DT[later, c] * pow(int(DT[i, c]), p - 2, p) % p
+                DT[later] = (DT[later] - f[:, None] * DT[i]) % p
+        if not pivots:
+            continue
+        T = DT[:, cols:]
+        d = min(k, max(deg) - low)
+        _transform_window(T, pivots, M[:, :d + 1, :].reshape(rows, -1), p)
+        _transform_window(T, pivots, E[:, k:, :].reshape(rows, -1), p)
+        M[pivots, 1:d + 2] = M[pivots, :d + 1]
+        M[pivots, 0] = 0
+        E[pivots, k + 1:] = E[pivots, k:-1]
+        E[pivots, k] = 0
         for i in pivots:
-            M[i, :, 1:] = M[i, :, :-1]
-            M[i, :, 0] = 0
-            E[i, :, 1:] = E[i, :, :-1]
-            E[i, :, 0] = 0
             deg[i] += 1
-    return M, deg, E, snapshot
+    return M.transpose(0, 2, 1), deg, E.transpose(0, 2, 1), snapshot
 
 
 @dataclass

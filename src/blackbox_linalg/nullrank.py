@@ -22,6 +22,10 @@ from .operators import (BlackBoxOperator, ComposedOperator, DiagonalOperator,
                         LeadingMinorOperator, ToeplitzLowerUnit,
                         ToeplitzUpperUnit)
 
+# Iterates A^i v collected per projection in ``wiedemann_minpoly``: one
+# 1 x n by n x PROJECTION_WIDTH product per block instead of one per iterate.
+PROJECTION_WIDTH = 32
+
 
 def berlekamp_massey(seq, p: int) -> np.ndarray:
     """Monic minimal polynomial of a linearly generated sequence.
@@ -64,15 +68,20 @@ def berlekamp_massey(seq, p: int) -> np.ndarray:
 def wiedemann_minpoly(A: BlackBoxOperator, rng) -> np.ndarray:
     """Minimal generating polynomial of u^T A^i v for random u, v
     (i = 0..2n-1, Berlekamp-Massey); equals the minimal polynomial of A
-    with high probability."""
+    with high probability.  The iterates are projected in blocks of
+    ``PROJECTION_WIDTH`` columns."""
     p = A.field.p
     n = A.n
     u = rng.integers(0, p, size=n, dtype=np.int64)
     v = rng.integers(0, p, size=n, dtype=np.int64)
     seq = []
+    block = np.empty((n, PROJECTION_WIDTH), dtype=np.int64)
     w = v
     for i in range(2 * n):
-        seq.append(int(matmul_mod(u[None, :], w[:, None], p)[0, 0]))
+        block[:, i % PROJECTION_WIDTH] = w
+        if i % PROJECTION_WIDTH == PROJECTION_WIDTH - 1 or i + 1 == 2 * n:
+            width = i % PROJECTION_WIDTH + 1
+            seq.extend(matmul_mod(u[None, :], block[:, :width], p)[0].tolist())
         if i + 1 < 2 * n:
             w = A.apply(w)
     return berlekamp_massey(seq, p)

@@ -3,9 +3,11 @@
 These deliberately avoid the library's code paths: extended Euclid instead
 of Fermat, naive convolution loops instead of the polynomial kernels,
 fraction-free (Bareiss) elimination over big integers for determinants,
-plain repeated application instead of the Horner Krylov products.  The one
-exception is ``sigma_basis``, a test-facing wrapper that exposes the
-library's internal order-basis routine for property checks.
+plain repeated application instead of the Horner Krylov products, one
+row operation at a time on the whole series (``mbasis_reference``) instead
+of one transform per order step.  The one exception is ``sigma_basis``, a
+test-facing wrapper that exposes the library's internal order-basis routine
+for property checks.
 """
 from types import SimpleNamespace
 
@@ -102,3 +104,42 @@ def sigma_basis(F, sigma, shifts=None):
     M, deg, _, _ = _mbasis(Farr, sigma, shifts or [0] * F.rows, F.p)
     basis = MatrixPolynomial(list(np.moveaxis(M, 2, 0)), F.p).trim()
     return SimpleNamespace(basis=basis, row_degrees=deg)
+
+
+def mbasis_reference(F, sigma, shifts, p, snapshot_at=None):
+    """M-Basis by one rank-1 update of the whole (rows x rows x sigma+1)
+    basis and (rows x cols x ncoeff) residual per pivot: the same pivot rule
+    as ``hankel._mbasis`` (minimal row degree, ties by lowest index,
+    elimination on the constant term) and the same return values."""
+    rows, cols, ncoeff = F.shape
+    E = F.copy() % p
+    M = np.zeros((rows, rows, sigma + 1), dtype=np.int64)
+    M[:, :, 0] = np.eye(rows, dtype=np.int64)
+    deg = list(shifts)
+    snapshot = None
+    for k in range(sigma):
+        if k == snapshot_at:
+            snapshot = (M.copy(), list(deg), E.copy())
+        delta = E[:, :, k] % p
+        order = np.array(sorted(range(rows), key=lambda r: (deg[r], r)))
+        pivots = []
+        for pos, i in enumerate(order):
+            nz = np.nonzero(delta[i])[0]
+            if len(nz) == 0:
+                continue
+            pivots.append(i)
+            c = int(nz[0])
+            later = order[pos + 1:]
+            later = later[delta[later, c] % p != 0]
+            if len(later):
+                f = delta[later, c] * pow(int(delta[i, c]), p - 2, p) % p
+                delta[later] = (delta[later] - f[:, None] * delta[i]) % p
+                M[later] = (M[later] - f[:, None, None] * M[i]) % p
+                E[later] = (E[later] - f[:, None, None] * E[i]) % p
+        for i in pivots:
+            M[i, :, 1:] = M[i, :, :-1]
+            M[i, :, 0] = 0
+            E[i, :, 1:] = E[i, :, :-1]
+            E[i, :, 0] = 0
+            deg[i] += 1
+    return M, deg, E, snapshot

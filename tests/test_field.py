@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blackbox_linalg.field as field
 from blackbox_linalg import PrimeField, matmul_mod
 from blackbox_linalg.errors import DimensionError, NotInvertible
 from blackbox_linalg.field import is_probable_prime
@@ -114,10 +117,37 @@ def test_matmul_mod_exact_property(operands):
 
 
 def test_matmul_mod_exact_past_chunk_bound():
-    # inner dimension above 2**15 takes the chunked path; all-(p-1) entries
-    # give the largest partial sums
+    # inner dimension past MAX_INNER = 2**20 takes the chunked path; all
+    # (p-1) entries give near-largest limb sums, and (p-1)**2 = 1 mod p
     p = 2147483629
-    k = 70000
-    A = np.full((2, k), p - 1, dtype=np.int64)
-    B = np.full((k, 3), p - 1, dtype=np.int64)
+    k = 2**20 + 5
+    assert k > field.MAX_INNER
+    A = np.full((1, k), p - 1, dtype=np.int64)
+    B = np.full((k, 2), p - 1, dtype=np.int64)
+    assert np.array_equal(matmul_mod(A, B, p), np.full((1, 2), k % p))
+
+
+def test_matmul_mod_exact_across_column_panels():
+    # more columns than several panels hold, with a ragged last panel
+    p = 2147483629
+    rng = np.random.default_rng(4)
+    A = _residues(rng, (3, 4), p, "mixed")
+    B = _residues(rng, (4, field.PANEL_ELEMENTS // 4 + 5), p, "mixed")
     assert np.array_equal(matmul_mod(A, B, p), dense_mul_int(A, B, p))
+
+
+def test_matmul_mod_temporaries_bounded_by_panel_budget():
+    # a wide product holds the output plus panel-sized temporaries, not
+    # several output-sized ones
+    p = 2147483629
+    rng = np.random.default_rng(5)
+    A = rng.integers(0, p, size=(64, 64), dtype=np.int64)
+    B = rng.integers(0, p, size=(64, 65536), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        out = matmul_mod(A, B, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * 2**20
+    assert np.array_equal(out[:, :7], dense_mul_int(A, B[:, :7], p))

@@ -9,7 +9,7 @@ from blackbox_linalg import (BlockHankel, BlockProjection, DenseOperator,
                              matmul_mod, polymat_mul)
 from blackbox_linalg.errors import HankelSingular
 
-from _oracles import krylov_sequence, sigma_basis
+from _oracles import krylov_sequence, mbasis_reference, sigma_basis
 
 F = PrimeField(10007)
 P = F.p
@@ -112,6 +112,51 @@ def test_sigma_basis_minimal_degrees_sum():
         [rng.integers(0, P, size=(2 * s, s), dtype=np.int64) for _ in range(8)], P)
     res = sigma_basis(Fpoly, sigma)
     assert sum(res.row_degrees) == sigma * s
+
+
+def _order_basis_series(rng, p, kind):
+    """A (rows x cols x ncoeff) series with initial row degrees: random,
+    of low rank, partly zero (zero coefficients and zero rows), or the
+    stacked [A; -I] of a Pade run with shifts (0,...,0, 1,...,1)."""
+    if kind == "pade":
+        s, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        alpha = [rng.integers(0, p, size=(s, s), dtype=np.int64)
+                 for _ in range(2 * m - 1)]
+        F = hankel._stacked_series(alpha, s, m, p, 2 * m)
+        return F, 2 * m, [0] * s + [1] * s
+    rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+    sigma = int(rng.integers(1, 12))
+    shape = (rows, cols, sigma + int(rng.integers(1, 3)))
+    F = rng.integers(0, p, size=shape, dtype=np.int64)
+    if kind == "low-rank":
+        r = int(rng.integers(1, min(rows, cols) + 1))
+        F = np.einsum("ir,rjk->ijk", rng.integers(0, p, size=(rows, r)),
+                      rng.integers(0, p, size=(r, cols, shape[2]))) % p
+    elif kind == "partly-zero":
+        F[:, :, rng.random(shape[2]) < 0.4] = 0
+        F[rng.random(rows) < 0.3] = 0
+    return F, sigma, [int(d) for d in rng.integers(0, 3, size=rows)]
+
+
+@pytest.mark.parametrize("p", [3, 65537, 2147483629])
+def test_mbasis_matches_reference(p):
+    # one transform per order step on the live windows gives the per-pivot
+    # reference's basis, degrees, residual and snapshot bit for bit
+    rng = np.random.default_rng(p % 1009)
+    for trial in range(40):
+        kind = ("random", "low-rank", "partly-zero", "pade")[trial % 4]
+        F, sigma, shifts = _order_basis_series(rng, p, kind)
+        for snap in (None, int(rng.integers(0, sigma))):
+            M, deg, E, snapshot = hankel._mbasis(F, sigma, shifts, p, snap)
+            M0, deg0, E0, snapshot0 = mbasis_reference(F, sigma, shifts, p, snap)
+            assert deg == deg0, (kind, trial)
+            assert M.shape == M0.shape and np.array_equal(M, M0), (kind, trial)
+            assert E.shape == E0.shape and np.array_equal(E, E0), (kind, trial)
+            assert (snapshot is None) == (snap is None)
+            if snap is not None:
+                assert snapshot[1] == snapshot0[1]
+                assert np.array_equal(snapshot[0], snapshot0[0])
+                assert np.array_equal(snapshot[2], snapshot0[2])
 
 
 def test_rep_m1_single_block():
