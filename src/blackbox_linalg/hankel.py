@@ -110,14 +110,13 @@ def build_hankel(B: BlackBoxOperator, P: BlockProjection, keep_left: bool = Fals
     return BlockHankel(s=s, m=m, alpha=alpha, p=p), Kl
 
 
-def _transform_window(T: np.ndarray, pivots, W: np.ndarray, p: int) -> None:
+def _transform_window(Tp: np.ndarray, pivots, W: np.ndarray, p: int) -> None:
     """W <- T W mod p in place, one column panel at a time (W is a 2-D
     view; no copy of it is made).
 
-    T differs from the identity only in its pivot columns, so
-    T W = T[:, pivots] W[pivots] + (W with its pivot rows zeroed): one
-    product with the pivot count as inner dimension."""
-    Tp = T[:, pivots]
+    T differs from the identity only in its pivot columns Tp = T[:, pivots],
+    so T W = Tp W[pivots] + (W with its pivot rows zeroed): one product with
+    the pivot count as inner dimension."""
     width = max(1, PANEL_ELEMENTS // W.shape[0])
     for lo in range(0, W.shape[1], width):
         panel = W[:, lo:lo + width]
@@ -146,9 +145,9 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
     coefficients k.. (the lower ones are zero once order k is reached).
     Row i of M has degree at most deg_i - min(shifts) (row operations only
     add rows that come earlier in pivot order, of no larger degree), and at
-    most k, so d = min(k, max(deg) - min(shifts)).  M and E are held coefficient-major
-    (row x coeff x col), so each window is a strided 2-D view updated in
-    place; they are returned as (row x col x coeff) views.
+    most k, so d = min(k, max(deg) - min(shifts)).  M and E are held
+    coefficient-major (row x coeff x col), so each window is a strided 2-D
+    view updated in place; they are returned as (row x col x coeff) views.
     """
     rows, cols, ncoeff = F.shape
     E = np.ascontiguousarray(F.transpose(0, 2, 1)) % p
@@ -180,10 +179,10 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
                 DT[later] = (DT[later] - f[:, None] * DT[i]) % p
         if not pivots:
             continue
-        T = DT[:, cols:]
+        Tp = DT[:, cols:][:, pivots]
         d = min(k, max(deg) - low)
-        _transform_window(T, pivots, M[:, :d + 1, :].reshape(rows, -1), p)
-        _transform_window(T, pivots, E[:, k:, :].reshape(rows, -1), p)
+        _transform_window(Tp, pivots, M[:, :d + 1, :].reshape(rows, -1), p)
+        _transform_window(Tp, pivots, E[:, k:, :].reshape(rows, -1), p)
         M[pivots, 1:d + 2] = M[pivots, :d + 1]
         M[pivots, 0] = 0
         E[pivots, k + 1:] = E[pivots, k:-1]
