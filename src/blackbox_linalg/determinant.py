@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import dense_det
-from .errors import DegenerateSequence, InsufficientPrimes, RetriesExhausted
+from .errors import (DegenerateSequence, FieldTooSmall, InsufficientPrimes,
+                     RetriesExhausted)
 from .field import PrimeField, is_probable_prime, matmul_mod, reduce_mod
 from .hankel import _mbasis
 from .inverse import InversionConfig
@@ -107,9 +108,12 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
     """Determinant of A modulo the operator's prime (Monte Carlo: verified
     only by the degree checks; run twice with different seeds to confirm).
 
-    Retries with fresh preconditioners and projections on degenerate
-    sequences; if retries exhaust, a certified rank < n returns 0, else
-    RetriesExhausted."""
+    A degenerate sequence most often means that A is singular, so the first
+    one runs the rank certificate of ``nullspace_rank`` at once: a certified
+    rank < n returns 0.  Otherwise (full rank certified, or the certificate
+    failed) the attempts go on with fresh preconditioners and projections,
+    and the certificate does not run again.  When they run out, a
+    FieldTooSmall from the certificate is raised, else RetriesExhausted."""
     cfg = cfg or InversionConfig()
     field = A.field
     p = field.p
@@ -120,6 +124,8 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
     work = EmbeddedOperator(A, n) if n != n0 else A
     P = BlockProjection(n, s)
     rng = np.random.default_rng(cfg.seed)
+    certified = False
+    failure = None  # what the certificate raised, re-raised once retries run out
     for attempt in range(cfg.max_retries):
         D1 = DiagonalOperator.random(n, field, rng)
         D2 = DiagonalOperator.random(n, field, rng)
@@ -135,6 +141,13 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
         try:
             gen = block_generator(alpha, m, p, expected_degree_sum=n)
         except DegenerateSequence:
+            if not certified:
+                certified = True
+                try:
+                    if _certified_rank(A, cfg) < n0:
+                        return 0
+                except (FieldTooSmall, RetriesExhausted) as exc:
+                    failure = exc
             continue
         det_B = gen.det_at_zero * field.inv(gen.det_lead) % p
         if n % 2:
@@ -142,18 +155,18 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
         # det U = 1 by construction; padding contributes det 1
         scale = D1.determinant() * D2.determinant() % p
         return det_B * field.inv(scale) % p
-    # exhausted: a certified rank deficiency means the determinant is 0
-    from .nullrank import nullspace_rank
-
-    try:
-        cert = nullspace_rank(A, InversionConfig(
-            seed=cfg.seed + 0x9E3779B9, max_retries=cfg.max_retries))
-        if cert.rank < n0:
-            return 0
-    except RetriesExhausted:
-        pass
+    if isinstance(failure, FieldTooSmall):
+        raise failure
     raise RetriesExhausted(
         f"determinant failed {cfg.max_retries} generator attempts")
+
+
+def _certified_rank(A: BlackBoxOperator, cfg: InversionConfig) -> int:
+    """The certified rank of A (``nullspace_rank`` on a derived seed)."""
+    from .nullrank import nullspace_rank  # local import; nullrank uses inverse
+
+    return nullspace_rank(A, InversionConfig(
+        seed=cfg.seed + 0x9E3779B9, max_retries=cfg.max_retries)).rank
 
 
 def hadamard_bound(n: int, triples) -> int:

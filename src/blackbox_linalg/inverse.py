@@ -20,8 +20,13 @@ stacked-identity projection u.  Per attempt:
   6. verification A X = M (k applications) unless disabled.
 
 Any internal degeneracy or a failed verification retries with completely
-fresh randomness; accepted answers are always exact.  When every attempt
-fails, a certified rank deficiency turns into SingularMatrix.
+fresh randomness; accepted answers are always exact.  A singular Hankel
+matrix most often means that A itself is singular, when every further
+attempt is doomed too; so the first HankelSingular runs the rank
+certificate at once, and a certified rank deficiency turns into
+SingularMatrix.  Otherwise (a nonsingular A met an unlucky draw) the
+attempts go on, and the certificate never runs a second time.  When no
+attempt raised HankelSingular, it runs once after the last attempt.
 """
 from __future__ import annotations
 
@@ -154,6 +159,7 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg, certify_singular):
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     base_count = A.total_applications
+    certified = not certify_singular  # the certificate runs at most once
     for attempt in range(cfg.max_retries):
         attempt_base = A.total_applications
         B, D, U, unwrap = precondition(work, s, rng)
@@ -161,6 +167,9 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg, certify_singular):
         try:
             rep = hankel_inverse_rep(H, rng)
         except HankelSingular:
+            if not certified:
+                certified = True
+                _singular_certificate(A, cfg)
             continue
         left = Kl if M is None else krylov_apply_left(
             B, P, D.apply_matrix(U.apply_matrix(M_pad)))
@@ -172,24 +181,22 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg, certify_singular):
             A, base_count, t0, attempt,
             bb_applies_last_attempt=A.total_applications - attempt_base,
             seed=cfg.seed, s=s, m=P.m, verified=cfg.verify))
-    if certify_singular:
-        kernel = _singular_certificate(A, cfg)
-        if kernel is not None:
-            raise SingularMatrix(kernel)
+    if not certified:
+        _singular_certificate(A, cfg)
     what = "inversion" if M is None else "apply-inverse"
     raise RetriesExhausted(
         f"{what} failed {cfg.max_retries} attempts without a singularity certificate")
 
 
-def _singular_certificate(A: BlackBoxOperator, cfg: InversionConfig):
-    """Try to prove A singular: a certified rank < n yields a kernel vector."""
+def _singular_certificate(A: BlackBoxOperator, cfg: InversionConfig) -> None:
+    """Try to prove A singular: a certified rank < n raises SingularMatrix
+    with a kernel vector; any other outcome returns."""
     from .nullrank import nullspace_rank  # local import; nullrank uses inverse
 
     try:
         cert = nullspace_rank(A, InversionConfig(
             seed=cfg.seed + 0x9E3779B9, max_retries=cfg.max_retries))
     except (RetriesExhausted, FieldTooSmall):
-        return None
+        return
     if cert.rank < A.n and cert.nullspace.shape[1]:
-        return cert.nullspace[:, 0].copy()
-    return None
+        raise SingularMatrix(cert.nullspace[:, 0].copy())

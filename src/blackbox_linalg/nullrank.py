@@ -4,8 +4,11 @@ The rank is estimated from the minimal polynomial of a Toeplitz/diagonal
 preconditioning (degree r + 1 for singular input with high probability),
 then certified: inverting the leading r x r minor witnesses rank >= r, and
 a zero Schur complement (checked with n - r black-box applications)
-witnesses rank <= r.  Certificates are unconditional; estimation failures
-retry with fresh randomness.
+witnesses rank <= r.  When the estimate is r = n, a verified inverse of A
+itself witnesses rank n: U, L and D are invertible, so A has full rank
+exactly when U A L D has, and inverting A spares the two Toeplitz
+convolutions per column that inverting U A L D would cost.  Certificates
+are unconditional; estimation failures retry with fresh randomness.
 """
 from __future__ import annotations
 
@@ -119,9 +122,9 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
         r = n if f[0] % p else len(f) - 2
         sub_seed = int(rng.integers(0, 2**63 - 1))
         if r >= n:
-            # estimated nonsingular: a verified full inversion certifies rank n
+            # estimated nonsingular: a verified inverse of A certifies rank n
             try:
-                blackbox_inverse(A_tilde, InversionConfig(
+                blackbox_inverse(A, InversionConfig(
                     seed=sub_seed, max_retries=sub_retries), _certify_singular=False)
             except RetriesExhausted:
                 continue

@@ -14,7 +14,7 @@ import threading
 import numpy as np
 
 from .errors import DimensionError
-from .field import PrimeField, matmul_mod, reduce_mod
+from .field import PANEL_ELEMENTS, PrimeField, matmul_mod, reduce_mod
 
 
 class BlackBoxOperator:
@@ -148,14 +148,19 @@ class SparseOperator(BlackBoxOperator):
         return len(self.vals)
 
     def _apply_block(self, V, transposed):
+        # column panels of at most PANEL_ELEMENTS products bound the
+        # temporaries, whatever the width of V
         p = self.field.p
         gather, vals, uniq, starts = self._bw if transposed else self._fw
         out = np.zeros((self.n, V.shape[1]), dtype=np.int64)
         if len(vals) == 0:
             return out
-        prods = vals[:, None] * V[gather] % p
-        sums = np.add.reduceat(prods, starts, axis=0)
-        out[uniq] = sums % p
+        width = max(1, PANEL_ELEMENTS // len(vals))
+        for lo in range(0, V.shape[1], width):
+            prods = V[gather, lo:lo + width]
+            prods *= vals[:, None]
+            prods %= p
+            out[uniq, lo:lo + width] = np.add.reduceat(prods, starts, axis=0) % p
         return out
 
     def to_dense_matrix(self) -> np.ndarray:
@@ -194,11 +199,27 @@ class DiagonalOperator(BlackBoxOperator):
         return det
 
 
+# Longest piece of the shorter operand per np.convolve in _split_convolve:
+# an output then sums at most CONVOLVE_CHUNK products below 2**16 (p - 1),
+# which stays below 2**63.
+CONVOLVE_CHUNK = 1 << 15
+
+
 def _split_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact np.convolve(a, b) mod p via 16-bit splitting of a."""
-    hi = np.convolve(a >> 16, b)
-    lo = np.convolve(a & 0xFFFF, b)
-    return ((hi % p << 16) + lo) % p
+    """Exact np.convolve(a, b) mod p via 16-bit splitting of the shorter
+    operand, in pieces of at most ``CONVOLVE_CHUNK`` entries whose shifted
+    partial convolutions are added mod p."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+    for start in range(0, len(a), CONVOLVE_CHUNK):
+        piece = a[start:start + CONVOLVE_CHUNK]
+        hi = np.convolve(piece >> 16, b)
+        lo = np.convolve(piece & 0xFFFF, b)
+        seg = out[start:start + len(hi)]
+        seg += ((hi % p << 16) + lo) % p
+        seg %= p
+    return out
 
 
 class ToeplitzLowerUnit(BlackBoxOperator):

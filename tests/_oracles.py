@@ -78,6 +78,15 @@ def dense_mul_int(A, B, p: int):
     return np.asarray((A @ B) % p, dtype=np.int64)
 
 
+def convolve_int(a, b, p: int):
+    """Exact convolution mod p through Python big ints, one product at a time."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += int(x) * int(y)
+    return np.array([v % p for v in out], dtype=np.int64)
+
+
 def krylov_sequence(B, P, count, side="right"):
     """First ``count`` block-Krylov iterates B^i u (right) or u.T B^i (left)
     of the stacked-identity projection, by plain repeated application

@@ -175,3 +175,21 @@ def test_crt_combine_and_hadamard():
     # identity: every row norm 1
     assert hadamard_bound(3, [(i, i, 1) for i in range(3)]) == 1
     assert hadamard_bound(2, [(0, 0, 3), (0, 1, 4), (1, 1, 2)]) == 10
+
+
+def test_det_singular_certified_after_first_degenerate_sequence(monkeypatch):
+    # the parent of this change ran all 8 generator attempts first
+    import blackbox_linalg.determinant as determinant
+    rng = np.random.default_rng(95)
+    a = rng.integers(0, P, size=(12, 4), dtype=np.int64)
+    b = rng.integers(0, P, size=(4, 12), dtype=np.int64)
+    A = DenseOperator(matmul_mod(a, b, P), BIG)
+    calls = []
+    inner = determinant.block_generator
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(determinant, "block_generator", counting)
+    assert det_mod_p(A, InversionConfig(seed=0)) == 0
+    assert len(calls) == 1

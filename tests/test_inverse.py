@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import blackbox_linalg.inverse as inverse
 from blackbox_linalg import (DenseOperator, DiagonalOperator, IdentityOperator,
                              InversionConfig, PrimeField, blackbox_inverse,
                              blackbox_inverse_apply, dense_inverse, dense_rank,
                              matmul_mod, precondition, verify_inverse)
 from blackbox_linalg.cli import random_sparse_operator
-from blackbox_linalg.errors import FieldTooSmall, SingularMatrix
+from blackbox_linalg.errors import (FieldTooSmall, HankelSingular,
+                                   RetriesExhausted, SingularMatrix)
 
 BIG = PrimeField(2147483629)
 
@@ -157,3 +159,74 @@ def test_verify_inverse():
     assert A.apply_count - before == 8  # exactly n applications
     X[3, 5] = (X[3, 5] + 1) % BIG.p
     assert not verify_inverse(A, X)
+
+
+def _counting(monkeypatch, module, name, log, fail=lambda call: False):
+    """Replace ``module.name`` by a wrapper that appends each call's
+    arguments to ``log`` and raises HankelSingular where ``fail(call)``."""
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        log.append(args)
+        if fail(len(log)):
+            raise HankelSingular("forced")
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_singular_input_certified_after_first_failed_attempt(monkeypatch):
+    # the parent of this change made all 8 attempts before the certificate
+    rng = np.random.default_rng(83)
+    p = BIG.p
+    a = rng.integers(0, p, size=(12, 5), dtype=np.int64)
+    b = rng.integers(0, p, size=(5, 12), dtype=np.int64)
+    A = DenseOperator(matmul_mod(a, b, p), BIG)
+    reps, certs, reps_before_cert = [], [], []
+    _counting(monkeypatch, inverse, "hankel_inverse_rep", reps)
+    inner_cert = inverse._singular_certificate
+
+    def certificate(*args):
+        certs.append(args)
+        reps_before_cert.append(len(reps))
+        return inner_cert(*args)
+    monkeypatch.setattr(inverse, "_singular_certificate", certificate)
+    with pytest.raises(SingularMatrix) as exc:
+        blackbox_inverse(A, InversionConfig(seed=0))
+    assert len(certs) == 1
+    assert reps_before_cert == [1]  # the rest ran inside the certificate
+    kv = exc.value.kernel_vector
+    assert kv.any()
+    assert not A.apply(kv).any()
+
+
+def test_unlucky_draw_certifies_once_then_inverts(monkeypatch):
+    # a nonsingular A whose first Hankel inverse is forced to fail: the
+    # certificate finds rank n, and the next attempt is accepted
+    rng = np.random.default_rng(84)
+    A = nonsingular_sparse(rng, 12, BIG)
+    reps, certs = [], []
+    _counting(monkeypatch, inverse, "hankel_inverse_rep", reps,
+              fail=lambda call: call == 1)
+    _counting(monkeypatch, inverse, "_singular_certificate", certs)
+    res = blackbox_inverse(A, InversionConfig(seed=0))
+    assert len(certs) == 1
+    assert res.stats["retries"] == 1
+    assert np.array_equal(res.matrix, dense_inverse(A.to_dense_matrix(), BIG.p))
+
+
+@pytest.mark.parametrize("failure", ["hankel", "verify"])
+def test_all_attempts_fail_certificate_runs_once(monkeypatch, failure):
+    # every Hankel inverse (the certificate runs after the first failure)
+    # or every verification (it runs after the last attempt) fails
+    rng = np.random.default_rng(85)
+    A = nonsingular_sparse(rng, 12, BIG)
+    reps, certs = [], []
+    if failure == "hankel":
+        _counting(monkeypatch, inverse, "hankel_inverse_rep", reps,
+                  fail=lambda call: True)
+    else:
+        monkeypatch.setattr(inverse, "verify_inverse", lambda *args: False)
+    _counting(monkeypatch, inverse, "_singular_certificate", certs)
+    with pytest.raises(RetriesExhausted):
+        blackbox_inverse(A, InversionConfig(seed=0))
+    assert len(certs) == 1

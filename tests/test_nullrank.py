@@ -118,3 +118,24 @@ def test_nullspace_small_field_fails_loudly():
         return
     assert cert.rank == 1
     assert not matmul_mod(A.matrix, cert.nullspace, 5).any()
+
+
+def test_full_rank_certified_by_inverting_a_itself(monkeypatch):
+    # U A L D serves the estimate only; the verified inverse is of A, so no
+    # Toeplitz factor sits on the certificate's Krylov sweeps
+    import blackbox_linalg.nullrank as nullrank
+    rng = np.random.default_rng(5)
+    M = rng.integers(0, P, size=(9, 9), dtype=np.int64)
+    while dense_rank(M, P) < 9:
+        M = rng.integers(0, P, size=(9, 9), dtype=np.int64)
+    A = DenseOperator(M, BIG)
+    inverted = []
+    inner = nullrank.blackbox_inverse
+
+    def spy(op, *args, **kwargs):
+        inverted.append(op)
+        return inner(op, *args, **kwargs)
+    monkeypatch.setattr(nullrank, "blackbox_inverse", spy)
+    cert = nullspace_rank(A, InversionConfig(seed=1))
+    assert cert.rank == 9
+    assert len(inverted) == 1 and inverted[0] is A

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import blackbox_linalg.operators as operators
 from blackbox_linalg import (ButterflyOperator, ComposedOperator,
                              DenseOperator, DiagonalOperator, EmbeddedOperator,
                              IdentityOperator, LeadingMinorOperator,
                              PrimeField, SparseOperator, ToeplitzLowerUnit,
                              ToeplitzUpperUnit, dense_rank, matmul_mod)
 from blackbox_linalg.errors import DimensionError
+
+from _oracles import convolve_int
 
 F = PrimeField(10007)
 P = F.p
@@ -223,3 +228,46 @@ def test_leading_minor_matches_dense_submatrix():
         assert np.array_equal(op.apply_matrix(V), matmul_mod(M[:r, :r], V, P))
         assert np.array_equal(op.apply_transpose_matrix(V),
                               matmul_mod(M[:r, :r].T, V, P))
+
+
+def test_sparse_apply_temporaries_bounded_by_panel_budget():
+    # 512 rows, 5 nonzeros per row, applied to 512 columns: the column
+    # panels keep the temporaries far below the nnz x k products (about
+    # 20 MB when they are built in one go)
+    from blackbox_linalg.cli import random_sparse_operator
+    big = PrimeField(2147483629)
+    rng = np.random.default_rng(26)
+    S = random_sparse_operator(512, 5, big, rng)
+    V = rng.integers(0, big.p, size=(512, 512), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        out = S._apply_block(V, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 * 2**20
+    dense = S.to_dense_matrix()
+    assert np.array_equal(out, matmul_mod(dense, V, big.p))
+    assert np.array_equal(S._apply_block(V, True), matmul_mod(dense.T, V, big.p))
+
+
+def test_split_convolve_chunk_bound():
+    # an output sums at most CONVOLVE_CHUNK products of a 16-bit limb and a
+    # residue below 2**31
+    assert (2**16 - 1) * (2**31 - 2) * operators.CONVOLVE_CHUNK < 2**63
+
+
+def test_split_convolve_exact_across_chunks(monkeypatch):
+    # pieces of 5 entries: operands of 1..40 entries take one piece or many,
+    # with the shorter operand first or second
+    monkeypatch.setattr(operators, "CONVOLVE_CHUNK", 5)
+    p = 2147483629
+    rng = np.random.default_rng(27)
+    for la in range(1, 41):
+        for lb in (la, 41 - la):
+            for a, b in ((rng.integers(0, p, size=la), rng.integers(0, p, size=lb)),
+                         (np.full(la, p - 1), np.full(lb, p - 1))):
+                a = a.astype(np.int64)
+                b = b.astype(np.int64)
+                assert np.array_equal(operators._split_convolve(a, b, p),
+                                      convolve_int(a, b, p))
