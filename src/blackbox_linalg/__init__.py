@@ -30,7 +30,7 @@ from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DenseOperator, DiagonalOperator, EmbeddedOperator,
                         IdentityOperator, LeadingMinorOperator, SparseOperator,
                         ToeplitzLowerUnit, ToeplitzUpperUnit)
-from .polymat import MatrixPolynomial, polymat_mul
+from .polymat import polymat_mul
 from .projection import (BlockProjection, krylov_apply_left, krylov_apply_right,
                          u_contract, u_expand)
 

@@ -23,12 +23,13 @@ import numpy as np
 from .dense import dense_det
 from .errors import (DegenerateSequence, FieldTooSmall, InsufficientPrimes,
                      RetriesExhausted)
-from .field import PrimeField, is_probable_prime, matmul_mod, reduce_mod
-from .hankel import _mbasis
+from .field import PrimeField, is_probable_prime, reduce_mod
+from .hankel import _mbasis, _stacked_series
 from .inverse import InversionConfig
+from .nullrank import rank_certificate
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, EmbeddedOperator, SparseOperator)
-from .polymat import MatrixPolynomial
+from .polymat import polymat_mul
 from .projection import BlockProjection, u_contract
 
 
@@ -36,10 +37,11 @@ from .projection import BlockProjection, u_contract
 class GeneratorResult:
     """Minimal right matrix generator of a block sequence.
 
-    ``F`` right-annihilates the sampled sequence: for every column c with
-    degree d_c, sum_j alpha_{i+j} F_j e_c = 0 for 0 <= i < samples - d_c.
+    ``F`` is its (degree + 1, s, s) coefficient array; it right-annihilates
+    the sampled sequence: for every column c with degree d_c,
+    sum_j alpha_{i+j} F_j e_c = 0 for 0 <= i < samples - d_c.
     """
-    F: MatrixPolynomial
+    F: np.ndarray
     degree: int
     det_at_zero: int
     col_degrees: list
@@ -53,54 +55,40 @@ def block_generator(alpha, m: int, p: int,
     Raises DegenerateSequence when the degree profile falls short of
     ``expected_degree_sum`` (callers pass n = m s) or a normalizer is
     singular; callers retry with fresh projections."""
-    alpha = [reduce_mod(a, p) for a in alpha]
-    s = alpha[0].shape[0]
+    alpha = reduce_mod(np.stack(alpha), p)
+    s = alpha.shape[1]
     if len(alpha) < 2 * m:
         raise ValueError(f"need at least {2 * m} sequence blocks, got {len(alpha)}")
     tau = 2 * m
-    F = np.zeros((2 * s, s, tau + 1), dtype=np.int64)
-    for k in range(min(len(alpha), tau + 1)):
-        F[:s, :, k] = alpha[k].T
-    F[s:, :, 0] = (p - 1) * np.eye(s, dtype=np.int64) % p
-    M, deg, _, _ = _mbasis(F, tau, [0] * s + [1] * s, p)
+    alpha_t = alpha.transpose(0, 2, 1)
+    M, deg, _, _ = _mbasis(_stacked_series(alpha_t, s, p, tau + 1), tau,
+                           [0] * s + [1] * s, p)
     sel = sorted(range(2 * s), key=lambda i: (deg[i], i))[:s]
     degs = [deg[i] for i in sel]
     if expected_degree_sum is not None and sum(degs) != expected_degree_sum:
         raise DegenerateSequence(
             f"generator degrees {degs} sum to {sum(degs)}, need {expected_degree_sum}")
-    W = [M[i, :s, :] % p for i in sel]       # row polynomials, transposed side
-    W0 = np.stack([w[:, 0] for w in W])      # constant coefficients
-    LC = np.stack([w[:, d] for w, d in zip(W, degs)])  # leading coefficients
-    det_lead = dense_det(W0, p)
+    W = M[sel, :s, :] % p                    # row polynomials, transposed side
+    det_lead = dense_det(W[:, :, 0], p)      # constant coefficients
     if det_lead == 0:
         raise DegenerateSequence("generator normalizer (constant term) singular")
     # Per-row reversal, transposed back: column c of coefficient F_k is
     # row c of W at position degs[c] - k.
-    dmax = max(degs) if degs else 0
-    coeffs = []
-    for k in range(dmax + 1):
-        blk = np.zeros((s, s), dtype=np.int64)
-        for c, (w, d) in enumerate(zip(W, degs)):
-            if 0 <= d - k:
-                blk[:, c] = w[:, d - k]
-        coeffs.append(blk)
-    gen = MatrixPolynomial(coeffs, p)
-    # annihilation check over the sampled window, all windows i at once:
-    # row c of acc holds column c of sum_k alpha_{i+k} F_k for every i, one
-    # product per k of F_k^T by the side-by-side alpha_{k..k+W-1}^T.
-    # Column c must vanish on windows i < len(alpha) - d_c (past them it
-    # reads coefficients above d_c, which are zero in that column).
-    windows = max(len(alpha) - min(degs), 0)
-    side = np.concatenate([a.T for a in alpha], axis=1)
-    acc = np.zeros((s, windows * s), dtype=np.int64)
-    for k in range(min(dmax + 1, len(alpha))):
-        w = min(windows, len(alpha) - k) * s
-        acc[:, :w] += matmul_mod(gen.coeff(k).T, side[:, k * s:k * s + w], p)
-        acc[:, :w] %= p
+    dmax = max(degs)
+    gen = np.zeros((dmax + 1, s, s), dtype=np.int64)
     for c, d in enumerate(degs):
-        if acc[c, :max(len(alpha) - d, 0) * s].any():
+        gen[:d + 1, :, c] = W[c, :, d::-1].T
+    # annihilation check over the sampled window, all windows i at once:
+    # coefficient dmax + i of F_rev^T(x) alpha^T(x) is the transpose of
+    # sum_k alpha_{i+k} F_k, so its row c is column c of that sum.  Column c
+    # must vanish on windows i < len(alpha) - d_c (past them it reads
+    # coefficients above d_c, which are zero in that column).
+    windows = max(len(alpha) - min(degs), 0)
+    acc = polymat_mul(gen[::-1].transpose(0, 2, 1), alpha_t, p, dmax, dmax + windows)
+    for c, d in enumerate(degs):
+        if acc[:max(len(alpha) - d, 0), c].any():
             raise DegenerateSequence("generator fails annihilation on the sample")
-    return GeneratorResult(F=gen, degree=dmax, det_at_zero=dense_det(LC, p),
+    return GeneratorResult(F=gen, degree=dmax, det_at_zero=dense_det(gen[0], p),
                            col_degrees=degs, det_lead=det_lead)
 
 
@@ -109,11 +97,11 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
     only by the degree checks; run twice with different seeds to confirm).
 
     A degenerate sequence most often means that A is singular, so the first
-    one runs the rank certificate of ``nullspace_rank`` at once: a certified
-    rank < n returns 0.  Otherwise (full rank certified, or the certificate
-    failed) the attempts go on with fresh preconditioners and projections,
-    and the certificate does not run again.  When they run out, a
-    FieldTooSmall from the certificate is raised, else RetriesExhausted."""
+    one runs ``rank_certificate`` at once: a certified rank < n returns 0.
+    Otherwise (full rank certified, or the certificate failed) the attempts
+    go on with fresh preconditioners and projections, and the certificate
+    does not run again.  When they run out, a FieldTooSmall from the
+    certificate is raised, else RetriesExhausted."""
     cfg = cfg or InversionConfig()
     field = A.field
     p = field.p
@@ -144,7 +132,7 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
             if not certified:
                 certified = True
                 try:
-                    if _certified_rank(A, cfg) < n0:
+                    if rank_certificate(A, cfg).rank < n0:
                         return 0
                 except (FieldTooSmall, RetriesExhausted) as exc:
                     failure = exc
@@ -159,14 +147,6 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
         raise failure
     raise RetriesExhausted(
         f"determinant failed {cfg.max_retries} generator attempts")
-
-
-def _certified_rank(A: BlackBoxOperator, cfg: InversionConfig) -> int:
-    """The certified rank of A (``nullspace_rank`` on a derived seed)."""
-    from .nullrank import nullspace_rank  # local import; nullrank uses inverse
-
-    return nullspace_rank(A, InversionConfig(
-        seed=cfg.seed + 0x9E3779B9, max_retries=cfg.max_retries)).rank
 
 
 def hadamard_bound(n: int, triples) -> int:

@@ -1,6 +1,8 @@
 """Block-Hankel matrices: the projected sweep that builds them, the order-basis
 (M-Basis) algorithm, the off-diagonal inverse representation, and its
-application to dense blocks.
+application to dense blocks.  Every block product (H V and the four of the
+inversion formula) is one windowed ``polymat_mul`` on (coefficient, rows,
+cols) arrays; a block column of n rows is read as m coefficients of s rows.
 
 Conventions, fixed and verified against dense oracles:
 
@@ -17,6 +19,11 @@ Conventions, fixed and verified against dense oracles:
   * H^{-1} = T1 T2 - T3 T4 with
       T1(i,j) = v_{m-1-i-j} (v_0 = I),  T2(i,j) = q*_{m-1-j+i} for j >= i,
       T3(i,j) = q_{m-2-i-j},            T4(i,j) = v*_{m-j+i} for j >= i.
+    With M_rev(x) = sum_j M_{m-1-j} x^j, the block rows of T2 M are the
+    coefficients m-1, ..., 0 of q*_rev(x) M_rev(x) (q*_rev = reversed q*),
+    likewise T4 M with v*_1..v*_m reversed; T1 and T3 are then products
+    with v_0..v_{m-1} and q_0..q_{m-2} read back in reverse.  H V is the
+    window [m-1, 2m-1) of alpha(x) V_rev(x).
 
 The families are computed by the quadratic M-Basis: an order basis of the
 stacked series [A; -I] with initial row degrees (0,...,0, 1,...,1), raised
@@ -26,8 +33,9 @@ constant term alone and records its row operations in one constant
 rows x rows transform T, which is then applied with one ``matmul_mod`` to
 the live window of the basis (coefficients up to its largest row degree,
 at most k after k steps) and of the residual (coefficients k..; the lower
-ones are zero) before the pivot rows are shifted by x.  The q-runs use order 2m-2 and the v-runs order 2m.  Row
-selection takes the s rows of smallest degree.
+ones are zero) before the pivot rows are shifted by x.  The q-runs use
+order 2m-2 and the v-runs order 2m.  Row selection takes the s rows of
+smallest degree.
 """
 from __future__ import annotations
 
@@ -39,7 +47,7 @@ from .dense import dense_inverse
 from .errors import DimensionError, HankelSingular, Singular
 from .field import PANEL_ELEMENTS, matmul_mod, reduce_mod
 from .operators import BlackBoxOperator
-from .polymat import MatrixPolynomial, polymat_mul
+from .polymat import polymat_mul
 from .projection import BlockProjection, u_contract
 
 
@@ -66,28 +74,21 @@ class BlockHankel:
         return self.s * self.m
 
     def materialize(self) -> np.ndarray:
-        H = np.zeros((self.n, self.n), dtype=np.int64)
-        s = self.s
-        for i in range(self.m):
-            for j in range(self.m):
-                H[i * s:(i + 1) * s, j * s:(j + 1) * s] = self.alpha[i + j]
-        return H
+        m = self.m
+        return np.block([[self.alpha[i + j] for j in range(m)] for i in range(m)])
 
     def apply(self, V: np.ndarray) -> np.ndarray:
-        """H @ V through the block structure (no materialization)."""
+        """H @ V through the block structure (no materialization): the
+        window [m-1, 2m-1) of alpha(x) V_rev(x), 2m-1 ``matmul_mod`` calls."""
         V = reduce_mod(V, self.p)
         if V.ndim == 1:
             return self.apply(V.reshape(-1, 1)).ravel()
         if V.shape[0] != self.n:
             raise DimensionError(f"expected {self.n} rows, got {V.shape[0]}")
-        s = self.s
-        out = np.zeros((self.n, V.shape[1]), dtype=np.int64)
-        for i in range(self.m):
-            acc = np.zeros((s, V.shape[1]), dtype=np.int64)
-            for j in range(self.m):
-                acc = (acc + matmul_mod(self.alpha[i + j], V[j * s:(j + 1) * s], self.p)) % self.p
-            out[i * s:(i + 1) * s] = acc
-        return out
+        m, k = self.m, V.shape[1]
+        HV = polymat_mul(np.stack(self.alpha), V.reshape(m, self.s, k)[::-1],
+                         self.p, m - 1, 2 * m - 1)
+        return HV.reshape(self.n, k)
 
 
 def build_hankel(B: BlackBoxOperator, P: BlockProjection, keep_left: bool = False):
@@ -194,22 +195,23 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
 
 @dataclass
 class HankelInverseRep:
-    """Coefficient families feeding the off-diagonal inversion formula:
-    q and q_star have m blocks, v and v_star m + 1 (v_0 = I).  For m = 1 this
-    is q_0 = q*_0 = alpha_0^{-1}.  The n x n inverse is never stored.
+    """Coefficient families feeding the off-diagonal inversion formula, as
+    (coefficient, s, s) arrays: q and q_star (m, s, s), v and v_star
+    (m + 1, s, s) with v_0 = v*_0 = I.  For m = 1 this is
+    q_0 = q*_0 = alpha_0^{-1}.  The n x n inverse is never stored.
     """
     s: int
     m: int
     p: int
-    q: list
-    q_star: list
-    v: list
-    v_star: list
+    q: np.ndarray
+    q_star: np.ndarray
+    v: np.ndarray
+    v_star: np.ndarray
 
 
-def _stacked_series(alpha, s: int, m: int, p: int, ncoeff: int) -> np.ndarray:
-    """[A; -I] as a (2s x s x ncoeff) coefficient array; blocks of A past
-    the given ones are zero."""
+def _stacked_series(alpha, s: int, p: int, ncoeff: int) -> np.ndarray:
+    """[A; -I] as a (2s x s x ncoeff) coefficient array, A(x) the series of
+    the s x s blocks ``alpha``; blocks of A past the given ones are zero."""
     F = np.zeros((2 * s, s, ncoeff), dtype=np.int64)
     for k in range(min(len(alpha), ncoeff)):
         F[:s, :, k] = alpha[k]
@@ -217,47 +219,39 @@ def _stacked_series(alpha, s: int, m: int, p: int, ncoeff: int) -> np.ndarray:
     return F
 
 
+def _family(M, deg, top: int, normalizer, s: int, p: int, run: str):
+    """Coefficients 0..top of the left s x s block of the s basis rows of
+    least degree, times ``normalizer(rows)^{-1}``; HankelSingular when a row
+    has degree above ``top`` or the normalizer is singular."""
+    sel = sorted(range(2 * s), key=lambda i: (deg[i], i))[:s]
+    if max(deg[i] for i in sel) > top:
+        raise HankelSingular(f"{run}-run degree profile {sorted(deg)}")
+    try:
+        N_inv = dense_inverse(normalizer(sel) % p, p)
+    except Singular as exc:
+        raise HankelSingular(f"{run}-run normalizer singular") from exc
+    return polymat_mul(N_inv[None], M[sel, :s, :top + 1].transpose(2, 0, 1), p)
+
+
 def _pade_families(alpha, s: int, m: int, p: int):
-    """The four families, star side first.
+    """The four families as (coefficient, s, s) arrays, star side first.
 
     Raises HankelSingular at the first degree profile or normalizer that
     degenerates, the signature of a singular H."""
     shifts = [0] * s + [1] * s
-    alpha_t = [a.T.copy() for a in alpha]
     out = {}
-    for side, al in (("star", alpha), ("plain", alpha_t)):
-        F = _stacked_series(al, s, m, p, 2 * m)
+    for side, al in (("star", alpha), ("plain", [a.T for a in alpha])):
+        F = _stacked_series(al, s, p, 2 * m)
         # one run serves both orders: the q-state is the v-run's prefix
         Mv, degv, _, snap = _mbasis(F, 2 * m, shifts, p, snapshot_at=2 * m - 2)
         Mq, degq, Eq = snap
-        # q-family: order 2m-2, rows of degree <= m-1, residue at x^{2m-2}
-        sel = sorted(range(2 * s), key=lambda i: (degq[i], i))[:s]
-        if max(degq[i] for i in sel) > m - 1:
-            raise HankelSingular(f"q-run degree profile {sorted(degq)}")
-        R = Eq[sel, :, 2 * m - 2] % p
-        try:
-            R_inv = dense_inverse(R, p)
-        except Singular as exc:
-            raise HankelSingular("q-run residue singular") from exc
-        qbar = [Mq[sel, :s, k] % p for k in range(m)]
-        q = [matmul_mod(R_inv, c, p) for c in qbar]
-        # v-family: order 2m, rows of degree <= m, normalizer = constant term
-        selv = sorted(range(2 * s), key=lambda i: (degv[i], i))[:s]
-        if max(degv[i] for i in selv) > m:
-            raise HankelSingular(f"v-run degree profile {sorted(degv)}")
-        V0 = Mv[selv, :s, 0] % p
-        try:
-            V0_inv = dense_inverse(V0, p)
-        except Singular as exc:
-            raise HankelSingular("v-run constant term singular") from exc
-        vbar = [Mv[selv, :s, k] % p for k in range(m + 1)]
-        v = [matmul_mod(V0_inv, c, p) for c in vbar]
+        # q-family: order 2m-2, degree <= m-1, normalized by the residue
+        # at x^{2m-2}; v-family: order 2m, degree <= m, by the constant term
+        q = _family(Mq, degq, m - 1, lambda sel: Eq[sel, :, 2 * m - 2], s, p, "q")
+        v = _family(Mv, degv, m, lambda sel: Mv[sel, :s, 0], s, p, "v")
         out[side] = (q, v)
-    q_star, v_star = out["star"]
-    q_t, v_t = out["plain"]
-    q = [c.T.copy() % p for c in q_t]
-    v = [c.T.copy() % p for c in v_t]
-    return q, q_star, v, v_star
+    (q_star, v_star), (q_t, v_t) = out["star"], out["plain"]
+    return q_t.transpose(0, 2, 1), q_star, v_t.transpose(0, 2, 1), v_star
 
 
 def hankel_inverse_rep(H: BlockHankel, rng) -> HankelInverseRep:
@@ -279,34 +273,20 @@ def hankel_inverse_rep(H: BlockHankel, rng) -> HankelInverseRep:
 
 
 def hankel_inverse_apply(rep: HankelInverseRep, M: np.ndarray) -> np.ndarray:
-    """H^{-1} @ M from the representation: four s x s by s x k polynomial
-    products on degree-O(m) operands, no black-box applications."""
+    """H^{-1} @ M from the representation: four windowed s x s by s x k
+    polynomial products on degree-O(m) operands (at most 4m ``matmul_mod``
+    calls), no black-box applications."""
     s, m, p = rep.s, rep.m, rep.p
     M = reduce_mod(M, p)
     if M.ndim == 1:
         return hankel_inverse_apply(rep, M.reshape(-1, 1)).ravel()
     if M.shape[0] != s * m:
         raise DimensionError(f"expected {s * m} rows, got {M.shape[0]}")
-
-    m_rev = MatrixPolynomial(
-        [M[(m - 1 - j) * s:(m - j) * s] for j in range(m)], p)
-    qs_rev = MatrixPolynomial([rep.q_star[m - 1 - d] for d in range(m)], p)
-    vs_rev = MatrixPolynomial([rep.v_star[m - d] for d in range(m)], p)
-    v_poly = MatrixPolynomial(rep.v[:m], p)
-
-    prod = polymat_mul(qs_rev, m_rev, max_degree=m - 1)
-    X = MatrixPolynomial([prod.coeff(m - 1 - i) for i in range(m)], p)
-    prod = polymat_mul(vs_rev, m_rev, max_degree=m - 1)
-    Y = MatrixPolynomial([prod.coeff(m - 1 - i) for i in range(m)], p)
-
-    z1 = polymat_mul(v_poly, X, max_degree=m - 1)
-    # T3 T4 has no block rows when m = 1
-    z2 = polymat_mul(MatrixPolynomial(rep.q[:m - 1], p), Y,
-                     max_degree=m - 2) if m > 1 else None
-    out = np.zeros((s * m, M.shape[1]), dtype=np.int64)
-    for i in range(m):
-        block = z1.coeff(m - 1 - i)
-        if i < m - 1:
-            block = block - z2.coeff(m - 2 - i)
-        out[i * s:(i + 1) * s] = block % p
-    return out
+    k = M.shape[1]
+    M_rev = M.reshape(m, s, k)[::-1]
+    X = polymat_mul(rep.q_star[::-1], M_rev, p, 0, m)[::-1]   # T2 M
+    Y = polymat_mul(rep.v_star[:0:-1], M_rev, p, 0, m)[::-1]  # T4 M
+    Z = polymat_mul(rep.v[:m], X, p, 0, m)[::-1]               # T1 T2 M
+    # T3 T4 M has no block rows when m = 1 (q_0..q_{m-2} is empty)
+    Z[:m - 1] -= polymat_mul(rep.q[:m - 1], Y, p, 0, m - 1)[::-1]
+    return (Z % p).reshape(s * m, k)

@@ -191,11 +191,10 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg, certify_singular):
 def _singular_certificate(A: BlackBoxOperator, cfg: InversionConfig) -> None:
     """Try to prove A singular: a certified rank < n raises SingularMatrix
     with a kernel vector; any other outcome returns."""
-    from .nullrank import nullspace_rank  # local import; nullrank uses inverse
+    from .nullrank import rank_certificate  # local import; nullrank uses inverse
 
     try:
-        cert = nullspace_rank(A, InversionConfig(
-            seed=cfg.seed + 0x9E3779B9, max_retries=cfg.max_retries))
+        cert = rank_certificate(A, cfg)
     except (RetriesExhausted, FieldTooSmall):
         return
     if cert.rank < A.n and cert.nullspace.shape[1]:

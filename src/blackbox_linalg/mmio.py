@@ -1,17 +1,20 @@
 """Matrix Market ingestion and output.
 
-Supports coordinate and array formats with integer, real (integral values
-only) or pattern fields, general or symmetric.  Duplicate coordinate
+Supports coordinate and array formats with integer, real (finite integral
+values only, parsed exactly) or pattern fields, general or symmetric.  Duplicate coordinate
 entries are summed; 1-based indices convert to 0-based.  Values are kept
 as exact Python integers until a field reduction is requested.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MalformedHeader, NonSquareWhereSquareRequired
+from .errors import (IndexOutOfRange, MalformedHeader, MatrixMarketError,
+                     NonSquareWhereSquareRequired)
 from .field import PrimeField
 from .operators import SparseOperator
 
@@ -28,22 +31,34 @@ class MatrixMarketData:
         return self.rows == self.cols
 
     def require_square(self):
+        """Self if the matrix is square and not empty; the operator commands
+        need both."""
         if not self.square:
             raise NonSquareWhereSquareRequired(
                 f"matrix is {self.rows} x {self.cols}")
+        if self.rows == 0:
+            raise MatrixMarketError("matrix is empty (0 x 0)")
         return self
 
 
 def _parse_value(token: str, field_kind: str) -> int:
+    """The exact integer a token denotes; a real token must be finite and
+    integral, and its integer no longer than ``int()`` accepts as digits."""
     if field_kind == "pattern":
         return 1
     try:
         return int(token)
     except ValueError:
         pass
-    x = float(token)
-    if x != int(x):
+    try:
+        x = Decimal(token)
+    except InvalidOperation:
+        raise MalformedHeader(f"value {token!r} is not a number") from None
+    if not x.is_finite() or x != x.to_integral_value():
         raise MalformedHeader(f"non-integral value {token!r} not representable exactly")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and x.adjusted() >= limit:
+        raise MalformedHeader(f"value {token!r} has more than {limit} digits")
     return int(x)
 
 

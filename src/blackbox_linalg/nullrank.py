@@ -159,3 +159,11 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
     raise RetriesExhausted(
         f"rank/nullspace failed {cfg.max_retries} preconditioning attempts")
 
+
+def rank_certificate(A: BlackBoxOperator, cfg: InversionConfig) -> RankCertificate:
+    """``nullspace_rank`` of A on a seed derived from ``cfg.seed``: the
+    certificate the inverse and determinant pipelines fall back on, its
+    draws independent of their own."""
+    return nullspace_rank(A, InversionConfig(
+        seed=cfg.seed + 0x9E3779B9, max_retries=cfg.max_retries))
+

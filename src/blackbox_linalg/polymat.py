@@ -1,90 +1,45 @@
-"""Polynomials with dense matrix coefficients over a prime field.
+"""The windowed product of polynomials with matrix coefficients over a prime
+field.
 
-Coefficient index = degree.  Multiplication is schoolbook convolution of the
-coefficient blocks; any faster method must stay bit-identical to it.
+A polynomial matrix is an int64 coefficient array of shape
+(coefficients, rows, cols); coefficient index = degree.  ``polymat_mul`` is
+the one product every block-structured computation goes through (the
+inversion formula, the block-Hankel product, the generator's annihilation
+check); a faster method must stay bit-identical to it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DimensionError
-from .field import matmul_mod, reduce_mod
+from .field import matmul_mod
 
 
-class MatrixPolynomial:
-    """A polynomial whose coefficients are r x c residue matrices."""
+def polymat_mul(F: np.ndarray, G: np.ndarray, p: int, lo: int = 0,
+                hi: int | None = None) -> np.ndarray:
+    """Coefficients lo..hi-1 of F(x) G(x) mod p, as an (hi-lo, r, k) array.
 
-    def __init__(self, coeffs, p: int):
-        if not coeffs:
-            raise ValueError("need at least one coefficient block")
-        self.coeffs = [reduce_mod(c, p) for c in coeffs]
-        shape = self.coeffs[0].shape
-        if any(c.shape != shape for c in self.coeffs):
-            raise DimensionError("coefficient blocks differ in shape")
-        self.p = p
-
-    @property
-    def rows(self) -> int:
-        return self.coeffs[0].shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.coeffs[0].shape[1]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> np.ndarray:
-        """Coefficient of x^k (zero block beyond the stored degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return np.zeros((self.rows, self.cols), dtype=np.int64)
-
-    def trim(self) -> "MatrixPolynomial":
-        """Drop trailing zero blocks (keeping at least the constant term)."""
-        last = 0
-        for k, c in enumerate(self.coeffs):
-            if c.any():
-                last = k
-        return MatrixPolynomial(self.coeffs[:last + 1], self.p)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixPolynomial):
-            return NotImplemented
-        a, b = self.trim(), other.trim()
-        return (a.p == b.p and len(a.coeffs) == len(b.coeffs)
-                and all(np.array_equal(x, y) for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __repr__(self):
-        return (f"MatrixPolynomial({self.rows}x{self.cols}, "
-                f"degree {self.degree}, p={self.p})")
-
-
-def polymat_mul(F: MatrixPolynomial, G: MatrixPolynomial,
-                max_degree: int | None = None) -> MatrixPolynomial:
-    """Schoolbook convolution product F * G.
-
-    ``max_degree`` truncates the result (coefficients above it are not
-    computed), which the order-basis code uses for mod-x^k products.
+    F is (df, r, c) and G (dg, c, k); ``hi`` defaults to df + dg - 1 (the
+    whole product), and coefficients past the product are zero.  G is laid
+    side by side once (c x dg k) and each coefficient F_i is multiplied, with
+    one ``matmul_mod``, by the run of G_j whose products F_i G_j land in the
+    window, so a product costs at most df calls; the partial products are
+    accumulated into the window in place and reduced once.
     """
-    if F.p != G.p:
-        raise DimensionError("modulus mismatch")
-    if F.cols != G.rows:
+    F = np.asarray(F, dtype=np.int64)
+    G = np.asarray(G, dtype=np.int64)
+    df, r, c = F.shape
+    dg, c2, k = G.shape
+    if c != c2:
         raise DimensionError(
-            f"block dimensions incompatible: {F.rows}x{F.cols} by {G.rows}x{G.cols}")
-    p = F.p
-    deg = F.degree + G.degree
-    if max_degree is not None:
-        deg = min(deg, max_degree)
-    out = [np.zeros((F.rows, G.cols), dtype=np.int64) for _ in range(deg + 1)]
-    for i, fi in enumerate(F.coeffs):
-        if i > deg or not fi.any():
-            continue
-        for j, gj in enumerate(G.coeffs):
-            k = i + j
-            if k > deg:
-                break
-            if gj.any():
-                out[k] = (out[k] + matmul_mod(fi, gj, p)) % p
-    return MatrixPolynomial(out, p)
+            f"block dimensions incompatible: {r}x{c} by {c2}x{k}")
+    hi = df + dg - 1 if hi is None else hi
+    out = np.zeros((max(hi - lo, 0), r, k), dtype=np.int64)
+    side = G.transpose(1, 0, 2).reshape(c, dg * k)
+    for i in range(df):
+        j0, j1 = max(lo - i, 0), min(hi - i, dg)
+        if j0 < j1:
+            prod = matmul_mod(F[i], side[:, j0 * k:j1 * k], p)
+            out[i + j0 - lo:i + j1 - lo] += prod.reshape(r, j1 - j0, k).transpose(1, 0, 2)
+    out %= p
+    return out

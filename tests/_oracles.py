@@ -13,7 +13,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from blackbox_linalg import MatrixPolynomial
 from blackbox_linalg.hankel import _mbasis
 
 
@@ -103,16 +102,16 @@ def krylov_sequence(B, P, count, side="right"):
                            assemble=lambda: np.concatenate(blocks, axis=axis))
 
 
-def sigma_basis(F, sigma, shifts=None):
-    """Order basis of the MatrixPolynomial F to order ``sigma`` through the
-    library's M-Basis: every row r of ``basis`` has r F = 0 mod x^sigma, and
+def sigma_basis(F, sigma, p, shifts=None):
+    """Order basis of the (ncoeff x rows x cols) series F to order ``sigma``
+    through the library's M-Basis: every row r of ``basis`` (an
+    (sigma+1 x rows x rows) coefficient array) has r F = 0 mod x^sigma, and
     ``row_degrees`` starts from ``shifts`` (default all zero)."""
-    Farr = np.zeros((F.rows, F.cols, max(len(F.coeffs), sigma + 1)), dtype=np.int64)
-    for k, c in enumerate(F.coeffs):
-        Farr[:, :, k] = c
-    M, deg, _, _ = _mbasis(Farr, sigma, shifts or [0] * F.rows, F.p)
-    basis = MatrixPolynomial(list(np.moveaxis(M, 2, 0)), F.p).trim()
-    return SimpleNamespace(basis=basis, row_degrees=deg)
+    ncoeff, rows, cols = F.shape
+    Farr = np.zeros((rows, cols, max(ncoeff, sigma + 1)), dtype=np.int64)
+    Farr[:, :, :ncoeff] = np.moveaxis(F, 0, 2)
+    M, deg, _, _ = _mbasis(Farr, sigma, shifts or [0] * rows, p)
+    return SimpleNamespace(basis=np.moveaxis(M, 2, 0), row_degrees=deg)
 
 
 def mbasis_reference(F, sigma, shifts, p, snapshot_at=None):

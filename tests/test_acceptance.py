@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from blackbox_linalg import (BlockHankel, BlockProjection, DenseOperator,
-                             InversionConfig, MatrixPolynomial, PrimeField,
+                             InversionConfig, PrimeField,
                              blackbox_inverse, blackbox_inverse_apply,
                              dense_det, dense_inverse, dense_rank,
                              det_integer_crt, det_mod_p, hankel_inverse_apply,
@@ -86,18 +86,15 @@ def _pade_constraints_hold(H, rep):
         return False
     if not (np.array_equal(rep.v[0], I) and np.array_equal(rep.v_star[0], I)):
         return False
-    A = MatrixPolynomial(list(H.alpha), p)
-    AQ = polymat_mul(A, MatrixPolynomial(rep.q, p))
-    QA = polymat_mul(MatrixPolynomial(rep.q_star, p), A)
-    for t in range(m - 1, 2 * m - 1):
-        want = I if t == 2 * m - 2 else np.zeros((s, s), dtype=np.int64)
-        if not (np.array_equal(AQ.coeff(t), want)
-                and np.array_equal(QA.coeff(t), want)):
-            return False
-    AV = polymat_mul(A, MatrixPolynomial(rep.v, p))
-    VA = polymat_mul(MatrixPolynomial(rep.v_star, p), A)
-    return not any(AV.coeff(t).any() or VA.coeff(t).any()
-                   for t in range(m, 2 * m))
+    A = np.stack(H.alpha)
+    AQ = polymat_mul(A, rep.q, p, m - 1, 2 * m - 1)
+    QA = polymat_mul(rep.q_star, A, p, m - 1, 2 * m - 1)
+    want = np.zeros((m, s, s), dtype=np.int64)
+    want[-1] = I
+    if not (np.array_equal(AQ, want) and np.array_equal(QA, want)):
+        return False
+    return not (polymat_mul(A, rep.v, p, m, 2 * m).any()
+                or polymat_mul(rep.v_star, A, p, m, 2 * m).any())
 
 
 def test_criterion_3_hankel_reconstruction():
@@ -249,13 +246,12 @@ def test_criterion_9_sigma_basis_properties():
         rows = 2 * s
         sigma = int(rng.integers(1, 12))
         deg = sigma + int(rng.integers(0, 3))
-        Fpoly = MatrixPolynomial(
+        Fpoly = np.stack(
             [rng.integers(0, P, size=(rows, s), dtype=np.int64)
-             for _ in range(deg + 1)], P)
+             for _ in range(deg + 1)])
         shifts = [0] * s + [1] * s if rng.integers(0, 2) else None
-        res = sigma_basis(Fpoly, sigma, shifts=shifts)
-        prod = polymat_mul(res.basis, Fpoly)
-        ok = not any(prod.coeff(k).any() for k in range(sigma))
+        res = sigma_basis(Fpoly, sigma, P, shifts=shifts)
+        ok = not polymat_mul(res.basis, Fpoly, P, 0, sigma).any()
         record(ok)
         wrong += not ok
     announce(9, wrong == 0, f"100/100 order bases annihilate to order, {wrong} wrong")

@@ -192,3 +192,24 @@ def test_bench_gives_up_after_retries(monkeypatch):
     assert code == 2
     assert report.outcome.startswith("failed: no invertible")
     assert len(calls) == 3
+
+
+def test_real_entries_exact_and_unrepresentable_ones_exit_3(tmp_path):
+    src = tmp_path / "real.mtx"
+    src.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "2 2 2\n1 1 9007199254740993.0\n2 2 1\n")
+    code, report = run_command(["det", str(src), "--json"])
+    assert code == 0
+    assert report.extra["det"] == str(9007199254740993 % 2147483629)
+    for token in ("inf", "1e400000", "nan", "0.5"):
+        src.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       f"1 1 1\n1 1 {token}\n")
+        code, report = run_command(["det", str(src)])
+        assert (code, report) == (3, None), token
+
+
+@pytest.mark.parametrize("command", ["invert", "nullspace", "rank", "det"])
+def test_empty_matrix_exits_3(tmp_path, command):
+    src = write_coordinate(tmp_path / "empty.mtx", 0, [])
+    code, report = run_command([command, src])
+    assert (code, report) == (3, None)

@@ -22,8 +22,8 @@ def test_generator_scalar_geometric():
     gen = block_generator(alpha, 4, p)
     # minimal generator is proportional to x - c; normalize by the leading block
     assert gen.degree == 1
-    lead = int(gen.F.coeff(1)[0, 0])
-    monic0 = int(gen.F.coeff(0)[0, 0]) * pow(lead, p - 2, p) % p
+    lead = int(gen.F[1, 0, 0])
+    monic0 = int(gen.F[0, 0, 0]) * pow(lead, p - 2, p) % p
     assert monic0 == (-c) % p
 
 
@@ -79,7 +79,7 @@ def test_generator_annihilation_invariant():
             acc = np.zeros(s, dtype=np.int64)
             for k in range(d + 1):
                 acc = (acc + matmul_mod(alpha[i + k],
-                                        gen.F.coeff(k)[:, c:c + 1], p).ravel()) % p
+                                        gen.F[k, :, c:c + 1], p).ravel()) % p
             assert not acc.any()
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import blackbox_linalg.hankel as hankel
+import blackbox_linalg.polymat as polymat
 from blackbox_linalg import (BlockHankel, BlockProjection, DenseOperator,
-                             IdentityOperator, MatrixPolynomial, PrimeField,
+                             IdentityOperator, PrimeField,
                              build_hankel, dense_inverse, dense_rank,
                              hankel_inverse_apply, hankel_inverse_rep,
                              matmul_mod, polymat_mul)
@@ -69,17 +70,17 @@ def test_sigma_basis_zero_constant_term():
     # F(0) = 0: the identity basis already has order 1, no elimination
     coeffs = [np.zeros((2, 1), dtype=np.int64),
               np.array([[3], [4]], dtype=np.int64)]
-    res = sigma_basis(MatrixPolynomial(coeffs, P), 1)
+    res = sigma_basis(np.stack(coeffs), 1, P)
     assert res.row_degrees == [0, 0]
-    assert np.array_equal(res.basis.coeff(0), np.eye(2, dtype=np.int64))
+    assert np.array_equal(res.basis[0], np.eye(2, dtype=np.int64))
 
 
 def test_sigma_basis_scalar_constant():
     # F = [a; -1] constant, order 1: one row proportional to (1, a)
     a = 17
     coeffs = [np.array([[a], [P - 1]], dtype=np.int64)]
-    res = sigma_basis(MatrixPolynomial(coeffs, P), 1)
-    rows_const = res.basis.coeff(0)
+    res = sigma_basis(np.stack(coeffs), 1, P)
+    rows_const = res.basis[0]
     found = False
     for i in range(2):
         r = rows_const[i]
@@ -96,21 +97,21 @@ def test_sigma_basis_scalar_constant():
 def test_sigma_basis_random_annihilation():
     rng = np.random.default_rng(53)
     s, sigma = 2, 5
-    Fpoly = MatrixPolynomial(
-        [rng.integers(0, P, size=(2 * s, s), dtype=np.int64) for _ in range(7)], P)
-    res = sigma_basis(Fpoly, sigma)
-    prod = polymat_mul(res.basis, Fpoly)
+    Fpoly = np.stack(
+        [rng.integers(0, P, size=(2 * s, s), dtype=np.int64) for _ in range(7)])
+    res = sigma_basis(Fpoly, sigma, P)
+    prod = polymat_mul(res.basis, Fpoly, P, 0, sigma)
     for k in range(sigma):
-        assert not prod.coeff(k).any(), f"nonzero at order {k}"
+        assert not prod[k].any(), f"nonzero at order {k}"
 
 
 def test_sigma_basis_minimal_degrees_sum():
     # generic input: total degree growth is exactly sigma * cols
     rng = np.random.default_rng(54)
     s, sigma = 3, 6
-    Fpoly = MatrixPolynomial(
-        [rng.integers(0, P, size=(2 * s, s), dtype=np.int64) for _ in range(8)], P)
-    res = sigma_basis(Fpoly, sigma)
+    Fpoly = np.stack(
+        [rng.integers(0, P, size=(2 * s, s), dtype=np.int64) for _ in range(8)])
+    res = sigma_basis(Fpoly, sigma, P)
     assert sum(res.row_degrees) == sigma * s
 
 
@@ -122,7 +123,7 @@ def _order_basis_series(rng, p, kind):
         s, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
         alpha = [rng.integers(0, p, size=(s, s), dtype=np.int64)
                  for _ in range(2 * m - 1)]
-        F = hankel._stacked_series(alpha, s, m, p, 2 * m)
+        F = hankel._stacked_series(alpha, s, p, 2 * m)
         return F, 2 * m, [0] * s + [1] * s
     rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 6))
     sigma = int(rng.integers(1, 12))
@@ -222,10 +223,6 @@ def test_apply_equals_materialized_formula_times_m():
     assert np.array_equal(hankel_inverse_apply(rep, M), matmul_mod(Hinv, M, P))
 
 
-def _series(alpha, p):
-    return MatrixPolynomial(list(alpha), p)
-
-
 def check_pade_constraints(H, rep):
     """Degree and residual constraints of the two Pade systems:
     A Q = P + x^{2m-2} I (mod x^{2m-1}), deg Q <= m-1, deg P <= m-2;
@@ -233,21 +230,21 @@ def check_pade_constraints(H, rep):
     and the starred (left-multiplied) analogues."""
     s, m, p = H.s, H.m, H.p
     I = np.eye(s, dtype=np.int64)
-    A = _series(H.alpha, p)
-    assert len(rep.q) == m and len(rep.v) == m + 1
+    A = np.stack(H.alpha)
+    assert rep.q.shape == rep.q_star.shape == (m, s, s)
+    assert rep.v.shape == rep.v_star.shape == (m + 1, s, s)
     assert np.array_equal(rep.v[0], I)
     assert np.array_equal(rep.v_star[0], I)
-    AQ = polymat_mul(A, MatrixPolynomial(rep.q, p))
-    QA = polymat_mul(MatrixPolynomial(rep.q_star, p), A)
+    AQ = polymat_mul(A, rep.q, p, m - 1, 2 * m - 1)
+    QA = polymat_mul(rep.q_star, A, p, m - 1, 2 * m - 1)
     for t in range(m - 1, 2 * m - 1):
         want = I if t == 2 * m - 2 else np.zeros((s, s), dtype=np.int64)
-        assert np.array_equal(AQ.coeff(t), want), f"AQ residual at {t}"
-        assert np.array_equal(QA.coeff(t), want), f"Q*A residual at {t}"
-    AV = polymat_mul(A, MatrixPolynomial(rep.v, p))
-    VA = polymat_mul(MatrixPolynomial(rep.v_star, p), A)
-    for t in range(m, 2 * m):
-        assert not AV.coeff(t).any(), f"AV residual at {t}"
-        assert not VA.coeff(t).any(), f"V*A residual at {t}"
+        assert np.array_equal(AQ[t - m + 1], want), f"AQ residual at {t}"
+        assert np.array_equal(QA[t - m + 1], want), f"Q*A residual at {t}"
+    AV = polymat_mul(A, rep.v, p, m, 2 * m)
+    VA = polymat_mul(rep.v_star, A, p, m, 2 * m)
+    assert not AV.any(), "AV residual in degrees m..2m-1"
+    assert not VA.any(), "V*A residual in degrees m..2m-1"
 
 
 def test_pade_residuals_and_degrees_sweep():
@@ -327,3 +324,44 @@ def test_rep_handles_singular_leading_subblocks():
         got = hankel_inverse_apply(rep, np.eye(H.n, dtype=np.int64))
         assert np.array_equal(got, dense_inverse(H.materialize(), P))
         done += 1
+
+
+def _count_matmul(monkeypatch):
+    """Count ``matmul_mod`` calls made from the Hankel and product code."""
+    calls = []
+    real = polymat.matmul_mod
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polymat, "matmul_mod", counted)
+    monkeypatch.setattr(hankel, "matmul_mod", counted)
+    return calls
+
+
+@pytest.mark.parametrize("s, m", [(2, 6), (3, 9)])
+def test_inverse_apply_one_call_per_coefficient(monkeypatch, s, m):
+    # four windowed products, one matmul_mod per coefficient of the left
+    # operand: at most 4m calls (coefficient pairs would be about 2m^2)
+    rng = np.random.default_rng(66)
+    H = random_nonsingular_hankel(rng, s, m)
+    rep = hankel_inverse_rep(H, rng)
+    M = rng.integers(0, P, size=(H.n, 3), dtype=np.int64)
+    calls = _count_matmul(monkeypatch)
+    X = hankel_inverse_apply(rep, M)
+    assert len(calls) <= 4 * m
+    assert np.array_equal(X, matmul_mod(dense_inverse(H.materialize(), P), M, P))
+
+
+@pytest.mark.parametrize("s, m", [(2, 6), (3, 9)])
+def test_block_hankel_apply_one_call_per_coefficient(monkeypatch, s, m):
+    # H V is one windowed product: at most 2m-1 calls (pairs would be m^2)
+    rng = np.random.default_rng(67)
+    H = BlockHankel(s=s, m=m, p=P, alpha=[
+        rng.integers(0, P, size=(s, s), dtype=np.int64) for _ in range(2 * m)])
+    V = rng.integers(0, P, size=(H.n, 3), dtype=np.int64)
+    calls = _count_matmul(monkeypatch)
+    HV = H.apply(V)
+    assert len(calls) <= 2 * m - 1
+    assert np.array_equal(HV, matmul_mod(H.materialize(), V, P))

@@ -7,6 +7,7 @@ from blackbox_linalg import (PrimeField, read_matrix_market, to_dense_residues,
                              to_sparse_operator, write_matrix_market_array,
                              write_matrix_market_coordinate)
 from blackbox_linalg.errors import (IndexOutOfRange, MalformedHeader,
+                                    MatrixMarketError,
                                     NonSquareWhereSquareRequired)
 
 F7 = PrimeField(7)
@@ -154,3 +155,27 @@ def test_real_field_integral_values(tmp_path):
 """)
     with pytest.raises(MalformedHeader):
         read_matrix_market(path2)
+
+
+def test_real_values_parsed_exactly(tmp_path):
+    # integral reals of any size keep every digit (2^53 + 1 is not a float);
+    # inf, nan, overflowing and non-integral values are malformed input
+    path = write(tmp_path, "exact.mtx", """%%MatrixMarket matrix array real general
+2 1
+9007199254740993.0
+1e400
+""")
+    data = read_matrix_market(path)
+    assert data.triples == [(0, 0, 9007199254740993), (1, 0, 10 ** 400)]
+    for token in ("inf", "-inf", "nan", "1.5e-400", "1e99999", "0x10", "1/2"):
+        bad = write(tmp_path, "bad.mtx",
+                    f"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 {token}\n")
+        with pytest.raises(MalformedHeader):
+            read_matrix_market(bad)
+
+
+def test_empty_matrix_rejected_for_operator(tmp_path):
+    path = write(tmp_path, "empty.mtx",
+                 "%%MatrixMarket matrix coordinate integer general\n0 0 0\n")
+    with pytest.raises(MatrixMarketError):
+        to_sparse_operator(read_matrix_market(path), F7)
