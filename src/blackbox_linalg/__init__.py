@@ -7,8 +7,7 @@ factorization of the inverse, and block-Hankel inversion via order bases.
 All randomized algorithms are Las Vegas except the determinant, which is
 Monte Carlo with optional confirmation runs.
 """
-from .dense import (dense_det, dense_inverse, dense_nullspace, dense_rank,
-                    dense_solve)
+from .dense import dense_det, dense_inverse
 from .determinant import (GeneratorResult, block_generator, det_integer_crt,
                           det_mod_p, word_size_primes)
 from .errors import (BlackboxLinalgError, DegenerateSequence, DimensionError,
@@ -22,14 +21,12 @@ from .hankel import (BlockHankel, HankelInverseRep, build_hankel,
 from .inverse import (InversionConfig, InversionResult, blackbox_inverse,
                       blackbox_inverse_apply, precondition, verify_inverse)
 from .mmio import (MatrixMarketData, read_matrix_market, to_dense_residues,
-                   to_sparse_operator, write_matrix_market_array,
-                   write_matrix_market_coordinate)
+                   to_sparse_operator, write_matrix_market_array)
 from .nullrank import (RankCertificate, berlekamp_massey, nullspace_rank,
                        wiedemann_minpoly)
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DenseOperator, DiagonalOperator, EmbeddedOperator,
-                        IdentityOperator, LeadingMinorOperator, SparseOperator,
-                        ToeplitzLowerUnit, ToeplitzUpperUnit)
+                        LeadingMinorOperator, SparseOperator)
 from .polymat import polymat_mul
 from .projection import (BlockProjection, krylov_apply_left, krylov_apply_right,
                          u_contract, u_expand)

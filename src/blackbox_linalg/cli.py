@@ -113,6 +113,8 @@ def _settings(args):
     if args.command == "bench" and not 1 <= args.density <= min(args.sizes):
         raise _UsageError(f"--density must be in 1..{min(args.sizes)} "
                           "(at most the smallest size)")
+    if args.command == "det" and args.confirm < 0:
+        raise _UsageError("--confirm must be >= 0")
     try:
         field = PrimeField(args.prime)
         cfg = InversionConfig(s=getattr(args, "block_size", 0), seed=args.seed,

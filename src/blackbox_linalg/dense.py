@@ -1,9 +1,9 @@
 """Exact dense matrix kernels over a prime field.
 
-These serve double duty: small subproblems inside the block algorithms
-(the Pade residue normalizations, s x s generator determinants) and the
-independent oracles the test suite checks everything against.  Matrices
-are plain row-major int64 numpy arrays with entries in [0, p).
+These solve the small subproblems inside the block algorithms (the Pade
+residue normalizations, s x s generator determinants); the suite checks
+results against them too.  Matrices are plain row-major int64 numpy arrays
+with entries in [0, p).
 
 Elimination pivots on the first nonzero entry (lowest row index); exact
 arithmetic needs no magnitude-based pivoting.
@@ -13,15 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, Singular
-from .field import matmul_mod, reduce_mod
+from .field import reduce_mod
 
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
-
-
-def zeros(r: int, c: int) -> np.ndarray:
-    return np.zeros((r, c), dtype=np.int64)
 
 
 def _inv_scalar(a: int, p: int) -> int:
@@ -52,29 +48,6 @@ def dense_inverse(M: np.ndarray, p: int) -> np.ndarray:
     return A[:, n:]
 
 
-def dense_rank(M: np.ndarray, p: int) -> int:
-    """Rank over F_p by forward elimination."""
-    A = reduce_mod(M, p).copy()
-    rows, cols = A.shape
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(A[r:, col])[0]
-        if len(nz) == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = _inv_scalar(A[r, col], p)
-        below = np.nonzero(A[r + 1:, col])[0] + r + 1
-        if len(below):
-            f = A[below, col] * inv % p
-            A[below] = (A[below] - f[:, None] * A[r]) % p
-        r += 1
-    return r
-
-
 def dense_det(M: np.ndarray, p: int) -> int:
     """Determinant over F_p (0 for singular input)."""
     A = reduce_mod(M, p).copy()
@@ -97,42 +70,3 @@ def dense_det(M: np.ndarray, p: int) -> int:
             f = A[below, col] * inv % p
             A[below] = (A[below] - f[:, None] * A[col]) % p
     return det % p
-
-
-def dense_solve(M: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Solve M X = B exactly for nonsingular M."""
-    B = reduce_mod(B, p)
-    if B.ndim == 1:
-        return matmul_mod(dense_inverse(M, p), B.reshape(-1, 1), p).ravel()
-    return matmul_mod(dense_inverse(M, p), B, p)
-
-
-def dense_nullspace(M: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning the kernel of M over F_p (n x (n - rank))."""
-    A = reduce_mod(M, p).copy()
-    rows, cols = A.shape
-    pivots = []
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(A[r:, col])[0]
-        if len(nz) == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] * _inv_scalar(A[r, col], p) % p
-        others = np.nonzero(A[:, col])[0]
-        others = others[others != r]
-        if len(others):
-            A[others] = (A[others] - A[others, col, None] * A[r]) % p
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    N = zeros(cols, len(free))
-    for j, fc in enumerate(free):
-        N[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            N[pc, j] = (-A[i, fc]) % p
-    return N

@@ -73,10 +73,6 @@ class BlockHankel:
     def n(self) -> int:
         return self.s * self.m
 
-    def materialize(self) -> np.ndarray:
-        m = self.m
-        return np.block([[self.alpha[i + j] for j in range(m)] for i in range(m)])
-
     def apply(self, V: np.ndarray) -> np.ndarray:
         """H @ V through the block structure (no materialization): the
         window [m-1, 2m-1) of alpha(x) V_rev(x), 2m-1 ``matmul_mod`` calls."""

@@ -87,10 +87,14 @@ def read_matrix_market(path) -> MatrixMarketData:
         raise MalformedHeader("missing size line")
     size = body[0].split()
     entries = body[1:]
+    want = 3 if fmt == "coordinate" else 2
+    if len(size) != want:
+        raise MalformedHeader(f"{fmt} size line needs {want} fields: {body[0]!r}")
+    dims = [int(x) for x in size]
+    if min(dims) < 0:
+        raise MalformedHeader(f"negative size in {body[0]!r}")
     if fmt == "coordinate":
-        if len(size) != 3:
-            raise MalformedHeader(f"coordinate size line needs 3 fields: {body[0]!r}")
-        rows, cols, nnz = (int(x) for x in size)
+        rows, cols, nnz = dims
         if len(entries) != nnz:
             raise MalformedHeader(f"expected {nnz} entries, found {len(entries)}")
         acc: dict[tuple[int, int], int] = {}
@@ -109,9 +113,7 @@ def read_matrix_market(path) -> MatrixMarketData:
         triples = [(i, j, v) for (i, j), v in sorted(acc.items()) if v]
         return MatrixMarketData("coordinate", rows, cols, triples)
     # array: column-major dense values
-    if len(size) != 2:
-        raise MalformedHeader(f"array size line needs 2 fields: {body[0]!r}")
-    rows, cols = (int(x) for x in size)
+    rows, cols = dims
     expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
     if len(entries) != expected:
         raise MalformedHeader(f"expected {expected} values, found {len(entries)}")
@@ -159,11 +161,3 @@ def write_matrix_market_array(M: np.ndarray, f):
     for j in range(M.shape[1]):
         for i in range(M.shape[0]):
             f.write(f"{int(M[i, j])}\n")
-
-
-def write_matrix_market_coordinate(rows: int, cols: int, triples, f):
-    f.write("%%MatrixMarket matrix coordinate integer general\n")
-    triples = sorted(triples)
-    f.write(f"{rows} {cols} {len(triples)}\n")
-    for i, j, v in triples:
-        f.write(f"{i + 1} {j + 1} {int(v)}\n")

@@ -1,14 +1,16 @@
 """Certified rank and nullspace basis of a singular black-box matrix.
 
-The rank is estimated from the minimal polynomial of a Toeplitz/diagonal
-preconditioning (degree r + 1 for singular input with high probability),
-then certified: inverting the leading r x r minor witnesses rank >= r, and
-a zero Schur complement (checked with n - r black-box applications)
-witnesses rank <= r.  When the estimate is r = n, a verified inverse of A
-itself witnesses rank n: U, L and D are invertible, so A has full rank
-exactly when U A L D has, and inverting A spares the two Toeplitz
-convolutions per column that inverting U A L D would cost.  Certificates
-are unconditional; estimation failures retry with fresh randomness.
+The rank is estimated from the minimal polynomial of the butterfly/diagonal
+preconditioning U A V^T D (degree r + 1 for singular input with high
+probability; Chen, Eberly, Kaltofen, Saunders, Turner and Villard, LAA
+2002), then certified: inverting the leading r x r minor witnesses
+rank >= r, and a zero Schur complement (checked with n - r black-box
+applications) witnesses rank <= r.  The right butterfly enters transposed:
+a forward network there loses the generic rank profile on inputs with
+structured dead columns.  When the estimate is r = n, a verified inverse
+of A itself witnesses rank n: U, V and D are invertible, so A has full rank
+exactly when U A V^T D has.  Certificates are unconditional; estimation
+failures retry with fresh randomness.
 """
 from __future__ import annotations
 
@@ -21,9 +23,8 @@ from .errors import RetriesExhausted
 from .field import matmul_mod
 from .inverse import (InversionConfig, blackbox_inverse, blackbox_inverse_apply,
                       run_stats)
-from .operators import (BlackBoxOperator, ComposedOperator, DiagonalOperator,
-                        LeadingMinorOperator, ToeplitzLowerUnit,
-                        ToeplitzUpperUnit)
+from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
+                        DiagonalOperator, LeadingMinorOperator)
 
 # Iterates A^i v collected per projection in ``wiedemann_minpoly``: one
 # 1 x n by n x PROJECTION_WIDTH product per block instead of one per iterate.
@@ -114,10 +115,10 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
     base_count = A.total_applications
     sub_retries = max(2, cfg.max_retries // 2)
     for attempt in range(cfg.max_retries):
-        U = ToeplitzUpperUnit.random(n, field, rng)
-        L = ToeplitzLowerUnit.random(n, field, rng)
+        U = ButterflyOperator(n, field, rng)
+        Vt = ButterflyOperator(n, field, rng).transpose()
         D = DiagonalOperator.random(n, field, rng)
-        A_tilde = ComposedOperator([U, A, L, D])
+        A_tilde = ComposedOperator([U, A, Vt, D])
         f = wiedemann_minpoly(A_tilde, rng)
         r = n if f[0] % p else len(f) - 2
         sub_seed = int(rng.integers(0, 2**63 - 1))
@@ -150,7 +151,7 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
         # Schur complement certificate: the whole product must vanish
         if np.any(A_tilde.apply_matrix(N_tilde)):
             continue
-        N = L.apply_matrix(D.apply_matrix(N_tilde))
+        N = Vt.apply_matrix(D.apply_matrix(N_tilde))
         if np.any(A.apply_matrix(N)):
             # cannot happen for invertible U; kept as a hard assertion
             continue

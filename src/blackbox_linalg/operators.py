@@ -1,6 +1,6 @@
 """Black-box operators: opaque linear maps exposing apply / transpose-apply
 with application counters, plus the concrete preconditioning toolbox
-(sparse, diagonal, butterfly network, unit-triangular Toeplitz, composition).
+(sparse, diagonal, butterfly network and its transpose, composition).
 
 Counter accounting follows the matrix-times-vector convention: applying an
 operator to an n x k block counts as k vector applications.  Counters are
@@ -95,11 +95,6 @@ class BlackBoxOperator:
         return self.apply_matrix(np.eye(self.n, dtype=np.int64))
 
 
-class IdentityOperator(BlackBoxOperator):
-    def _apply_block(self, V, transposed):
-        return V.copy()
-
-
 class DenseOperator(BlackBoxOperator):
     """Wraps an explicit n x n matrix (tests, small oracles, dense inputs)."""
 
@@ -163,12 +158,6 @@ class SparseOperator(BlackBoxOperator):
             out[uniq, lo:lo + width] = np.add.reduceat(prods, starts, axis=0) % p
         return out
 
-    def to_dense_matrix(self) -> np.ndarray:
-        """Entry-level materialization (no counter; oracle/test use)."""
-        M = np.zeros((self.n, self.n), dtype=np.int64)
-        M[self.rows, self.cols] = self.vals
-        return M
-
 
 class DiagonalOperator(BlackBoxOperator):
     """Diagonal matrix with nonzero entries (hence always invertible)."""
@@ -197,72 +186,6 @@ class DiagonalOperator(BlackBoxOperator):
         for x in self.d.tolist():
             det = det * x % self.field.p
         return det
-
-
-# Longest piece of the shorter operand per np.convolve in _split_convolve:
-# an output then sums at most CONVOLVE_CHUNK products below 2**16 (p - 1),
-# which stays below 2**63.
-CONVOLVE_CHUNK = 1 << 15
-
-
-def _split_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact np.convolve(a, b) mod p via 16-bit splitting of the shorter
-    operand, in pieces of at most ``CONVOLVE_CHUNK`` entries whose shifted
-    partial convolutions are added mod p."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    for start in range(0, len(a), CONVOLVE_CHUNK):
-        piece = a[start:start + CONVOLVE_CHUNK]
-        hi = np.convolve(piece >> 16, b)
-        lo = np.convolve(piece & 0xFFFF, b)
-        seg = out[start:start + len(hi)]
-        seg += ((hi % p << 16) + lo) % p
-        seg %= p
-    return out
-
-
-class ToeplitzLowerUnit(BlackBoxOperator):
-    """Unit lower-triangular Toeplitz matrix, defined by its first column
-    (entry 0 forced to 1).  Apply is O(n^2) worst case via convolution."""
-
-    kind = "lower"
-
-    def __init__(self, column: np.ndarray, field: PrimeField):
-        c = reduce_mod(column, field.p).ravel().copy()
-        c[0] = 1
-        super().__init__(len(c), field)
-        self.coeffs = c
-
-    @classmethod
-    def random(cls, n: int, field: PrimeField, rng):
-        c = rng.integers(0, field.p, size=n, dtype=np.int64)
-        return cls(c, field)
-
-    def _conv_apply(self, V, lower: bool):
-        p = self.field.p
-        out = np.empty_like(V)
-        for j in range(V.shape[1]):
-            v = V[:, j]
-            if lower:
-                out[:, j] = _split_convolve(self.coeffs, v, p)[:self.n]
-            else:
-                w = v[::-1]
-                out[:, j] = _split_convolve(self.coeffs, w, p)[:self.n][::-1]
-        return out
-
-    def _apply_block(self, V, transposed):
-        # transpose of lower-Toeplitz(c) is upper-Toeplitz with first row c
-        return self._conv_apply(V, lower=not transposed)
-
-
-class ToeplitzUpperUnit(ToeplitzLowerUnit):
-    """Unit upper-triangular Toeplitz matrix, defined by its first row."""
-
-    kind = "upper"
-
-    def _apply_block(self, V, transposed):
-        return self._conv_apply(V, lower=transposed)
 
 
 class ButterflyOperator(BlackBoxOperator):
@@ -298,6 +221,21 @@ class ButterflyOperator(BlackBoxOperator):
                 self.stages.append((np.array(los), np.array(his), a, b, c, d))
             span *= 2
 
+    def transpose(self) -> "ButterflyOperator":
+        """The transposed network as a butterfly of its own (fresh counters,
+        no draws)."""
+        T = ButterflyOperator.__new__(ButterflyOperator)
+        BlackBoxOperator.__init__(T, self.n, self.field)
+        T.stages = self._stages(True)
+        return T
+
+    def _stages(self, transposed):
+        """Stages in application order; the transpose runs them in reverse
+        order with b and c swapped."""
+        if not transposed:
+            return self.stages
+        return [(lo, hi, a, c, b, d) for lo, hi, a, b, c, d in reversed(self.stages)]
+
     def _mix(self, V, idx_lo, idx_hi, a, b, c, d):
         p = self.field.p
         lo = V[idx_lo]
@@ -307,12 +245,8 @@ class ButterflyOperator(BlackBoxOperator):
 
     def _apply_block(self, V, transposed):
         V = V.copy()
-        if transposed:
-            for lo, hi, a, b, c, d in reversed(self.stages):
-                self._mix(V, lo, hi, a, c, b, d)
-        else:
-            for lo, hi, a, b, c, d in self.stages:
-                self._mix(V, lo, hi, a, b, c, d)
+        for stage in self._stages(transposed):
+            self._mix(V, *stage)
         return V
 
 

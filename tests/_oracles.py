@@ -5,14 +5,18 @@ of Fermat, naive convolution loops instead of the polynomial kernels,
 fraction-free (Bareiss) elimination over big integers for determinants,
 plain repeated application instead of the Horner Krylov products, one
 row operation at a time on the whole series (``mbasis_reference``) instead
-of one transform per order step.  The one exception is ``sigma_basis``, a
+of one transform per order step.  Two exceptions: ``sigma_basis``, a
 test-facing wrapper that exposes the library's internal order-basis routine
-for property checks.
+for property checks, and ``dense_solve``, which multiplies by the library's
+dense inverse.  The dense rank, solve and nullspace routines, the identity
+operator and the materializations of sparse and block-Hankel operators
+serve only the suite, so they live here and not in the library.
 """
 from types import SimpleNamespace
 
 import numpy as np
 
+from blackbox_linalg import BlackBoxOperator, dense_inverse, matmul_mod
 from blackbox_linalg.hankel import _mbasis
 
 
@@ -77,13 +81,95 @@ def dense_mul_int(A, B, p: int):
     return np.asarray((A @ B) % p, dtype=np.int64)
 
 
-def convolve_int(a, b, p: int):
-    """Exact convolution mod p through Python big ints, one product at a time."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += int(x) * int(y)
-    return np.array([v % p for v in out], dtype=np.int64)
+def dense_rank(M, p: int) -> int:
+    """Rank over F_p by forward elimination."""
+    A = np.asarray(M, dtype=np.int64) % p
+    rows, cols = A.shape
+    r = 0
+    for col in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(A[r:, col])[0]
+        if len(nz) == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        inv = ext_euclid_inverse(int(A[r, col]), p)
+        below = np.nonzero(A[r + 1:, col])[0] + r + 1
+        if len(below):
+            f = A[below, col] * inv % p
+            A[below] = (A[below] - f[:, None] * A[r]) % p
+        r += 1
+    return r
+
+
+def dense_solve(M, B, p: int):
+    """Solve M X = B exactly for nonsingular M."""
+    B = np.asarray(B, dtype=np.int64) % p
+    if B.ndim == 1:
+        return dense_solve(M, B.reshape(-1, 1), p).ravel()
+    return matmul_mod(dense_inverse(M, p), B, p)
+
+
+def dense_nullspace(M, p: int):
+    """Columns spanning the kernel of M over F_p (n x (n - rank))."""
+    A = np.asarray(M, dtype=np.int64) % p
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for col in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(A[r:, col])[0]
+        if len(nz) == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        A[r] = A[r] * ext_euclid_inverse(int(A[r, col]), p) % p
+        others = np.nonzero(A[:, col])[0]
+        others = others[others != r]
+        if len(others):
+            A[others] = (A[others] - A[others, col, None] * A[r]) % p
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(cols) if c not in pivots]
+    N = np.zeros((cols, len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        N[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            N[pc, j] = (-A[i, fc]) % p
+    return N
+
+
+class IdentityOperator(BlackBoxOperator):
+    """The n x n identity as a black box."""
+
+    def _apply_block(self, V, transposed):
+        return V.copy()
+
+
+def sparse_to_dense(S):
+    """Entry-level materialization of a SparseOperator (no counter)."""
+    M = np.zeros((S.n, S.n), dtype=np.int64)
+    M[S.rows, S.cols] = S.vals
+    return M
+
+
+def hankel_to_dense(H):
+    """The n x n matrix of a BlockHankel, block (i, j) = alpha_{i+j}."""
+    m = H.m
+    return np.block([[H.alpha[i + j] for j in range(m)] for i in range(m)])
+
+
+def write_matrix_market_coordinate(rows: int, cols: int, triples, f):
+    """Sorted 1-based coordinate Matrix Market text of integer triples."""
+    f.write("%%MatrixMarket matrix coordinate integer general\n")
+    triples = sorted(triples)
+    f.write(f"{rows} {cols} {len(triples)}\n")
+    for i, j, v in triples:
+        f.write(f"{i + 1} {j + 1} {int(v)}\n")
 
 
 def krylov_sequence(B, P, count, side="right"):

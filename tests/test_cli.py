@@ -118,6 +118,12 @@ def test_det_confirm(tmp_path):
     assert report.extra["confirm"] == 2
 
 
+def test_det_negative_confirm_is_usage_error(tmp_path):
+    src = write_coordinate(tmp_path / "d3.mtx", 2, [(0, 0, 2), (1, 1, 3)])
+    code, report = run_command(["det", src, "--confirm", "-3"])
+    assert (code, report) == (3, None)
+
+
 def test_singular_exit_code(tmp_path):
     src = write_coordinate(tmp_path / "s.mtx", 3,
                            [(0, 0, 1), (1, 0, 1)])  # rank 1
@@ -210,6 +216,10 @@ def test_real_entries_exact_and_unrepresentable_ones_exit_3(tmp_path):
 
 @pytest.mark.parametrize("command", ["invert", "nullspace", "rank", "det"])
 def test_empty_matrix_exits_3(tmp_path, command):
-    src = write_coordinate(tmp_path / "empty.mtx", 0, [])
-    code, report = run_command([command, src])
-    assert (code, report) == (3, None)
+    # an empty matrix and size lines with negative dimensions
+    for fmt, body in (("coordinate", "0 0 0\n"), ("coordinate", "-2 -2 0\n"),
+                      ("array", "-1 -1\n"), ("array", "-1 -1\n5\n")):
+        src = tmp_path / "empty.mtx"
+        src.write_text(f"%%MatrixMarket matrix {fmt} integer general\n{body}")
+        code, report = run_command([command, str(src)])
+        assert (code, report) == (3, None), (fmt, body)

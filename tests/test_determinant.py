@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from blackbox_linalg import (DenseOperator, IdentityOperator, InversionConfig,
-                             PrimeField, block_generator, dense_det,
-                             det_integer_crt, det_mod_p, matmul_mod)
+from blackbox_linalg import (DenseOperator, InversionConfig, PrimeField,
+                             block_generator, dense_det, det_integer_crt,
+                             det_mod_p, matmul_mod)
 from blackbox_linalg.determinant import crt_combine, hadamard_bound, word_size_primes
 from blackbox_linalg.errors import DegenerateSequence, InsufficientPrimes
 
-from _oracles import bareiss_det
+from _oracles import IdentityOperator, bareiss_det
 
 BIG = PrimeField(2147483629)
 P = BIG.p

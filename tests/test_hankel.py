@@ -4,13 +4,13 @@ import pytest
 import blackbox_linalg.hankel as hankel
 import blackbox_linalg.polymat as polymat
 from blackbox_linalg import (BlockHankel, BlockProjection, DenseOperator,
-                             IdentityOperator, PrimeField,
-                             build_hankel, dense_inverse, dense_rank,
+                             PrimeField, build_hankel, dense_inverse,
                              hankel_inverse_apply, hankel_inverse_rep,
                              matmul_mod, polymat_mul)
 from blackbox_linalg.errors import HankelSingular
 
-from _oracles import krylov_sequence, mbasis_reference, sigma_basis
+from _oracles import (IdentityOperator, dense_rank, hankel_to_dense,
+                      krylov_sequence, mbasis_reference, sigma_basis)
 
 F = PrimeField(10007)
 P = F.p
@@ -21,7 +21,7 @@ def random_nonsingular_hankel(rng, s, m, p=P):
         alpha = [rng.integers(0, p, size=(s, s), dtype=np.int64)
                  for _ in range(2 * m - 1)]
         H = BlockHankel(s=s, m=m, alpha=alpha, p=p)
-        if dense_rank(H.materialize(), p) == s * m:
+        if dense_rank(hankel_to_dense(H), p) == s * m:
             return H
 
 
@@ -51,7 +51,7 @@ def test_build_hankel_matches_dense_krylov_product():
     Kr = krylov_sequence(B, bp, bp.m, side="right").assemble()
     Kl = krylov_sequence(B, bp, bp.m, side="left").assemble()
     expect = matmul_mod(Kl, matmul_mod(B.matrix, Kr, P), P)
-    assert np.array_equal(H.materialize(), expect)
+    assert np.array_equal(hankel_to_dense(H), expect)
     assert np.array_equal(got_kl, Kl)  # the sweep's own left Krylov matrix
 
 
@@ -193,7 +193,7 @@ def test_rep_reconstructs_random_s2_m3():
     H = random_nonsingular_hankel(rng, 2, 3)
     rep = hankel_inverse_rep(H, rng)
     got = hankel_inverse_apply(rep, np.eye(H.n, dtype=np.int64))
-    assert np.array_equal(matmul_mod(got, H.materialize(), P),
+    assert np.array_equal(matmul_mod(got, hankel_to_dense(H), P),
                           np.eye(H.n, dtype=np.int64))
 
 
@@ -201,7 +201,7 @@ def test_apply_on_materialized_h_gives_identity():
     rng = np.random.default_rng(58)
     H = random_nonsingular_hankel(rng, 2, 4)
     rep = hankel_inverse_rep(H, rng)
-    assert np.array_equal(hankel_inverse_apply(rep, H.materialize()),
+    assert np.array_equal(hankel_inverse_apply(rep, hankel_to_dense(H)),
                           np.eye(H.n, dtype=np.int64))
 
 
@@ -210,7 +210,7 @@ def test_apply_random_rhs_vs_dense():
     H = random_nonsingular_hankel(rng, 2, 4)
     rep = hankel_inverse_rep(H, rng)
     M = rng.integers(0, P, size=(H.n, 5), dtype=np.int64)
-    expect = matmul_mod(dense_inverse(H.materialize(), P), M, P)
+    expect = matmul_mod(dense_inverse(hankel_to_dense(H), P), M, P)
     assert np.array_equal(hankel_inverse_apply(rep, M), expect)
 
 
@@ -264,7 +264,7 @@ def test_reconstruction_sweep_100_random():
         H = random_nonsingular_hankel(rng, s, m)
         rep = hankel_inverse_rep(H, rng)
         got = hankel_inverse_apply(rep, np.eye(H.n, dtype=np.int64))
-        assert np.array_equal(got, dense_inverse(H.materialize(), P)), \
+        assert np.array_equal(got, dense_inverse(hankel_to_dense(H), P)), \
             f"trial {trial}: s={s} m={m}"
 
 
@@ -276,7 +276,7 @@ def test_singular_hankel_raises(monkeypatch):
     a = rng.integers(0, P, size=(s, s), dtype=np.int64)
     alpha = [a.copy() for _ in range(2 * m - 1)]  # rank s < n
     H = BlockHankel(s=s, m=m, alpha=alpha, p=P)
-    assert dense_rank(H.materialize(), P) < H.n
+    assert dense_rank(hankel_to_dense(H), P) < H.n
     runs = []
     real = hankel._mbasis
 
@@ -301,7 +301,7 @@ def test_rep_ignores_trailing_block():
         got = hankel_inverse_apply(hankel_inverse_rep(H, rng), I)
         assert np.array_equal(
             hankel_inverse_apply(hankel_inverse_rep(H_tail, rng), I), got)
-        assert np.array_equal(got, dense_inverse(H.materialize(), P))
+        assert np.array_equal(got, dense_inverse(hankel_to_dense(H), P))
 
 
 def test_rep_handles_singular_leading_subblocks():
@@ -318,11 +318,11 @@ def test_rep_handles_singular_leading_subblocks():
         for i in range(int(rng.integers(1, 2 * m - 2))):
             alpha[i] = np.zeros((s, s), dtype=np.int64)
         H = BlockHankel(s=s, m=m, alpha=alpha, p=P)
-        if dense_rank(H.materialize(), P) < H.n:
+        if dense_rank(hankel_to_dense(H), P) < H.n:
             continue
         rep = hankel_inverse_rep(H, rng)
         got = hankel_inverse_apply(rep, np.eye(H.n, dtype=np.int64))
-        assert np.array_equal(got, dense_inverse(H.materialize(), P))
+        assert np.array_equal(got, dense_inverse(hankel_to_dense(H), P))
         done += 1
 
 
@@ -351,7 +351,7 @@ def test_inverse_apply_one_call_per_coefficient(monkeypatch, s, m):
     calls = _count_matmul(monkeypatch)
     X = hankel_inverse_apply(rep, M)
     assert len(calls) <= 4 * m
-    assert np.array_equal(X, matmul_mod(dense_inverse(H.materialize(), P), M, P))
+    assert np.array_equal(X, matmul_mod(dense_inverse(hankel_to_dense(H), P), M, P))
 
 
 @pytest.mark.parametrize("s, m", [(2, 6), (3, 9)])
@@ -364,4 +364,4 @@ def test_block_hankel_apply_one_call_per_coefficient(monkeypatch, s, m):
     calls = _count_matmul(monkeypatch)
     HV = H.apply(V)
     assert len(calls) <= 2 * m - 1
-    assert np.array_equal(HV, matmul_mod(H.materialize(), V, P))
+    assert np.array_equal(HV, matmul_mod(hankel_to_dense(H), V, P))

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 import blackbox_linalg.inverse as inverse
-from blackbox_linalg import (DenseOperator, DiagonalOperator, IdentityOperator,
-                             InversionConfig, PrimeField, blackbox_inverse,
-                             blackbox_inverse_apply, dense_inverse, dense_rank,
-                             matmul_mod, precondition, verify_inverse)
+from blackbox_linalg import (DenseOperator, DiagonalOperator, InversionConfig,
+                             PrimeField, blackbox_inverse,
+                             blackbox_inverse_apply, dense_inverse, matmul_mod,
+                             precondition, verify_inverse)
 from blackbox_linalg.cli import random_sparse_operator
 from blackbox_linalg.errors import (FieldTooSmall, HankelSingular,
                                    RetriesExhausted, SingularMatrix)
+
+from _oracles import IdentityOperator, dense_rank, sparse_to_dense
 
 BIG = PrimeField(2147483629)
 
@@ -16,7 +18,7 @@ BIG = PrimeField(2147483629)
 def nonsingular_sparse(rng, n, field, density=5):
     while True:
         A = random_sparse_operator(n, density, field, rng)
-        if dense_rank(A.to_dense_matrix(), field.p) == n:
+        if dense_rank(sparse_to_dense(A), field.p) == n:
             return A
 
 
@@ -27,7 +29,7 @@ def test_precondition_materializes_to_duad():
     B, D, U, unwrap = precondition(A, 2, rng)
     p = BIG.p
     M = matmul_mod(np.diag(D.d), matmul_mod(
-        U.to_dense(), matmul_mod(A.to_dense_matrix(), np.diag(D.d), p), p), p)
+        U.to_dense(), matmul_mod(sparse_to_dense(A), np.diag(D.d), p), p), p)
     assert np.array_equal(B.to_dense(), M)
 
 
@@ -46,7 +48,7 @@ def test_butterfly_leading_minor_property():
     rng = np.random.default_rng(73)
     n, s = 16, 4
     p = BIG.p
-    A = nonsingular_sparse(rng, n, BIG).to_dense_matrix()
+    A = sparse_to_dense(nonsingular_sparse(rng, n, BIG))
     good = 0
     for seed in range(100):
         U = ButterflyOperator(n, BIG, np.random.default_rng(seed))
@@ -80,7 +82,7 @@ def test_inverse_random_sparse_multiple_sizes():
         for trial in range(5):
             A = nonsingular_sparse(rng, n, BIG)
             res = blackbox_inverse(A, InversionConfig(seed=trial))
-            expect = dense_inverse(A.to_dense_matrix(), BIG.p)
+            expect = dense_inverse(sparse_to_dense(A), BIG.p)
             assert np.array_equal(res.matrix, expect)
 
 
@@ -98,7 +100,7 @@ def test_inverse_nondividing_block_size_pads():
     rng = np.random.default_rng(76)
     A = nonsingular_sparse(rng, 10, BIG)
     res = blackbox_inverse(A, InversionConfig(s=4, seed=0))
-    assert np.array_equal(res.matrix, dense_inverse(A.to_dense_matrix(), BIG.p))
+    assert np.array_equal(res.matrix, dense_inverse(sparse_to_dense(A), BIG.p))
 
 
 def test_inverse_singular_certificate():
@@ -136,7 +138,7 @@ def test_apply_inverse_random_rhs():
     A = nonsingular_sparse(rng, 24, BIG)
     M = rng.integers(0, BIG.p, size=(24, 5), dtype=np.int64)
     res = blackbox_inverse_apply(A, M, InversionConfig(seed=0))
-    expect = matmul_mod(dense_inverse(A.to_dense_matrix(), BIG.p), M, BIG.p)
+    expect = matmul_mod(dense_inverse(sparse_to_dense(A), BIG.p), M, BIG.p)
     assert np.array_equal(res.matrix, expect)
 
 
@@ -153,7 +155,7 @@ def test_verify_inverse():
     rng = np.random.default_rng(82)
     assert verify_inverse(IdentityOperator(4, BIG), np.eye(4, dtype=np.int64))
     A = nonsingular_sparse(rng, 8, BIG)
-    X = dense_inverse(A.to_dense_matrix(), BIG.p)
+    X = dense_inverse(sparse_to_dense(A), BIG.p)
     before = A.apply_count
     assert verify_inverse(A, X)
     assert A.apply_count - before == 8  # exactly n applications
@@ -211,7 +213,7 @@ def test_unlucky_draw_certifies_once_then_inverts(monkeypatch):
     res = blackbox_inverse(A, InversionConfig(seed=0))
     assert len(certs) == 1
     assert res.stats["retries"] == 1
-    assert np.array_equal(res.matrix, dense_inverse(A.to_dense_matrix(), BIG.p))
+    assert np.array_equal(res.matrix, dense_inverse(sparse_to_dense(A), BIG.p))
 
 
 @pytest.mark.parametrize("failure", ["hankel", "verify"])

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from blackbox_linalg import (PrimeField, read_matrix_market, to_dense_residues,
-                             to_sparse_operator, write_matrix_market_array,
-                             write_matrix_market_coordinate)
+                             to_sparse_operator, write_matrix_market_array)
 from blackbox_linalg.errors import (IndexOutOfRange, MalformedHeader,
                                     MatrixMarketError,
                                     NonSquareWhereSquareRequired)
+
+from _oracles import sparse_to_dense, write_matrix_market_coordinate
 
 F7 = PrimeField(7)
 
@@ -28,7 +29,7 @@ def test_coordinate_identity(tmp_path):
     data = read_matrix_market(path)
     op = to_sparse_operator(data, F7)
     assert op.nnz == 2
-    assert np.array_equal(op.to_dense_matrix(), np.eye(2, dtype=np.int64))
+    assert np.array_equal(sparse_to_dense(op), np.eye(2, dtype=np.int64))
 
 
 def test_negative_entry_balanced_reduction(tmp_path):
@@ -37,7 +38,7 @@ def test_negative_entry_balanced_reduction(tmp_path):
 1 2 -1
 """)
     op = to_sparse_operator(read_matrix_market(path), F7)
-    assert op.to_dense_matrix()[0, 1] == 6
+    assert sparse_to_dense(op)[0, 1] == 6
 
 
 def test_duplicates_summed_and_indices_converted(tmp_path):
@@ -121,6 +122,13 @@ def test_malformed_header(tmp_path):
     path = write(tmp_path, "bad.mtx", "%%NotMatrixMarket nonsense\n1 1 0\n")
     with pytest.raises(MalformedHeader):
         read_matrix_market(path)
+    # size lines with a negative dimension
+    for fmt, body in (("coordinate", "-2 -2 0\n"), ("coordinate", "2 -2 0\n"),
+                      ("array", "-1 -1\n"), ("array", "-1 -1\n5\n")):
+        path = write(tmp_path, "neg.mtx",
+                     f"%%MatrixMarket matrix {fmt} integer general\n{body}")
+        with pytest.raises(MalformedHeader):
+            read_matrix_market(path)
 
 
 def test_index_out_of_range(tmp_path):

@@ -1,12 +1,13 @@
+import itertools
+
 import numpy as np
 
 from blackbox_linalg import (DenseOperator, InversionConfig, PrimeField,
                              SparseOperator, berlekamp_massey, dense_inverse,
-                             dense_rank, matmul_mod, nullspace_rank,
-                             wiedemann_minpoly)
+                             matmul_mod, nullspace_rank, wiedemann_minpoly)
 from blackbox_linalg.errors import RetriesExhausted
 
-from _oracles import poly_from_roots
+from _oracles import IdentityOperator, dense_rank, poly_from_roots
 
 BIG = PrimeField(2147483629)
 P = BIG.p
@@ -40,7 +41,6 @@ def test_minpoly_zero_operator():
 
 
 def test_minpoly_identity():
-    from blackbox_linalg import IdentityOperator
     A = IdentityOperator(5, BIG)
     f = wiedemann_minpoly(A, np.random.default_rng(1))
     assert np.array_equal(f, np.array([P - 1, 1]))  # x - 1
@@ -121,8 +121,8 @@ def test_nullspace_small_field_fails_loudly():
 
 
 def test_full_rank_certified_by_inverting_a_itself(monkeypatch):
-    # U A L D serves the estimate only; the verified inverse is of A, so no
-    # Toeplitz factor sits on the certificate's Krylov sweeps
+    # U A V^T D serves the estimate only; the verified inverse is of A, so
+    # no preconditioner sits on the certificate's Krylov sweeps
     import blackbox_linalg.nullrank as nullrank
     rng = np.random.default_rng(5)
     M = rng.integers(0, P, size=(9, 9), dtype=np.int64)
@@ -139,3 +139,42 @@ def test_full_rank_certified_by_inverting_a_itself(monkeypatch):
     cert = nullspace_rank(A, InversionConfig(seed=1))
     assert cert.rank == 9
     assert len(inverted) == 1 and inverted[0] is A
+
+
+def test_butterflies_keep_generic_rank_profile_on_dead_rows_and_columns(monkeypatch):
+    # every proper set of dead rows and every proper set of dead columns of
+    # a random dense n x n matrix, n = 2..6 (228 runs): the first
+    # preconditioning U A V^T D must give the exact rank, so each run makes
+    # exactly one minimal-polynomial estimate.  A forward butterfly in place
+    # of V^T loses the rank profile on some of these column sets.
+    import blackbox_linalg.nullrank as nullrank
+    estimates = []
+    inner = nullrank.wiedemann_minpoly
+
+    def spy(A, rng):
+        estimates.append(A.n)
+        return inner(A, rng)
+    monkeypatch.setattr(nullrank, "wiedemann_minpoly", spy)
+    rng = np.random.default_rng(40)
+    runs = 0
+    for n in range(2, 7):
+        M = rng.integers(0, P, size=(n, n), dtype=np.int64)
+        while dense_rank(M, P) < n:
+            M = rng.integers(0, P, size=(n, n), dtype=np.int64)
+        for k in range(1, n):
+            for dead in itertools.combinations(range(n), k):
+                for axis in ("rows", "columns"):
+                    A = M.copy()
+                    if axis == "rows":
+                        A[list(dead)] = 0
+                    else:
+                        A[:, list(dead)] = 0
+                    estimates.clear()
+                    cert = nullspace_rank(DenseOperator(A, BIG),
+                                          InversionConfig(seed=runs))
+                    where = (n, dead, axis)
+                    assert cert.rank == n - k, where
+                    assert len(estimates) == 1, where
+                    assert not matmul_mod(A, cert.nullspace, P).any(), where
+                    runs += 1
+    assert runs == 228

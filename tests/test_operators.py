@@ -3,15 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import blackbox_linalg.operators as operators
 from blackbox_linalg import (ButterflyOperator, ComposedOperator,
                              DenseOperator, DiagonalOperator, EmbeddedOperator,
-                             IdentityOperator, LeadingMinorOperator,
-                             PrimeField, SparseOperator, ToeplitzLowerUnit,
-                             ToeplitzUpperUnit, dense_rank, matmul_mod)
+                             LeadingMinorOperator, PrimeField, SparseOperator,
+                             matmul_mod)
 from blackbox_linalg.errors import DimensionError
 
-from _oracles import convolve_int
+from _oracles import IdentityOperator, dense_rank, sparse_to_dense
 
 F = PrimeField(10007)
 P = F.p
@@ -42,7 +40,7 @@ def test_sparse_random_against_dense():
         seen.add((i, j))
         triples.append((i, j, int(rng.integers(1, P))))
     S = SparseOperator(n, triples, F)
-    M = S.to_dense_matrix()
+    M = sparse_to_dense(S)
     V = rng.integers(0, P, size=(n, 4), dtype=np.int64)
     assert np.array_equal(S.apply_matrix(V), matmul_mod(M, V, P))
     assert np.array_equal(S.apply_transpose_matrix(V), matmul_mod(M.T, V, P))
@@ -65,40 +63,6 @@ def test_diagonal_ones_is_identity():
     assert np.array_equal(D.apply(v), v)
 
 
-def test_toeplitz_forward_and_inverse():
-    # first column (1, c, 0, ...): e1 -> e1 + c e2; the inverse is the
-    # Toeplitz matrix with first column (1, -c, c^2, -c^3, ...)
-    c = 17
-    col = np.zeros(5, dtype=np.int64)
-    col[0], col[1] = 1, c
-    L = ToeplitzLowerUnit(col, F)
-    e1 = np.zeros(5, dtype=np.int64)
-    e1[0] = 1
-    y = L.apply(e1)
-    expect = np.zeros(5, dtype=np.int64)
-    expect[0], expect[1] = 1, c
-    assert np.array_equal(y, expect)
-    L_inv = ToeplitzLowerUnit(np.array([pow(-c, k, P) for k in range(5)]), F)
-    assert np.array_equal(L_inv.apply(y), e1)
-
-
-def test_toeplitz_matches_dense_materialization():
-    rng = np.random.default_rng(21)
-    n = 9
-    col = rng.integers(0, P, size=n, dtype=np.int64)
-    L = ToeplitzLowerUnit(col, F)
-    M = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1):
-            M[i, j] = L.coeffs[i - j]
-    v = rng.integers(0, P, size=n, dtype=np.int64)
-    assert np.array_equal(L.apply(v), matmul_mod(M, v.reshape(-1, 1), P).ravel())
-    assert np.array_equal(L.apply_transpose(v),
-                          matmul_mod(M.T, v.reshape(-1, 1), P).ravel())
-    U = ToeplitzUpperUnit(col, F)
-    assert np.array_equal(U.apply(v), matmul_mod(M.T, v.reshape(-1, 1), P).ravel())
-
-
 def test_butterfly_dense_equivalence_and_rank():
     rng = np.random.default_rng(22)
     for n in (8, 12):  # power of two and not
@@ -111,15 +75,29 @@ def test_butterfly_dense_equivalence_and_rank():
                               matmul_mod(M.T, v.reshape(-1, 1), P).ravel())
 
 
+def test_butterfly_transpose_materializes_to_the_transpose():
+    # stages reversed with b and c swapped: a butterfly of its own, with
+    # fresh counters, whose forward apply is the network's transposed apply
+    rng = np.random.default_rng(28)
+    for n in (8, 12):
+        B = ButterflyOperator(n, F, rng)
+        T = B.transpose()
+        assert isinstance(T, ButterflyOperator) and T.total_applications == 0
+        assert np.array_equal(T.to_dense(), B.to_dense().T)
+        assert np.array_equal(T.transpose().to_dense(), B.to_dense())
+        v = rng.integers(0, P, size=n, dtype=np.int64)
+        assert np.array_equal(T.apply_transpose(v), B.apply(v))
+
+
 def test_butterfly_determinant_is_one():
-    # also the unit-triangular Toeplitz factors: every preconditioner with
-    # no diagonal part is invertible with determinant 1
+    # a butterfly and its transpose: every preconditioner with no diagonal
+    # part is invertible with determinant 1
     from blackbox_linalg import dense_det
     rng = np.random.default_rng(23)
     for n in (4, 8, 11):
-        for op in (ButterflyOperator(n, F, rng), ToeplitzLowerUnit.random(n, F, rng),
-                   ToeplitzUpperUnit.random(n, F, rng)):
-            assert dense_det(op.to_dense(), P) == 1, type(op).__name__
+        B = ButterflyOperator(n, F, rng)
+        for op in (B, B.transpose()):
+            assert dense_det(op.to_dense(), P) == 1
 
 
 def test_compose_identity_sandwich():
@@ -142,8 +120,8 @@ def test_compose_scalar_diagonal():
 def test_compose_ldu_materialization():
     rng = np.random.default_rng(26)
     n = 6
-    L = ToeplitzLowerUnit.random(n, F, rng)
-    U = ToeplitzUpperUnit.random(n, F, rng)
+    U = ButterflyOperator(n, F, rng)
+    L = U.transpose()
     d = rng.integers(1, P, size=n, dtype=np.int64)
     D2 = DiagonalOperator(d * d % P, F)
     R = ComposedOperator([L, D2, U])
@@ -163,8 +141,7 @@ def _operator_zoo(rng):
         SparseOperator(n, triples, F),
         DiagonalOperator.random(n, F, rng),
         ButterflyOperator(n, F, rng),
-        ToeplitzLowerUnit.random(n, F, rng),
-        ToeplitzUpperUnit.random(n, F, rng),
+        ButterflyOperator(n, F, rng).transpose(),
         DenseOperator(rng.integers(0, P, size=(n, n), dtype=np.int64), F),
         EmbeddedOperator(DenseOperator(rng.integers(0, P, size=(5, 5),
                                                     dtype=np.int64), F), n),
@@ -246,28 +223,6 @@ def test_sparse_apply_temporaries_bounded_by_panel_budget():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 2 * 2**20
-    dense = S.to_dense_matrix()
+    dense = sparse_to_dense(S)
     assert np.array_equal(out, matmul_mod(dense, V, big.p))
     assert np.array_equal(S._apply_block(V, True), matmul_mod(dense.T, V, big.p))
-
-
-def test_split_convolve_chunk_bound():
-    # an output sums at most CONVOLVE_CHUNK products of a 16-bit limb and a
-    # residue below 2**31
-    assert (2**16 - 1) * (2**31 - 2) * operators.CONVOLVE_CHUNK < 2**63
-
-
-def test_split_convolve_exact_across_chunks(monkeypatch):
-    # pieces of 5 entries: operands of 1..40 entries take one piece or many,
-    # with the shorter operand first or second
-    monkeypatch.setattr(operators, "CONVOLVE_CHUNK", 5)
-    p = 2147483629
-    rng = np.random.default_rng(27)
-    for la in range(1, 41):
-        for lb in (la, 41 - la):
-            for a, b in ((rng.integers(0, p, size=la), rng.integers(0, p, size=lb)),
-                         (np.full(la, p - 1), np.full(lb, p - 1))):
-                a = a.astype(np.int64)
-                b = b.astype(np.int64)
-                assert np.array_equal(operators._split_convolve(a, b, p),
-                                      convolve_int(a, b, p))

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from blackbox_linalg import (BlockProjection, DenseOperator, DiagonalOperator,
-                             IdentityOperator, PrimeField, SparseOperator,
-                             dense_rank, krylov_apply_left, krylov_apply_right,
-                             matmul_mod, u_contract, u_expand)
+                             PrimeField, SparseOperator, krylov_apply_left,
+                             krylov_apply_right, matmul_mod, u_contract,
+                             u_expand)
 from blackbox_linalg.errors import DimensionError
 
-from _oracles import krylov_sequence
+from _oracles import IdentityOperator, dense_rank, krylov_sequence
 
 F = PrimeField(10007)
 P = F.p

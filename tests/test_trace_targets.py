@@ -27,8 +27,22 @@ def test_traced_functions_resolve_in_their_modules():
         assert fn.__module__ == module.__name__, f"{modname}.{fname} is not defined there"
 
 
+# operator families the harness still lists although the library has no
+# such class; a traced run reports them as not traced
+DELETED_FAMILIES = ("ToeplitzLowerUnit", "ToeplitzUpperUnit")
+
+
 def test_traced_operator_families_define_apply_block():
     for clsname in _tracing().OPERATOR_FAMILIES:
+        if clsname in DELETED_FAMILIES:
+            continue
         cls = getattr(operators, clsname, None)
         assert cls is not None, f"operators.{clsname} is missing"
         assert "_apply_block" in vars(cls), f"{clsname} does not define _apply_block"
+
+
+def test_deleted_operator_families_are_absent():
+    families = _tracing().OPERATOR_FAMILIES
+    for clsname in DELETED_FAMILIES:
+        assert clsname in families
+        assert not hasattr(operators, clsname), f"operators.{clsname} is back"
