@@ -24,9 +24,10 @@ fresh randomness; accepted answers are always exact.  A singular Hankel
 matrix most often means that A itself is singular, when every further
 attempt is doomed too; so the first HankelSingular runs the rank
 certificate at once, and a certified rank deficiency turns into
-SingularMatrix.  Otherwise (a nonsingular A met an unlucky draw) the
-attempts go on, and the certificate never runs a second time.  When no
-attempt raised HankelSingular, it runs once after the last attempt.
+SingularMatrix.  On a nonsingular A (an unlucky draw) the certificate is
+cheap, 2n - 1 applications when its first estimate succeeds, and the
+attempts go on; it never runs twice, and runs once after the last attempt
+when none raised HankelSingular.
 """
 from __future__ import annotations
 
@@ -124,29 +125,28 @@ def verify_inverse(A: BlackBoxOperator, X: np.ndarray,
     return bool(np.array_equal(A.apply_matrix(X), M))
 
 
-def blackbox_inverse(A: BlackBoxOperator, cfg: InversionConfig | None = None,
-                     _certify_singular: bool = True) -> InversionResult:
+def blackbox_inverse(A: BlackBoxOperator,
+                     cfg: InversionConfig | None = None) -> InversionResult:
     """Dense inverse of a black-box matrix (Las Vegas: never wrong).
 
     Raises FieldTooSmall, SingularMatrix (with a certified kernel vector)
     or RetriesExhausted."""
-    return _solve(A, None, cfg, _certify_singular)
+    return _solve(A, None, cfg)
 
 
 def blackbox_inverse_apply(A: BlackBoxOperator, M: np.ndarray,
-                           cfg: InversionConfig | None = None,
-                           _certify_singular: bool = True) -> InversionResult:
+                           cfg: InversionConfig | None = None) -> InversionResult:
     """A^{-1} M without materializing A^{-1} (M may be a vector); raises
     like blackbox_inverse."""
     M = reduce_mod(M, A.field.p)
     if M.shape[0] != A.n:
         raise ValueError(f"M has {M.shape[0]} rows, operator is {A.n}")
-    res = _solve(A, M[:, None] if M.ndim == 1 else M, cfg, _certify_singular)
+    res = _solve(A, M[:, None] if M.ndim == 1 else M, cfg)
     res.matrix = res.matrix.reshape(M.shape)
     return res
 
 
-def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg, certify_singular):
+def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg):
     """The attempt loop of both entry points: A^{-1} when M is None, else
     A^{-1} M for a reduced n x k block M."""
     cfg = cfg or InversionConfig()
@@ -159,7 +159,7 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg, certify_singular):
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     base_count = A.total_applications
-    certified = not certify_singular  # the certificate runs at most once
+    certified = False  # the certificate runs at most once
     for attempt in range(cfg.max_retries):
         attempt_base = A.total_applications
         B, D, U, unwrap = precondition(work, s, rng)

@@ -91,8 +91,8 @@ def read_matrix_market(path) -> MatrixMarketData:
     if len(size) != want:
         raise MalformedHeader(f"{fmt} size line needs {want} fields: {body[0]!r}")
     dims = [int(x) for x in size]
-    if min(dims) < 0:
-        raise MalformedHeader(f"negative size in {body[0]!r}")
+    if min(dims) < 0 or symmetry == "symmetric" and dims[0] != dims[1]:
+        raise MalformedHeader(f"invalid {symmetry} size line {body[0]!r}")
     if fmt == "coordinate":
         rows, cols, nnz = dims
         if len(entries) != nnz:

@@ -1,16 +1,16 @@
-"""Certified rank and nullspace basis of a singular black-box matrix.
+"""Certified rank and nullspace basis of a black-box matrix.
 
-The rank is estimated from the minimal polynomial of the butterfly/diagonal
-preconditioning U A V^T D (degree r + 1 for singular input with high
-probability; Chen, Eberly, Kaltofen, Saunders, Turner and Villard, LAA
-2002), then certified: inverting the leading r x r minor witnesses
-rank >= r, and a zero Schur complement (checked with n - r black-box
-applications) witnesses rank <= r.  The right butterfly enters transposed:
-a forward network there loses the generic rank profile on inputs with
-structured dead columns.  When the estimate is r = n, a verified inverse
-of A itself witnesses rank n: U, V and D are invertible, so A has full rank
-exactly when U A V^T D has.  Certificates are unconditional; estimation
-failures retry with fresh randomness.
+Berlekamp-Massey on u^T A~^i v, i < 2n, gives the minimal generator f of
+A~ = U A V^T D (butterflies U, V and a diagonal D, all invertible; Chen,
+Eberly, Kaltofen, Saunders, Turner and Villard, LAA 2002).  As deg f <= n,
+f divides the minimal polynomial mu of A~, so deg f = n makes f the
+characteristic polynomial, and f(0) != 0 then certifies rank n.  As
+deg mu <= rank + 1, rank A >= r = deg f - 1 always; for r < n a solve with
+the leading r x r minor builds n - r independent columns N with A N = 0
+(checked with n - r applications), so rank A <= r.  The right butterfly
+enters transposed: a forward network there loses the generic rank profile
+on inputs with structured dead columns.  Certificates are unconditional;
+estimation failures retry with fresh randomness.
 """
 from __future__ import annotations
 
@@ -19,10 +19,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import RetriesExhausted
+from .errors import RetriesExhausted, SingularMatrix
 from .field import matmul_mod
-from .inverse import (InversionConfig, blackbox_inverse, blackbox_inverse_apply,
-                      run_stats)
+from .inverse import InversionConfig, blackbox_inverse_apply, run_stats
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, LeadingMinorOperator)
 
@@ -104,8 +103,10 @@ class RankCertificate:
 def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> RankCertificate:
     """Rank and nullspace basis of a black-box matrix (Las Vegas).
 
-    Never returns an uncertified answer; raises RetriesExhausted when the
-    rank estimate or the random conditioning keeps failing."""
+    Rank n needs only the estimate (2n - 1 applications) and no field-size
+    bound; the minor solve of a rank deficiency raises FieldTooSmall below
+    its bound.  Never returns an uncertified answer; raises RetriesExhausted
+    when the rank estimate or the random conditioning keeps failing."""
     cfg = cfg or InversionConfig()
     field = A.field
     p = field.p
@@ -120,18 +121,15 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
         D = DiagonalOperator.random(n, field, rng)
         A_tilde = ComposedOperator([U, A, Vt, D])
         f = wiedemann_minpoly(A_tilde, rng)
-        r = n if f[0] % p else len(f) - 2
-        sub_seed = int(rng.integers(0, 2**63 - 1))
-        if r >= n:
-            # estimated nonsingular: a verified inverse of A certifies rank n
-            try:
-                blackbox_inverse(A, InversionConfig(
-                    seed=sub_seed, max_retries=sub_retries), _certify_singular=False)
-            except RetriesExhausted:
-                continue
-            return RankCertificate(
-                rank=n, nullspace=np.zeros((n, 0), dtype=np.int64), seed=cfg.seed,
-                stats=run_stats(A, base_count, t0, attempt))
+        sub_seed = int(rng.integers(0, 2**63 - 1))  # every attempt: fixed draw order
+        if f[0] % p:
+            if len(f) - 1 == n:
+                # f is the characteristic polynomial and f(0) != 0
+                return RankCertificate(
+                    rank=n, nullspace=np.zeros((n, 0), dtype=np.int64),
+                    seed=cfg.seed, stats=run_stats(A, base_count, t0, attempt))
+            continue
+        r = len(f) - 2
         if r == 0:
             N_tilde = (p - 1) * np.eye(n, dtype=np.int64) % p
         else:
@@ -142,9 +140,8 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
             A1 = cols[:r]
             try:
                 W = blackbox_inverse_apply(A0, A1, InversionConfig(
-                    seed=sub_seed, max_retries=sub_retries),
-                    _certify_singular=False).matrix
-            except RetriesExhausted:
+                    seed=sub_seed, max_retries=sub_retries)).matrix
+            except (RetriesExhausted, SingularMatrix):
                 continue
             N_tilde = np.concatenate(
                 [W, (p - 1) * np.eye(n - r, dtype=np.int64) % p], axis=0)

@@ -93,6 +93,22 @@ def test_nullspace_command(tmp_path):
     assert not N[:2].any()
 
 
+def test_rank_below_field_bound(tmp_path):
+    # rank n is certified by the minimal polynomial alone, with no field
+    # bound; a rank deficiency still needs the bound for its minor solve
+    full = [(0, 0, 1), (1, 1, 2), (2, 2, 3), (0, 2, 1)]
+    src = write_coordinate(tmp_path / "f5.mtx", 3, full)
+    for command in ("rank", "nullspace"):
+        code, report = run_command([command, src, "--prime", "5",
+                                    "--out", str(tmp_path / "n5.mtx")])
+        assert code == 0, command
+        assert report.extra == {"rank": 3, "nullity": 0}
+    src = write_coordinate(tmp_path / "s5.mtx", 3, full[:2] + full[3:])
+    code, report = run_command(["rank", src, "--prime", "5"])
+    assert code == 2
+    assert report.outcome.startswith("failed: field size 5 below")
+
+
 def test_det_command(tmp_path):
     src = write_coordinate(tmp_path / "d.mtx", 3,
                            [(0, 0, 2), (1, 1, 3), (2, 2, 5)])
@@ -141,6 +157,17 @@ def test_usage_and_input_errors(tmp_path):
     bad.write_text("not a matrix market file\n")
     code, _ = run_command(["invert", str(bad)])
     assert code == 3
+
+
+def test_symmetric_nonsquare_rhs_exits_3(tmp_path):
+    # a symmetric size line must be square; before, its entries were
+    # mirrored outside the 3 x 1 shape
+    src = write_coordinate(tmp_path / "id3.mtx", 3, [(i, i, 1) for i in range(3)])
+    rhs = tmp_path / "sym.mtx"
+    rhs.write_text("%%MatrixMarket matrix array integer symmetric\n"
+                   "3 1\n1\n2\n3\n4\n5\n6\n")
+    code, report = run_command(["apply-inverse", src, str(rhs)])
+    assert (code, report) == (3, None)
 
 
 def test_no_verify_echoed(tmp_path, identity_fixture):

@@ -122,11 +122,15 @@ def test_malformed_header(tmp_path):
     path = write(tmp_path, "bad.mtx", "%%NotMatrixMarket nonsense\n1 1 0\n")
     with pytest.raises(MalformedHeader):
         read_matrix_market(path)
-    # size lines with a negative dimension
-    for fmt, body in (("coordinate", "-2 -2 0\n"), ("coordinate", "2 -2 0\n"),
-                      ("array", "-1 -1\n"), ("array", "-1 -1\n5\n")):
+    # size lines with a negative dimension, and symmetric ones not square
+    for fmt, sym, body in (("coordinate", "general", "-2 -2 0\n"),
+                           ("coordinate", "general", "2 -2 0\n"),
+                           ("array", "general", "-1 -1\n"),
+                           ("array", "general", "-1 -1\n5\n"),
+                           ("array", "symmetric", "3 1\n1\n2\n3\n4\n5\n6\n"),
+                           ("coordinate", "symmetric", "3 2 1\n3 1 4\n")):
         path = write(tmp_path, "neg.mtx",
-                     f"%%MatrixMarket matrix {fmt} integer general\n{body}")
+                     f"%%MatrixMarket matrix {fmt} integer {sym}\n{body}")
         with pytest.raises(MalformedHeader):
             read_matrix_market(path)
 

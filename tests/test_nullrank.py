@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from blackbox_linalg import (DenseOperator, InversionConfig, PrimeField,
                              SparseOperator, berlekamp_massey, dense_inverse,
@@ -11,6 +12,18 @@ from _oracles import IdentityOperator, dense_rank, poly_from_roots
 
 BIG = PrimeField(2147483629)
 P = BIG.p
+
+
+def _nonsingular(rng, n):
+    M = rng.integers(0, P, size=(n, n), dtype=np.int64)
+    while dense_rank(M, P) < n:
+        M = rng.integers(0, P, size=(n, n), dtype=np.int64)
+    return M
+
+
+def _low_rank(rng, n, r):
+    return matmul_mod(rng.integers(0, P, size=(n, r), dtype=np.int64),
+                      rng.integers(0, P, size=(r, n), dtype=np.int64), P)
 
 
 def test_bm_geometric_sequence():
@@ -50,9 +63,7 @@ def test_minpoly_distinct_eigenvalues_matches_charpoly():
     rng = np.random.default_rng(2)
     n = 10
     lam = np.arange(2, 2 + n, dtype=np.int64)  # distinct eigenvalues
-    V = rng.integers(0, P, size=(n, n), dtype=np.int64)
-    while dense_rank(V, P) < n:
-        V = rng.integers(0, P, size=(n, n), dtype=np.int64)
+    V = _nonsingular(rng, n)
     A = matmul_mod(V, matmul_mod(np.diag(lam), dense_inverse(V, P), P), P)
     f = wiedemann_minpoly(DenseOperator(A, BIG), rng)
     assert len(f) == n + 1
@@ -82,10 +93,7 @@ def test_nullspace_diag_1100():
 
 
 def test_nullspace_nonsingular_input():
-    rng = np.random.default_rng(3)
-    M = rng.integers(0, P, size=(9, 9), dtype=np.int64)
-    while dense_rank(M, P) < 9:
-        M = rng.integers(0, P, size=(9, 9), dtype=np.int64)
+    M = _nonsingular(np.random.default_rng(3), 9)
     cert = nullspace_rank(DenseOperator(M, BIG), InversionConfig(seed=1))
     assert cert.rank == 9
     assert cert.nullspace.shape == (9, 0)
@@ -96,8 +104,7 @@ def test_nullspace_random_low_rank():
     n = 20
     for r in (5, 13):
         for trial in range(3):
-            A = matmul_mod(rng.integers(0, P, size=(n, r), dtype=np.int64),
-                           rng.integers(0, P, size=(r, n), dtype=np.int64), P)
+            A = _low_rank(rng, n, r)
             cert = nullspace_rank(DenseOperator(A, BIG), InversionConfig(seed=trial))
             assert cert.rank == dense_rank(A, P) == r
             N = cert.nullspace
@@ -120,25 +127,100 @@ def test_nullspace_small_field_fails_loudly():
     assert not matmul_mod(A.matrix, cert.nullspace, 5).any()
 
 
-def test_full_rank_certified_by_inverting_a_itself(monkeypatch):
-    # U A V^T D serves the estimate only; the verified inverse is of A, so
-    # no preconditioner sits on the certificate's Krylov sweeps
+def test_full_rank_certified_by_minpoly_degree(monkeypatch):
+    # a degree-n minimal generator with f(0) != 0 is the characteristic
+    # polynomial of U A V^T D: rank n with no inversion at all, for the
+    # 2n - 1 applications of the estimate
+    import blackbox_linalg.inverse as inverse
     import blackbox_linalg.nullrank as nullrank
-    rng = np.random.default_rng(5)
-    M = rng.integers(0, P, size=(9, 9), dtype=np.int64)
-    while dense_rank(M, P) < 9:
-        M = rng.integers(0, P, size=(9, 9), dtype=np.int64)
-    A = DenseOperator(M, BIG)
-    inverted = []
-    inner = nullrank.blackbox_inverse
+    A = DenseOperator(_nonsingular(np.random.default_rng(5), 9), BIG)
+    solves = []
 
-    def spy(op, *args, **kwargs):
-        inverted.append(op)
-        return inner(op, *args, **kwargs)
-    monkeypatch.setattr(nullrank, "blackbox_inverse", spy)
+    def spy(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("no inversion may run")
+    monkeypatch.setattr(nullrank, "blackbox_inverse_apply", spy)
+    monkeypatch.setattr(inverse, "_solve", spy)
     cert = nullspace_rank(A, InversionConfig(seed=1))
     assert cert.rank == 9
-    assert len(inverted) == 1 and inverted[0] is A
+    assert cert.nullspace.shape == (9, 0)
+    assert solves == []
+    assert cert.stats["retries"] == 0
+    assert cert.stats["bb_apply_count"] == 2 * 9 - 1 == 17
+
+
+def test_short_minpoly_with_nonzero_constant_is_not_rank_n(monkeypatch):
+    # f(0) != 0 with deg f < n proves nothing: the attempt retries
+    import blackbox_linalg.nullrank as nullrank
+    inner = nullrank.wiedemann_minpoly
+    calls = []
+
+    def short_first(A, rng):
+        calls.append(A.n)
+        f = inner(A, rng)
+        return np.array([3, 1], dtype=np.int64) if len(calls) == 1 else f
+    monkeypatch.setattr(nullrank, "wiedemann_minpoly", short_first)
+    A = DenseOperator(_nonsingular(np.random.default_rng(6), 9), BIG)
+    cert = nullspace_rank(A, InversionConfig(seed=0))
+    assert cert.rank == 9
+    assert cert.stats["retries"] == 1
+    assert len(calls) == 2
+
+    monkeypatch.setattr(nullrank, "wiedemann_minpoly",
+                        lambda A, rng: np.array([3, 1], dtype=np.int64))
+    S = DenseOperator(_low_rank(np.random.default_rng(7), 9, 4), BIG)
+    with pytest.raises(RetriesExhausted):
+        nullspace_rank(S, InversionConfig(seed=0, max_retries=3))
+
+
+def test_minor_failures_recover(monkeypatch):
+    import blackbox_linalg.inverse as inverse
+    import blackbox_linalg.nullrank as nullrank
+    from blackbox_linalg.errors import HankelSingular, SingularMatrix
+    n, r = 20, 13
+    M = _low_rank(np.random.default_rng(8), n, r)
+    A = DenseOperator(M, BIG)
+
+    # a failed first Hankel inverse in the minor solve runs one nested
+    # certificate on the r x r minor, which finds it nonsingular; the
+    # solve's next attempt succeeds within the same outer attempt
+    reps, certs = [], []
+    inner_rep = inverse.hankel_inverse_rep
+    inner_cert = inverse._singular_certificate
+
+    def rep(*args):
+        reps.append(args)
+        if len(reps) == 1:
+            raise HankelSingular("forced")
+        return inner_rep(*args)
+
+    def cert_spy(B, cfg):
+        certs.append(B.n)
+        return inner_cert(B, cfg)
+    monkeypatch.setattr(inverse, "hankel_inverse_rep", rep)
+    monkeypatch.setattr(inverse, "_singular_certificate", cert_spy)
+    cert = nullspace_rank(A, InversionConfig(seed=0))
+    assert certs == [r]
+    assert (cert.rank, cert.stats["retries"]) == (r, 0)
+    assert not matmul_mod(M, cert.nullspace, P).any()
+    assert dense_rank(cert.nullspace, P) == n - r
+    monkeypatch.undo()
+
+    # a minor proved singular costs exactly one outer retry
+    inner_solve = nullrank.blackbox_inverse_apply
+    solves = []
+
+    def singular_first(*args, **kwargs):
+        solves.append(args)
+        if len(solves) == 1:
+            raise SingularMatrix(np.zeros(r, dtype=np.int64))
+        return inner_solve(*args, **kwargs)
+    monkeypatch.setattr(nullrank, "blackbox_inverse_apply", singular_first)
+    cert = nullspace_rank(A, InversionConfig(seed=0))
+    assert len(solves) == 2
+    assert (cert.rank, cert.stats["retries"]) == (r, 1)
+    assert not matmul_mod(M, cert.nullspace, P).any()
+    assert dense_rank(cert.nullspace, P) == n - r
 
 
 def test_butterflies_keep_generic_rank_profile_on_dead_rows_and_columns(monkeypatch):
@@ -158,9 +240,7 @@ def test_butterflies_keep_generic_rank_profile_on_dead_rows_and_columns(monkeypa
     rng = np.random.default_rng(40)
     runs = 0
     for n in range(2, 7):
-        M = rng.integers(0, P, size=(n, n), dtype=np.int64)
-        while dense_rank(M, P) < n:
-            M = rng.integers(0, P, size=(n, n), dtype=np.int64)
+        M = _nonsingular(rng, n)
         for k in range(1, n):
             for dead in itertools.combinations(range(n), k):
                 for axis in ("rows", "columns"):
