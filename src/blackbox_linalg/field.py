@@ -166,5 +166,31 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 
 def reduce_mod(A, p: int) -> np.ndarray:
-    """Canonical residues in [0, p) as an int64 array."""
-    return np.asarray(A, dtype=np.int64) % p
+    """Canonical residues in [0, p) as a new int64 array.
+
+    Computed as ``A - A // p * p`` by floor division, which numpy does
+    several times faster than its remainder.  It equals ``A % p`` for every
+    int64, negatives included: the floor quotient makes the true result lie
+    in [0, p), and the int64 product and difference wrap modulo 2**64, so
+    the result is exact even where ``A // p * p`` itself wraps."""
+    A = np.asarray(A, dtype=np.int64)
+    R = np.floor_divide(A, p, out=np.empty_like(A))
+    R *= p
+    return np.subtract(A, R, out=R)
+
+
+def reduce_in_place(X: np.ndarray, p: int) -> np.ndarray:
+    """Reduce a 2-D int64 array to [0, p) in place and return it.
+
+    Floor division as in ``reduce_mod``, one row panel of at most
+    ``PANEL_ELEMENTS`` elements at a time: the panel's quotients are the
+    only temporary, whatever the size of X."""
+    rows = max(1, PANEL_ELEMENTS // max(1, X.shape[1]))
+    q = np.empty((min(rows, X.shape[0]), X.shape[1]), dtype=np.int64)
+    for lo in range(0, X.shape[0], rows):
+        panel = X[lo:lo + rows]
+        t = q[:panel.shape[0]]
+        np.floor_divide(panel, p, out=t)
+        t *= p
+        panel -= t
+    return X

@@ -34,38 +34,46 @@ def berlekamp_massey(seq, p: int) -> np.ndarray:
     """Monic minimal polynomial of a linearly generated sequence.
 
     Returned ascending by degree: f[0] + f[1] x + ... + x^deg, satisfying
-    sum_j f[j] a_{i+j} = 0 for all windows of the input."""
-    seq = [int(x) % p for x in seq]
-    C = [1]
-    B = [1]
+    sum_j f[j] a_{i+j} = 0 for all windows of the input.  The connection
+    polynomials C and B are int64 arrays with room for degree len(seq);
+    each discrepancy is one dot of C with the reversed window, every
+    product reduced before the sum, and each update one slice."""
+    a = np.array([int(x) % p for x in seq], dtype=np.int64)
+    N = len(a)
+    rev = a[::-1]  # a[i-1], ..., a[i-L] is rev[N-i:N-i+L]
+    C = np.zeros(N + 1, dtype=np.int64)
+    C[0] = 1
+    B = C.copy()
+    len_b = 1
     L = 0
     shift = 1
     b = 1
-    for i, a in enumerate(seq):
-        d = a
-        for j in range(1, L + 1):
-            d = (d + C[j] * seq[i - j]) % p
+    for i in range(N):
+        window = C[1:L + 1] * rev[N - i:N - i + L]
+        window %= p
+        d = (int(a[i]) + int(window.sum())) % p
         if d == 0:
             shift += 1
             continue
         coeff = d * pow(b, p - 2, p) % p
-        T = list(C)
-        while len(C) < len(B) + shift:
-            C.append(0)
-        for j, bj in enumerate(B):
-            C[j + shift] = (C[j + shift] - coeff * bj) % p
-        if 2 * L <= i:
+        grow = 2 * L <= i
+        T = C.copy() if grow else None
+        step = B[:len_b] * coeff
+        step %= p
+        seg = C[shift:shift + len_b]
+        seg -= step
+        seg %= p
+        if grow:
+            len_b = L + 1
             L = i + 1 - L
             B = T
             b = d
             shift = 1
         else:
             shift += 1
-    # connection polynomial C has C[0] = 1 and degree L; the minimal
-    # polynomial is its reversal, monic by construction
-    C = C[:L + 1] + [0] * (L + 1 - len(C))
-    f = np.array(C[::-1], dtype=np.int64) % p
-    return f
+    # C has C[0] = 1 and degree L; the minimal polynomial is its reversal,
+    # monic by construction
+    return C[:L + 1][::-1].copy()
 
 
 def wiedemann_minpoly(A: BlackBoxOperator, rng) -> np.ndarray:

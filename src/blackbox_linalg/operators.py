@@ -5,7 +5,13 @@ with application counters, plus the concrete preconditioning toolbox
 Counter accounting follows the matrix-times-vector convention: applying an
 operator to an n x k block counts as k vector applications.  Counters are
 lock-protected so concurrent applies lose no updates; everything else about
-an operator is immutable after construction.
+an operator is immutable after construction, apart from the butterfly's
+transposed row plan, built on the first transposed apply.
+
+The hot loops reduce by floor division in place (``x - x // p * p``, as
+``matmul_mod`` does), never by numpy's slower ``%``, and work in column or
+row panels of at most ``PANEL_ELEMENTS`` elements, so that their temporaries
+stay bounded whatever the width of the block.
 """
 from __future__ import annotations
 
@@ -14,7 +20,8 @@ import threading
 import numpy as np
 
 from .errors import DimensionError
-from .field import PANEL_ELEMENTS, PrimeField, matmul_mod, reduce_mod
+from .field import (PANEL_ELEMENTS, PrimeField, matmul_mod, reduce_in_place,
+                    reduce_mod)
 
 
 class BlackBoxOperator:
@@ -154,8 +161,9 @@ class SparseOperator(BlackBoxOperator):
         for lo in range(0, V.shape[1], width):
             prods = V[gather, lo:lo + width]
             prods *= vals[:, None]
-            prods %= p
-            out[uniq, lo:lo + width] = np.add.reduceat(prods, starts, axis=0) % p
+            reduce_in_place(prods, p)
+            sums = np.add.reduceat(prods, starts, axis=0)
+            out[uniq, lo:lo + width] = reduce_in_place(sums, p)
         return out
 
 
@@ -179,7 +187,7 @@ class DiagonalOperator(BlackBoxOperator):
         return cls(rng.integers(1, field.p, size=n, dtype=np.int64), field)
 
     def _apply_block(self, V, transposed):
-        return self.d[:, None] * V % self.field.p
+        return reduce_in_place(np.multiply(V, self.d[:, None]), self.field.p)
 
     def determinant(self) -> int:
         det = 1
@@ -197,12 +205,33 @@ class ButterflyOperator(BlackBoxOperator):
     pipeline divides preconditioner determinants back out relying on this).
     Pairs that would straddle n (when n is not a power of two) act as the
     identity, which keeps both properties.
+
+    An apply runs a row plan: per stage, in application order, three
+    length-n columns
+
+    - ``partner``: j for row i and i for row j of each pair (i, j); a
+      straddling row is its own partner;
+    - ``own``: a on lo rows, d on hi rows, 1 on straddling rows;
+    - ``other``: b on lo rows, c on hi rows, 0 on straddling rows,
+
+    so that a stage is ``x = own * X + other * X[partner]`` on every row at
+    once, with no scatter.  Residues are below p < 2**31, so each product is
+    below 2**62 and the sum below 2**63: it is exact in int64 and reduced
+    once, by floor division.  The transposed direction runs the stages in
+    reverse with b and c swapped, that is with ``other[partner]`` (c on lo
+    rows, b on hi rows); its plan shares ``partner`` and ``own`` with the
+    forward one and is built on the first transposed apply, so a network
+    applied one way never holds it.
+
+    The block is processed in column panels of at most
+    ``PANEL_ELEMENTS // n`` columns, each copied into a reused contiguous
+    buffer and taken through every stage while it is in cache.
     """
 
     def __init__(self, n: int, field: PrimeField, rng):
         super().__init__(n, field)
         p = field.p
-        self.stages = []
+        plan = []
         span = 1
         while span < n:
             los, his = [], []
@@ -218,36 +247,70 @@ class ButterflyOperator(BlackBoxOperator):
                 b = rng.integers(0, p, size=k, dtype=np.int64)
                 c = rng.integers(0, p, size=k, dtype=np.int64)
                 d = (1 + b * c % p) % p * field.inv_vec(a) % p
-                self.stages.append((np.array(los), np.array(his), a, b, c, d))
+                partner = np.arange(n)
+                partner[los], partner[his] = his, los
+                own = np.ones((n, 1), dtype=np.int64)
+                own[los, 0], own[his, 0] = a, d
+                other = np.zeros((n, 1), dtype=np.int64)
+                other[los, 0], other[his, 0] = b, c
+                plan.append((partner, own, other))
             span *= 2
+        self._plans = [plan, None]
+
+    @property
+    def stages(self):
+        """Per stage in application order, ``(lo, hi, a, b, c, d)``: the
+        paired rows (ascending) and the coefficients, read from the plan."""
+        out = []
+        for partner, own, other in self._plans[False]:
+            lo = np.flatnonzero(partner > np.arange(self.n))
+            hi = partner[lo]
+            out.append((lo, hi, own[lo, 0], other[lo, 0], other[hi, 0], own[hi, 0]))
+        return out
 
     def transpose(self) -> "ButterflyOperator":
         """The transposed network as a butterfly of its own (fresh counters,
-        no draws)."""
+        no draws, the plans shared)."""
         T = ButterflyOperator.__new__(ButterflyOperator)
         BlackBoxOperator.__init__(T, self.n, self.field)
-        T.stages = self._stages(True)
+        T._plans = [self._plan(True), self._plans[False]]
         return T
 
-    def _stages(self, transposed):
-        """Stages in application order; the transpose runs them in reverse
-        order with b and c swapped."""
-        if not transposed:
-            return self.stages
-        return [(lo, hi, a, c, b, d) for lo, hi, a, b, c, d in reversed(self.stages)]
-
-    def _mix(self, V, idx_lo, idx_hi, a, b, c, d):
-        p = self.field.p
-        lo = V[idx_lo]
-        hi = V[idx_hi]
-        V[idx_lo] = (a[:, None] * lo + b[:, None] * hi) % p
-        V[idx_hi] = (c[:, None] * lo + d[:, None] * hi) % p
+    def _plan(self, transposed):
+        """The row plan of one direction: (partner, own, other) per stage,
+        own and other as n x 1 columns.  Two threads racing to build the
+        transposed plan build equal ones."""
+        if transposed and self._plans[True] is None:
+            self._plans[True] = [(partner, own, other[partner])
+                                 for partner, own, other in reversed(self._plans[False])]
+        return self._plans[transposed]
 
     def _apply_block(self, V, transposed):
-        V = V.copy()
-        for stage in self._stages(transposed):
-            self._mix(V, *stage)
-        return V
+        n, k = V.shape
+        plan = self._plan(transposed)
+        if not plan:
+            return V.copy()
+        p = self.field.p
+        width = max(1, min(k, PANEL_ELEMENTS // n))
+        out = np.empty((n, k), dtype=np.int64)
+        work = np.empty(n * width, dtype=np.int64)
+        gathered = np.empty(n * width, dtype=np.int64)
+        for lo in range(0, k, width):
+            w = min(width, k - lo)
+            X = work[:n * w].reshape(n, w)
+            T = gathered[:n * w].reshape(n, w)
+            X[...] = V[:, lo:lo + w]
+            for partner, own, other in plan:
+                # mode="raise" would make numpy buffer ``out``
+                np.take(X, partner, axis=0, out=T, mode="clip")
+                T *= other
+                X *= own
+                X += T
+                np.floor_divide(X, p, out=T)
+                T *= p
+                X -= T
+            out[:, lo:lo + w] = X
+        return out
 
 
 class ComposedOperator(BlackBoxOperator):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .field import reduce_mod
+from .field import reduce_in_place, reduce_mod
 from .operators import BlackBoxOperator
 
 
@@ -54,7 +54,10 @@ def u_expand(P: BlockProjection, M: np.ndarray, p: int) -> np.ndarray:
 def krylov_apply_right(B: BlackBoxOperator, P: BlockProjection,
                        M: np.ndarray) -> np.ndarray:
     """[u, Bu, ..., B^{m-1}u] @ M by the Horner scheme
-    u M_0 + B(u M_1 + B(... + B(u M_{m-1})...)): (m-1)*k applications."""
+    u M_0 + B(u M_1 + B(... + B(u M_{m-1})...)): (m-1)*k applications.
+
+    Each step adds u M_i in place, as M_i broadcast over the m row slices
+    of the fresh product, and reduces it in place."""
     p = B.field.p
     M = reduce_mod(M, p)
     if M.shape[0] != P.n:
@@ -62,8 +65,10 @@ def krylov_apply_right(B: BlackBoxOperator, P: BlockProjection,
     s, m = P.s, P.m
     R = u_expand(P, M[(m - 1) * s:], p)
     for i in range(m - 2, -1, -1):
-        R = B.apply_matrix(R)
-        R = (R + u_expand(P, M[i * s:(i + 1) * s], p)) % p
+        R = np.ascontiguousarray(B.apply_matrix(R))
+        slices = R.reshape(m, s, -1)  # a view: R is contiguous
+        slices += M[i * s:(i + 1) * s]
+        reduce_in_place(R, p)
     return R
 
 

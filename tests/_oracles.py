@@ -5,7 +5,10 @@ of Fermat, naive convolution loops instead of the polynomial kernels,
 fraction-free (Bareiss) elimination over big integers for determinants,
 plain repeated application instead of the Horner Krylov products, one
 row operation at a time on the whole series (``mbasis_reference``) instead
-of one transform per order step.  Two exceptions: ``sigma_basis``, a
+of one transform per order step, gather/scatter butterfly stages
+(``butterfly_reference``) instead of the row plan, a pure-Python
+Berlekamp-Massey (``berlekamp_massey_reference``) instead of the array
+one.  Two exceptions: ``sigma_basis``, a
 test-facing wrapper that exposes the library's internal order-basis routine
 for property checks, and ``dense_solve``, which multiplies by the library's
 dense inverse.  The dense rank, solve and nullspace routines, the identity
@@ -237,3 +240,55 @@ def mbasis_reference(F, sigma, shifts, p, snapshot_at=None):
             E[i, :, 0] = 0
             deg[i] += 1
     return M, deg, E, snapshot
+
+
+def butterfly_reference(op, V, transposed):
+    """A butterfly network applied stage by stage from ``op.stages``: both
+    halves gathered by fancy indexing, mixed, reduced with ``%`` and
+    scattered back.  The transposed direction runs the stages in reverse
+    with b and c swapped."""
+    p = op.field.p
+    V = np.array(V, dtype=np.int64)
+    stages = op.stages
+    if transposed:
+        stages = [(lo, hi, a, c, b, d) for lo, hi, a, b, c, d in reversed(stages)]
+    for idx_lo, idx_hi, a, b, c, d in stages:
+        lo = V[idx_lo]
+        hi = V[idx_hi]
+        V[idx_lo] = (a[:, None] * lo + b[:, None] * hi) % p
+        V[idx_hi] = (c[:, None] * lo + d[:, None] * hi) % p
+    return V
+
+
+def berlekamp_massey_reference(seq, p: int) -> np.ndarray:
+    """Berlekamp-Massey on Python ints, one discrepancy term and one update
+    coefficient at a time; the same return value as
+    ``nullrank.berlekamp_massey``."""
+    seq = [int(x) % p for x in seq]
+    C = [1]
+    B = [1]
+    L = 0
+    shift = 1
+    b = 1
+    for i, a in enumerate(seq):
+        d = a
+        for j in range(1, L + 1):
+            d = (d + C[j] * seq[i - j]) % p
+        if d == 0:
+            shift += 1
+            continue
+        coeff = d * pow(b, p - 2, p) % p
+        T = list(C)
+        while len(C) < len(B) + shift:
+            C.append(0)
+        for j, bj in enumerate(B):
+            C[j + shift] = (C[j + shift] - coeff * bj) % p
+        if 2 * L <= i:
+            L = i + 1 - L
+            B = T
+            b = d
+            shift = 1
+        else:
+            shift += 1
+    C = C[:L + 1] + [0] * (L + 1 - len(C))
+    return np.array(C[::-1], dtype=np.int64) % p

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import blackbox_linalg.field as field
 from blackbox_linalg import PrimeField, matmul_mod
 from blackbox_linalg.errors import DimensionError, NotInvertible
-from blackbox_linalg.field import is_probable_prime
+from blackbox_linalg.field import is_probable_prime, reduce_in_place, reduce_mod
 
 from _oracles import dense_mul_int, ext_euclid_inverse
 
@@ -151,3 +151,20 @@ def test_matmul_mod_temporaries_bounded_by_panel_budget():
         tracemalloc.stop()
     assert peak <= out.nbytes + 4 * 2**20
     assert np.array_equal(out[:, :7], dense_mul_int(A, B[:, :7], p))
+
+
+def test_reduce_mod_matches_python_remainder():
+    # floor division wraps in int64 near the ends of the range, and the
+    # result is still exact: every value equals Python's %
+    edges = [0, 1, -1, 2**62, -2**62, 2**62 - 1, -2**62 + 1,
+             2**63 - 1, -2**63, -2**63 + 1]
+    rng = np.random.default_rng(5)
+    values = np.concatenate([np.array(edges, dtype=np.int64),
+                             rng.integers(-2**62, 2**62, size=500, dtype=np.int64),
+                             rng.integers(-10**6, 10**6, size=200, dtype=np.int64)])
+    for p in (3, 65537, 2147483629):
+        expect = [v % p for v in values.tolist()]
+        assert reduce_mod(values, p).tolist() == expect
+        block = values.reshape(-1, 10).copy()
+        assert reduce_in_place(block, p) is block
+        assert block.ravel().tolist() == expect

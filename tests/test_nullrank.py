@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blackbox_linalg import (DenseOperator, InversionConfig, PrimeField,
                              SparseOperator, berlekamp_massey, dense_inverse,
                              matmul_mod, nullspace_rank, wiedemann_minpoly)
 from blackbox_linalg.errors import RetriesExhausted
 
-from _oracles import IdentityOperator, dense_rank, poly_from_roots
+from _oracles import (IdentityOperator, berlekamp_massey_reference, dense_rank,
+                      poly_from_roots)
 
 BIG = PrimeField(2147483629)
 P = BIG.p
@@ -45,6 +47,39 @@ def test_bm_fibonacci_recurrence():
     # annihilation on every window
     for i in range(len(seq) - 2):
         assert sum(int(f[j]) * seq[i + j] for j in range(3)) % p == 0
+
+
+@st.composite
+def _sequences(draw):
+    p = draw(st.sampled_from((3, 65537, 2147483629)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(("random", "recurrence", "zero", "zero-prefix")))
+    if kind == "zero":
+        return [0] * N, p
+    if kind == "recurrence":
+        # a_{i+deg} = sum_j c_j a_{i+j} from random start values
+        deg = draw(st.integers(1, 12))
+        c = rng.integers(0, p, size=deg).tolist()
+        seq = rng.integers(0, p, size=deg).tolist()
+        while len(seq) < N:
+            seq.append(sum(cj * x for cj, x in zip(c, seq[-deg:])) % p)
+        return seq[:N], p
+    seq = rng.integers(0, p, size=N).tolist()
+    if kind == "zero-prefix":
+        z = draw(st.integers(0, N))
+        seq[:z] = [0] * z
+    return seq, p
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_sequences())
+def test_bm_matches_reference(case):
+    seq, p = case
+    got = berlekamp_massey(seq, p)
+    expect = berlekamp_massey_reference(seq, p)
+    assert got.dtype == expect.dtype
+    assert np.array_equal(got, expect)
 
 
 def test_minpoly_zero_operator():

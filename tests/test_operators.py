@@ -2,14 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blackbox_linalg import (ButterflyOperator, ComposedOperator,
                              DenseOperator, DiagonalOperator, EmbeddedOperator,
                              LeadingMinorOperator, PrimeField, SparseOperator,
                              matmul_mod)
 from blackbox_linalg.errors import DimensionError
+from blackbox_linalg.field import PANEL_ELEMENTS
 
-from _oracles import IdentityOperator, dense_rank, sparse_to_dense
+from _oracles import (IdentityOperator, butterfly_reference, dense_rank,
+                      sparse_to_dense)
 
 F = PrimeField(10007)
 P = F.p
@@ -87,6 +90,69 @@ def test_butterfly_transpose_materializes_to_the_transpose():
         assert np.array_equal(T.transpose().to_dense(), B.to_dense())
         v = rng.integers(0, P, size=n, dtype=np.int64)
         assert np.array_equal(T.apply_transpose(v), B.apply(v))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.one_of(st.integers(1, 70), st.sampled_from((1, 2, 4, 8, 16, 32, 64))),
+       st.sampled_from(("one", "three", "ragged")),
+       st.integers(0, 2**32 - 1))
+def test_butterfly_matches_gather_scatter_reference(n, width, seed):
+    # the row plan against stage-by-stage gather/scatter, both directions,
+    # on one column, three, and more than a panel holds (ragged last panel)
+    rng = np.random.default_rng(seed)
+    big = PrimeField(2147483629)
+    k = {"one": 1, "three": 3, "ragged": PANEL_ELEMENTS // n + 5}[width]
+    V = rng.integers(0, big.p, size=(n, k), dtype=np.int64)
+    V[rng.random((n, k)) < 0.2] = big.p - 1
+    B = ButterflyOperator(n, big, rng)
+    # the stages the reference reads are the network's definition: stage t
+    # pairs i with i + 2**t inside blocks of 2**(t+1), with det 1 per pair
+    assert len(B.stages) == (n - 1).bit_length()
+    for t, (lo, hi, a, b, c, d) in enumerate(B.stages):
+        span = 1 << t
+        assert lo.tolist() == [i for i in range(n - span) if i // span % 2 == 0]
+        assert np.array_equal(hi, lo + span)
+        assert np.all((a * d - b * c % big.p) % big.p == 1)
+    for op in (B, B.transpose(), B.transpose().transpose()):
+        for transposed in (False, True):
+            assert np.array_equal(op._apply_block(V, transposed),
+                                  butterfly_reference(op, V, transposed))
+
+
+def _peak_over_output(apply, V):
+    tracemalloc.start()
+    try:
+        out = apply(V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - out.nbytes
+
+
+def _full_block(seed):
+    big = PrimeField(2147483629)
+    rng = np.random.default_rng(seed)
+    return big, rng, rng.integers(0, big.p, size=(1024, 1024), dtype=np.int64)
+
+
+def test_butterfly_temporaries_bounded_by_panel_budget():
+    # a full 1024 x 1024 block: the output, two panel buffers and the row
+    # plan, within 2 MB over the output
+    big, rng, V = _full_block(32)
+    B = ButterflyOperator(1024, big, rng)
+    out, over = _peak_over_output(lambda X: B._apply_block(X, False), V)
+    assert over <= 2 * 2**20
+    assert np.array_equal(out[:, :3], butterfly_reference(B, V[:, :3], False))
+
+
+def test_diagonal_temporaries_bounded_by_panel_budget():
+    # the product is the output and is reduced in place one row panel at a
+    # time: within 2 MB over the output on a full 1024 x 1024 block
+    big, rng, V = _full_block(33)
+    D = DiagonalOperator.random(1024, big, rng)
+    out, over = _peak_over_output(lambda X: D._apply_block(X, False), V)
+    assert over <= 2 * 2**20
+    assert np.array_equal(out[:, :3], D.d[:, None] * V[:, :3] % big.p)
 
 
 def test_butterfly_determinant_is_one():
