@@ -21,7 +21,7 @@ def identity(n: int) -> np.ndarray:
 
 
 def _inv_scalar(a: int, p: int) -> int:
-    return pow(int(a), p - 2, p)
+    return pow(int(a), -1, p)
 
 
 def dense_inverse(M: np.ndarray, p: int) -> np.ndarray:

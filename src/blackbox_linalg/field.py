@@ -12,21 +12,32 @@ x_l < 2**16.  With A' = A 2**16 mod p,
         = (A'_h B_h + A_h B_l) 2**16 + (A'_l B_h + A_l B_l)
         = X 2**16 + Y,
 
-and one float64 GEMM of the limb matrices [[A'_h, A_h], [A'_l, A_l]]
-(2r x 2k) by [B_h; B_l] (2k x w) gives [X; Y].  A float64 holds every
-integer below 2**53 exactly.  One term of X is below 2**32 and one term of
-Y below 2**32.6, so with inner dimension k < 2**20 (``MAX_INNER``) every
-partial sum of the GEMM is an integer below 2**52.6: no rounding happens,
-in whatever order the BLAS adds.  Longer inner dimensions are cut into
-chunks below the bound.  The result is then reduced in int64:
-(X mod p) 2**16 + Y < 2**53, mod p.
+and one float64 GEMM of the limbs of A (2r x 2k) by the limbs of B
+(2k x w) gives [X; Y].  The limbs of each inner index j sit next to each
+other: columns 2j, 2j+1 of the left limbs hold (A'_h, A_h) in the top r rows
+and (A'_l, A_l) in the bottom r rows, and rows 2j, 2j+1 of the right limbs
+hold (B_h, B_l).  Any run of inner indices is then one column slice of the
+left limbs and one row slice of the right limbs, so a sum of products
+sum_i A_i B_i over a run (``polymat_mul``'s output coefficients) is one GEMM
+and one reduction; ``matmul_mod`` is the case of a single run.
 
-B is processed in column panels of w columns, with w chosen so that the
-panel's limbs and products hold at most ``PANEL_ELEMENTS`` elements; the
-temporaries are bounded by that budget and by the limbs of A, never by the
-size of the output.
+A float64 holds every integer below 2**53 exactly.  One term of X is below
+2**32 and one term of Y below 2**32.6, so with a run of fewer than 2**20
+inner indices (``MAX_INNER``) every partial sum of the GEMM is an integer
+below 2**52.6: no rounding happens, in whatever order the BLAS adds.
+Longer runs are cut into chunks below the bound.  One epilogue
+(``limb_product``) then reduces in int64: (X mod p) 2**16 + Y < 2**53,
+mod p.
+
+``matmul_mod`` takes the rows of A in blocks and B in column panels of w
+columns, with w chosen so that the panel's limbs and one block's products
+hold at most ``PANEL_ELEMENTS`` elements; the temporaries are bounded by
+that budget and by the limbs of one row block of A, never by the size of
+the output.
 """
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -88,7 +99,7 @@ class PrimeField:
         a = int(a) % self.p
         if a == 0:
             raise NotInvertible("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def inv_vec(self, a: np.ndarray) -> np.ndarray:
         """Elementwise inverse of a nonzero int64 array (Fermat ladder)."""
@@ -109,59 +120,90 @@ class PrimeField:
 # Inner dimensions at or above this are cut into chunks: below it every
 # partial sum of the limb GEMM stays below 2**53 (see the module docstring).
 MAX_INNER = 1 << 20
-# Element budget of one column panel of B: its limbs (2k x w) plus the
-# panel's products, as float64 and as int64 (2r x w each).
+# Element budget of one column panel: its right limbs (2k x w) plus the
+# products of a row block (2r x w), as float64 and as int64.
 PANEL_ELEMENTS = 1 << 16
+
+
+def left_limbs(A: np.ndarray, p: int) -> np.ndarray:
+    """The (2r x 2k) float64 left limbs of an r x k residue matrix A.
+
+    Columns 2j and 2j+1 hold inner index j: (A'_h, A_h) in the top r rows,
+    (A'_l, A_l) in the bottom r rows, with A' = A 2**16 mod p."""
+    r, k = A.shape
+    scaled = A << 16
+    scaled -= scaled // p * p
+    L = np.empty((2, r, k, 2))
+    np.right_shift(scaled, 16, out=L[0, :, :, 0], casting="unsafe")
+    np.right_shift(A, 16, out=L[0, :, :, 1], casting="unsafe")
+    np.bitwise_and(scaled, 0xFFFF, out=L[1, :, :, 0], casting="unsafe")
+    np.bitwise_and(A, 0xFFFF, out=L[1, :, :, 1], casting="unsafe")
+    return L.reshape(2 * r, 2 * k)
+
+
+def right_limbs(B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the right limbs of B into ``out`` and return it.
+
+    B is (..., w) and its leading axes, flattened, are the inner index j:
+    rows 2j and 2j+1 of the (2k x w) float64 ``out`` get (B_h, B_l) of
+    index j.  B may be any strided view; nothing of it is copied."""
+    R = out.reshape(B.shape[:-1] + (2, B.shape[-1]))
+    np.right_shift(B, 16, out=R[..., 0, :], casting="unsafe")
+    np.bitwise_and(B, 0xFFFF, out=R[..., 1, :], casting="unsafe")
+    return out
+
+
+def limb_product(L: np.ndarray, R: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """out <- the r x w residues of the product whose left limbs are L
+    (2r x 2k) and right limbs R (2k x w), and return ``out``.
+
+    One GEMM gives [X; Y] and one epilogue reduces (X mod p) 2**16 + Y.
+    A run of k >= ``MAX_INNER`` inner indices is cut into chunks below the
+    bound, each reduced on its own."""
+    if L.shape[1] >= 2 * MAX_INNER:
+        step = 2 * (MAX_INNER - 1)
+        limb_product(L[:, :step], R[:step], p, out)
+        out += limb_product(L[:, step:], R[step:], p, np.empty_like(out))
+        out -= out // p * p
+        return out
+    r = out.shape[0]
+    XY = (L @ R).astype(np.int64)
+    X, Y = XY[:r], XY[r:]
+    X -= X // p * p
+    X <<= 16
+    X += Y
+    # Y is spent: it takes the quotient (floor division by a scalar is
+    # several times faster than numpy's remainder)
+    np.floor_divide(X, p, out=Y)
+    Y *= p
+    return np.subtract(X, Y, out=out)
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Exact (A @ B) mod p for int64 residue matrices.
 
-    One float64 GEMM on 16-bit limbs per column panel of B (see the module
-    docstring), exact for inner dimension below ``MAX_INNER`` (longer ones
-    are chunked), with at most ``PANEL_ELEMENTS`` limb and product elements
-    per panel.  Entries must lie in (-2**31, 2**31); the result is in
-    [0, p).
+    A is taken in blocks of at most ``isqrt(PANEL_ELEMENTS) // 2`` rows and
+    B in column panels; each block-panel pair is one ``limb_product`` (see
+    the module docstring).  The panel width is chosen so that the panel's
+    limbs and one block's products hold at most ``PANEL_ELEMENTS``
+    elements; blocking the rows keeps the panels wide when A is tall.
+    Entries must lie in (-2**31, 2**31); the result is in [0, p).
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise DimensionError(f"cannot multiply {A.shape} by {B.shape}")
-    r, k = A.shape
-    if k >= MAX_INNER:
-        out = np.zeros((r, B.shape[1]), dtype=np.int64)
-        step = MAX_INNER - 1
-        for lo in range(0, k, step):
-            out += matmul_mod(A[:, lo:lo + step], B[lo:lo + step], p)
-            out %= p
-        return out
-    c = B.shape[1]
-    # rows [A' >> 16, A >> 16] give X, rows [A' & 0xFFFF, A & 0xFFFF] give Y
-    scaled = A << 16
-    scaled -= scaled // p * p
-    L = np.empty((2 * r, 2 * k))
-    L[:r, :k] = scaled >> 16
-    L[:r, k:] = A >> 16
-    L[r:, :k] = scaled & 0xFFFF
-    L[r:, k:] = A & 0xFFFF
+    (r, k), c = A.shape, B.shape[1]
+    rows = max(1, min(r, isqrt(PANEL_ELEMENTS) // 2))
+    width = max(1, PANEL_ELEMENTS // (2 * k + 4 * rows + 1))
     out = np.empty((r, c), dtype=np.int64)
-    width = max(1, PANEL_ELEMENTS // (2 * k + 4 * r + 1))
     R = np.empty((2 * k, min(width, c)))
-    for lo in range(0, c, width):
-        panel = B[:, lo:lo + width]
-        limbs = R[:, :panel.shape[1]]
-        np.right_shift(panel, 16, out=limbs[:k], casting="unsafe")
-        np.bitwise_and(panel, 0xFFFF, out=limbs[k:], casting="unsafe")
-        XY = (L @ limbs).astype(np.int64)
-        X, Y = XY[:r], XY[r:]
-        X -= X // p * p
-        X <<= 16
-        X += Y
-        # Y is spent: it takes the quotient (floor division by a scalar is
-        # several times faster than numpy's remainder)
-        np.floor_divide(X, p, out=Y)
-        Y *= p
-        np.subtract(X, Y, out=out[:, lo:lo + width])
+    for top in range(0, r, rows):
+        L = left_limbs(A[top:top + rows], p)
+        for lo in range(0, c, width):
+            panel = B[:, lo:lo + width]
+            limbs = right_limbs(panel, R[:, :panel.shape[1]])
+            limb_product(L, limbs, p, out[top:top + rows, lo:lo + width])
     return out
 
 

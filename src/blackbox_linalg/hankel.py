@@ -2,7 +2,9 @@
 (M-Basis) algorithm, the off-diagonal inverse representation, and its
 application to dense blocks.  Every block product (H V and the four of the
 inversion formula) is one windowed ``polymat_mul`` on (coefficient, rows,
-cols) arrays; a block column of n rows is read as m coefficients of s rows.
+cols) arrays, which makes one exact limb GEMM and one reduction per output
+coefficient and column panel; a block column of n rows is read as m
+coefficients of s rows.
 
 Conventions, fixed and verified against dense oracles:
 
@@ -75,7 +77,8 @@ class BlockHankel:
 
     def apply(self, V: np.ndarray) -> np.ndarray:
         """H @ V through the block structure (no materialization): the
-        window [m-1, 2m-1) of alpha(x) V_rev(x), 2m-1 ``matmul_mod`` calls."""
+        window [m-1, 2m-1) of alpha(x) V_rev(x), one limb GEMM per block
+        row and column panel."""
         V = reduce_mod(V, self.p)
         if V.ndim == 1:
             return self.apply(V.reshape(-1, 1)).ravel()
@@ -172,7 +175,7 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
             later = order[pos + 1:]
             later = later[DT[later, c] != 0]
             if len(later):
-                f = DT[later, c] * pow(int(DT[i, c]), p - 2, p) % p
+                f = DT[later, c] * pow(int(DT[i, c]), -1, p) % p
                 DT[later] = (DT[later] - f[:, None] * DT[i]) % p
         if not pivots:
             continue
@@ -270,8 +273,9 @@ def hankel_inverse_rep(H: BlockHankel, rng) -> HankelInverseRep:
 
 def hankel_inverse_apply(rep: HankelInverseRep, M: np.ndarray) -> np.ndarray:
     """H^{-1} @ M from the representation: four windowed s x s by s x k
-    polynomial products on degree-O(m) operands (at most 4m ``matmul_mod``
-    calls), no black-box applications."""
+    polynomial products on degree-O(m) operands (4m - 1 output
+    coefficients, one limb GEMM each per column panel), no black-box
+    applications."""
     s, m, p = rep.s, rep.m, rep.p
     M = reduce_mod(M, p)
     if M.ndim == 1:

@@ -55,7 +55,7 @@ def berlekamp_massey(seq, p: int) -> np.ndarray:
         if d == 0:
             shift += 1
             continue
-        coeff = d * pow(b, p - 2, p) % p
+        coeff = d * pow(b, -1, p) % p
         grow = 2 * L <= i
         T = C.copy() if grow else None
         step = B[:len_b] * coeff

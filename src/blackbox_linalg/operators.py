@@ -302,7 +302,7 @@ class ButterflyOperator(BlackBoxOperator):
             X[...] = V[:, lo:lo + w]
             for partner, own, other in plan:
                 # mode="raise" would make numpy buffer ``out``
-                np.take(X, partner, axis=0, out=T, mode="clip")
+                X.take(partner, axis=0, out=T, mode="clip")
                 T *= other
                 X *= own
                 X += T

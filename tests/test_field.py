@@ -136,6 +136,21 @@ def test_matmul_mod_exact_across_column_panels():
     assert np.array_equal(matmul_mod(A, B, p), dense_mul_int(A, B, p))
 
 
+def test_matmul_mod_exact_across_row_blocks():
+    # a tall A is taken in blocks of isqrt(PANEL_ELEMENTS) // 2 = 128 rows
+    # (here 128, 128 and a ragged 44), so a square product keeps its column
+    # panels wide: 300 x 300 by 300 x 300 gets panels of 65536 // 1113 = 58
+    # columns, not 65536 // 1801 = 36
+    p = 2147483629
+    rng = np.random.default_rng(6)
+    A = _residues(rng, (300, 300), p, "mixed")
+    B = _residues(rng, (300, 300), p, "mixed")
+    got = matmul_mod(A, B, p)
+    assert np.array_equal(got[:, :70], dense_mul_int(A, B[:, :70], p))
+    assert np.array_equal(got[120:140], dense_mul_int(A[120:140], B, p))
+    assert np.array_equal(got[-50:, -70:], dense_mul_int(A[-50:], B[:, -70:], p))
+
+
 def test_matmul_mod_temporaries_bounded_by_panel_budget():
     # a wide product holds the output plus panel-sized temporaries, not
     # several output-sized ones

@@ -326,42 +326,46 @@ def test_rep_handles_singular_leading_subblocks():
         done += 1
 
 
-def _count_matmul(monkeypatch):
-    """Count ``matmul_mod`` calls made from the Hankel and product code."""
+def _count_products(monkeypatch, s, m):
+    """Count the limb products (one GEMM and one reduction each) made by
+    ``polymat_mul``, with its panels cut to 2 columns of a right operand of
+    m coefficients of s rows."""
+    monkeypatch.setattr(polymat, "PANEL_ELEMENTS", 2 * (2 * m * s))
     calls = []
-    real = polymat.matmul_mod
+    real = polymat.limb_product
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(L, R, p, out):
+        calls.append(out.shape)
+        return real(L, R, p, out)
 
-    monkeypatch.setattr(polymat, "matmul_mod", counted)
-    monkeypatch.setattr(hankel, "matmul_mod", counted)
+    monkeypatch.setattr(polymat, "limb_product", counted)
     return calls
 
 
 @pytest.mark.parametrize("s, m", [(2, 6), (3, 9)])
-def test_inverse_apply_one_call_per_coefficient(monkeypatch, s, m):
-    # four windowed products, one matmul_mod per coefficient of the left
-    # operand: at most 4m calls (coefficient pairs would be about 2m^2)
+def test_inverse_apply_one_product_per_coefficient_and_panel(monkeypatch, s, m):
+    # four windowed products with m, m, m and m-1 output coefficients, each
+    # one limb product per column panel (coefficient pairs would be ~2m^2)
     rng = np.random.default_rng(66)
     H = random_nonsingular_hankel(rng, s, m)
     rep = hankel_inverse_rep(H, rng)
-    M = rng.integers(0, P, size=(H.n, 3), dtype=np.int64)
-    calls = _count_matmul(monkeypatch)
+    M = rng.integers(0, P, size=(H.n, 5), dtype=np.int64)
+    # every right operand is m coefficients of s rows
+    calls = _count_products(monkeypatch, s, m)
     X = hankel_inverse_apply(rep, M)
-    assert len(calls) <= 4 * m
+    assert len(calls) == (4 * m - 1) * 3  # 5 columns: panels of 2, 2, 1
+    assert sorted({shape[1] for shape in calls}) == [1, 2]
     assert np.array_equal(X, matmul_mod(dense_inverse(hankel_to_dense(H), P), M, P))
 
 
 @pytest.mark.parametrize("s, m", [(2, 6), (3, 9)])
-def test_block_hankel_apply_one_call_per_coefficient(monkeypatch, s, m):
-    # H V is one windowed product: at most 2m-1 calls (pairs would be m^2)
+def test_block_hankel_apply_one_product_per_coefficient_and_panel(monkeypatch, s, m):
+    # H V is the window [m-1, 2m-1): m limb products per column panel
     rng = np.random.default_rng(67)
     H = BlockHankel(s=s, m=m, p=P, alpha=[
         rng.integers(0, P, size=(s, s), dtype=np.int64) for _ in range(2 * m)])
-    V = rng.integers(0, P, size=(H.n, 3), dtype=np.int64)
-    calls = _count_matmul(monkeypatch)
+    V = rng.integers(0, P, size=(H.n, 5), dtype=np.int64)
+    calls = _count_products(monkeypatch, s, m)
     HV = H.apply(V)
-    assert len(calls) <= 2 * m - 1
+    assert len(calls) == m * 3
     assert np.array_equal(HV, matmul_mod(hankel_to_dense(H), V, P))

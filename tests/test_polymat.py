@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blackbox_linalg.field as field
+import blackbox_linalg.polymat as polymat
 from blackbox_linalg import polymat_mul
 from blackbox_linalg.errors import DimensionError
 
@@ -128,3 +132,36 @@ def test_windowed_product_matches_naive_convolution(case):
     got = polymat_mul(F, G, p, lo, hi)
     assert got.shape == (max(hi - lo, 0), F.shape[1], G.shape[2])
     assert np.array_equal(got, pad[lo:hi])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_operands(), st.integers(2, 6), st.integers(1, 64))
+def test_windowed_product_exact_across_runs_and_panels(case, max_inner, budget):
+    # a small MAX_INNER cuts every run of inner indices into chunks, and a
+    # small panel budget splits G into several column panels
+    F, G, p, lo, hi = case
+    full = np.stack(naive_polymat_convolution(F, G, p))
+    pad = np.zeros((max(hi, len(full)),) + full.shape[1:], dtype=np.int64)
+    pad[:len(full)] = full
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "MAX_INNER", max_inner)
+        mp.setattr(polymat, "PANEL_ELEMENTS", budget)
+        got = polymat_mul(F, G, p, lo, hi)
+    assert np.array_equal(got, pad[lo:hi])
+
+
+def test_windowed_product_temporaries_bounded():
+    # the invert-512 shape (s = m = 23, 529 columns): besides the output,
+    # only F's limbs and one panel of G's limbs, never a copy of G or a
+    # product per coefficient of F
+    s, m, k = 23, 23, 529
+    rng = np.random.default_rng(15)
+    F = rand_poly(rng, s, s, m - 1, P_BIG)
+    G = rand_poly(rng, s, k, m - 1, P_BIG)
+    tracemalloc.start()
+    try:
+        out = polymat_mul(F, G, P_BIG, 0, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2**21
