@@ -24,7 +24,7 @@ from .dense import dense_det
 from .errors import (DegenerateSequence, FieldTooSmall, InsufficientPrimes,
                      RetriesExhausted)
 from .field import PrimeField, is_probable_prime, reduce_mod
-from .hankel import _mbasis, _stacked_series
+from .hankel import _pade_basis
 from .inverse import InversionConfig
 from .nullrank import rank_certificate
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
@@ -61,14 +61,11 @@ def block_generator(alpha, m: int, p: int,
         raise ValueError(f"need at least {2 * m} sequence blocks, got {len(alpha)}")
     tau = 2 * m
     alpha_t = alpha.transpose(0, 2, 1)
-    M, deg, _, _ = _mbasis(_stacked_series(alpha_t, s, p, tau + 1), tau,
-                           [0] * s + [1] * s, p)
-    sel = sorted(range(2 * s), key=lambda i: (deg[i], i))[:s]
-    degs = [deg[i] for i in sel]
+    # W: the row polynomials of the basis, transposed side
+    [(W, degs, _)] = _pade_basis(alpha_t, s, p, tau + 1, tau)
     if expected_degree_sum is not None and sum(degs) != expected_degree_sum:
         raise DegenerateSequence(
             f"generator degrees {degs} sum to {sum(degs)}, need {expected_degree_sum}")
-    W = M[sel, :s, :] % p                    # row polynomials, transposed side
     det_lead = dense_det(W[:, :, 0], p)      # constant coefficients
     if det_lead == 0:
         raise DegenerateSequence("generator normalizer (constant term) singular")

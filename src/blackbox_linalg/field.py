@@ -33,10 +33,13 @@ mod p.
 columns, with w chosen so that the panel's limbs and one block's products
 hold at most ``PANEL_ELEMENTS`` elements; the temporaries are bounded by
 that budget and by the limbs of one row block of A, never by the size of
-the output.
+the output.  The GEMM products of ``limb_product`` go into per-thread
+scratch that outlives the call (``thread_buffers``), so a loop of products
+allocates no panel.
 """
 from __future__ import annotations
 
+import threading
 from math import isqrt
 
 import numpy as np
@@ -153,23 +156,55 @@ def right_limbs(B: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def limb_product(L: np.ndarray, R: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
-    """out <- the r x w residues of the product whose left limbs are L
-    (2r x 2k) and right limbs R (2k x w), and return ``out``.
+def thread_buffers(local: threading.local, size: int, dtypes) -> tuple:
+    """Scratch for one hot loop: a 1-D array of at least ``size`` elements
+    per dtype, private to the calling thread.
 
-    One GEMM gives [X; Y] and one epilogue reduces (X mod p) 2**16 + Y.
-    A run of k >= ``MAX_INNER`` inner indices is cut into chunks below the
-    bound, each reduced on its own."""
+    While ``size`` fits ``PANEL_ELEMENTS`` the arrays are held in ``local``,
+    grown on demand and handed out again on the thread's later calls; larger
+    ones are fresh each time, so that held scratch stays bounded.  Fresh
+    panel-sized blocks on every call can cost fresh zero-filled pages every
+    time: glibc serves blocks above its dynamic mmap threshold with new
+    mappings.  The caller overwrites what it reads."""
+    if size > PANEL_ELEMENTS:
+        return tuple(np.empty(size, dtype=d) for d in dtypes)
+    bufs = getattr(local, "bufs", None)
+    if bufs is None or bufs[0].size < size:
+        bufs = local.bufs = tuple(np.empty(size, dtype=d) for d in dtypes)
+    return bufs
+
+
+# the GEMM products of ``limb_product``, as float64 and as int64
+_gemm_buffers = threading.local()
+
+
+def limb_product(L: np.ndarray, R: np.ndarray, p: int, out: np.ndarray,
+                 accumulate: bool = False) -> np.ndarray:
+    """out <- the r x w residues of the product whose left limbs are L
+    (2r x 2k) and right limbs R (2k x w), and return ``out``.  With
+    ``accumulate``, out <- out + the product: ``out`` must then hold
+    residues, and the sum is reduced once.
+
+    One GEMM gives [X; Y] and one epilogue reduces (X mod p) 2**16 + Y
+    (plus out, which Y takes first: the sum stays below 2**63).  A run of
+    k >= ``MAX_INNER`` inner indices is cut into chunks below the bound,
+    each accumulated in turn."""
     if L.shape[1] >= 2 * MAX_INNER:
         step = 2 * (MAX_INNER - 1)
-        limb_product(L[:, :step], R[:step], p, out)
-        out += limb_product(L[:, step:], R[step:], p, np.empty_like(out))
-        out -= out // p * p
-        return out
-    r = out.shape[0]
-    XY = (L @ R).astype(np.int64)
+        limb_product(L[:, :step], R[:step], p, out, accumulate)
+        return limb_product(L[:, step:], R[step:], p, out, True)
+    r, w = out.shape
+    size = 2 * r * w
+    XYf, XY = thread_buffers(_gemm_buffers, size, (np.float64, np.int64))
+    XY = XY[:size].reshape(2 * r, w)
+    np.copyto(XY, np.matmul(L, R, out=XYf[:size].reshape(2 * r, w)), casting="unsafe")
     X, Y = XY[:r], XY[r:]
-    X -= X // p * p
+    if accumulate:
+        Y += out
+    # ``out`` takes X's quotients until it takes the result
+    np.floor_divide(X, p, out=out)
+    out *= p
+    X -= out
     X <<= 16
     X += Y
     # Y is spent: it takes the quotient (floor division by a scalar is

@@ -32,12 +32,18 @@ stacked series [A; -I] with initial row degrees (0,...,0, 1,...,1), raised
 one order at a time by constant-term elimination (pivot = minimal current
 row degree, ties by lowest row index).  Each order step eliminates on the
 constant term alone and records its row operations in one constant
-rows x rows transform T, which is then applied with one ``matmul_mod`` to
+rows x rows transform T, which is then applied by one limb product to
 the live window of the basis (coefficients up to its largest row degree,
 at most k after k steps) and of the residual (coefficients k..; the lower
 ones are zero) before the pivot rows are shifted by x.  The q-runs use
 order 2m-2 and the v-runs order 2m.  Row selection takes the s rows of
 smallest degree.
+
+The Pade families and the determinant's block generator share one front end
+(``_pade_basis``): the stacked series, the M-Basis run and the row
+selection.  Both read only the first s columns of the 2s x 2s basis, so the
+run tracks only those; row operations act on each column on its own, so
+they come out bit-identical to the full basis's.
 """
 from __future__ import annotations
 
@@ -47,7 +53,8 @@ import numpy as np
 
 from .dense import dense_inverse
 from .errors import DimensionError, HankelSingular, Singular
-from .field import PANEL_ELEMENTS, matmul_mod, reduce_mod
+from .field import (PANEL_ELEMENTS, left_limbs, limb_product, reduce_mod,
+                    right_limbs)
 from .operators import BlackBoxOperator
 from .polymat import polymat_mul
 from .projection import BlockProjection, u_contract
@@ -106,43 +113,46 @@ def build_hankel(B: BlackBoxOperator, P: BlockProjection, keep_left: bool = Fals
         if keep_left and k < m:
             Kl[k * s:(k + 1) * s] = W.T
         W = B.apply_transpose_matrix(W)
-        alpha.append(u_contract(P, W, p).T % p)
+        alpha.append(u_contract(P, W, p).T)
     return BlockHankel(s=s, m=m, alpha=alpha, p=p), Kl
 
 
-def _transform_window(Tp: np.ndarray, pivots, W: np.ndarray, p: int) -> None:
+def _transform_window(L: np.ndarray, pivots, W: np.ndarray, p: int) -> None:
     """W <- T W mod p in place, one column panel at a time (W is a 2-D
     view; no copy of it is made).
 
     T differs from the identity only in its pivot columns Tp = T[:, pivots],
-    so T W = Tp W[pivots] + (W with its pivot rows zeroed): one product with
-    the pivot count as inner dimension."""
-    width = max(1, PANEL_ELEMENTS // W.shape[0])
+    so T W = Tp W[pivots] + (W with its pivot rows zeroed): one limb product
+    with the pivot count as inner dimension, accumulated into the zeroed
+    panel and reduced once.  ``L`` is ``left_limbs(Tp)``; the panels are cut
+    as ``matmul_mod`` cuts its own."""
+    rows, k = W.shape[0], len(pivots)
+    width = max(1, PANEL_ELEMENTS // (2 * k + 4 * rows + 1))
+    R = np.empty((2 * k, min(width, W.shape[1])))
     for lo in range(0, W.shape[1], width):
         panel = W[:, lo:lo + width]
-        top = panel[pivots]
+        limbs = right_limbs(panel[pivots], R[:, :panel.shape[1]])
         panel[pivots] = 0
-        prod = matmul_mod(Tp, top, p)
-        panel += prod
-        # reduce through the spent prod: numpy's floor division by a
-        # scalar is several times faster than its remainder
-        np.floor_divide(panel, p, out=prod)
-        prod *= p
-        panel -= prod
+        limb_product(L, limbs, p, panel, accumulate=True)
 
 
-def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None = None):
+def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None = None,
+            keep: int | None = None):
     """Iterative order basis on F (rows x cols x ncoeff int64 array).
 
-    Returns (M, degrees, E, snapshot): M is (rows x rows x sigma+1), E the
-    updated residual series M*F (useful one coefficient past the order for
-    residues).  ``snapshot_at`` (below ``sigma``) captures (M, degrees, E)
-    copies after that many order steps, letting one run serve two orders.
+    Returns (M, degrees, E, snapshot): M is the first ``keep`` columns
+    (default all ``rows``) of the basis, as (rows x keep x sigma+1), E the
+    updated residual series (basis)*F (useful one coefficient past the order
+    for residues).  ``snapshot_at`` (below ``sigma``) captures (M, degrees,
+    E) copies after that many order steps, letting one run serve two orders.
 
     Order step k eliminates on the constant term delta = E_k alone and
     records its row operations in a rows x rows transform T, then applies T
-    with one ``matmul_mod`` each to M's coefficients 0..d and to E's
+    by one limb product each to M's coefficients 0..d and to E's
     coefficients k.. (the lower ones are zero once order k is reached).
+    Row operations act on each column on its own, and E is updated from its
+    own coefficients, so the kept columns come out the same whatever
+    ``keep`` is: the Pade front end keeps only the s columns it reads.
     Row i of M has degree at most deg_i - min(shifts) (row operations only
     add rows that come earlier in pivot order, of no larger degree), and at
     most k, so d = min(k, max(deg) - min(shifts)).  M and E are held
@@ -150,9 +160,10 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
     view updated in place; they are returned as (row x col x coeff) views.
     """
     rows, cols, ncoeff = F.shape
+    keep = rows if keep is None else keep
     E = np.ascontiguousarray(F.transpose(0, 2, 1)) % p
-    M = np.zeros((rows, sigma + 1, rows), dtype=np.int64)
-    M[:, 0, :] = np.eye(rows, dtype=np.int64)
+    M = np.zeros((rows, sigma + 1, keep), dtype=np.int64)
+    M[:keep, 0, :] = np.eye(keep, dtype=np.int64)
     deg = list(shifts)
     low = min(deg, default=0)
     snapshot = None
@@ -179,10 +190,10 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
                 DT[later] = (DT[later] - f[:, None] * DT[i]) % p
         if not pivots:
             continue
-        Tp = DT[:, cols:][:, pivots]
+        L = left_limbs(DT[:, cols:][:, pivots], p)
         d = min(k, max(deg) - low)
-        _transform_window(Tp, pivots, M[:, :d + 1, :].reshape(rows, -1), p)
-        _transform_window(Tp, pivots, E[:, k:, :].reshape(rows, -1), p)
+        _transform_window(L, pivots, M[:, :d + 1, :].reshape(rows, -1), p)
+        _transform_window(L, pivots, E[:, k:, :].reshape(rows, -1), p)
         M[pivots, 1:d + 2] = M[pivots, :d + 1]
         M[pivots, 0] = 0
         E[pivots, k + 1:] = E[pivots, k:-1]
@@ -218,18 +229,37 @@ def _stacked_series(alpha, s: int, p: int, ncoeff: int) -> np.ndarray:
     return F
 
 
-def _family(M, deg, top: int, normalizer, s: int, p: int, run: str):
-    """Coefficients 0..top of the left s x s block of the s basis rows of
-    least degree, times ``normalizer(rows)^{-1}``; HankelSingular when a row
-    has degree above ``top`` or the normalizer is singular."""
-    sel = sorted(range(2 * s), key=lambda i: (deg[i], i))[:s]
-    if max(deg[i] for i in sel) > top:
-        raise HankelSingular(f"{run}-run degree profile {sorted(deg)}")
+def _pade_basis(alpha, s: int, p: int, ncoeff: int, sigma: int,
+                snapshot_at: int | None = None):
+    """The order-basis front end of the Pade families and the block
+    generator: the M-Basis of the stacked series [A; -I] (``ncoeff``
+    coefficients) to order ``sigma`` with shifts (0,...,0, 1,...,1),
+    tracking the s basis columns both read.
+
+    Returns (M, degrees, E) of the s basis rows of least degree (ties by
+    lowest index): M as (s x s x sigma+1), E as (s x s x ncoeff).  With
+    ``snapshot_at`` a second triple follows, the same rows picked at that
+    order."""
+    F = _stacked_series(alpha, s, p, ncoeff)
+    M, deg, E, snap = _mbasis(F, sigma, [0] * s + [1] * s, p, snapshot_at, keep=s)
+    picked = []
+    for basis, degs, resid in [(M, deg, E)] + ([snap] if snap else []):
+        sel = sorted(range(2 * s), key=lambda i: (degs[i], i))[:s]
+        picked.append((basis[sel], [degs[i] for i in sel], resid[sel]))
+    return picked
+
+
+def _family(M, deg, top: int, normalizer, p: int, run: str):
+    """Coefficients 0..top of the basis rows M times ``normalizer^{-1}``;
+    HankelSingular when a row has degree above ``top`` or the normalizer is
+    singular."""
+    if max(deg) > top:
+        raise HankelSingular(f"{run}-run degrees {deg} exceed {top}")
     try:
-        N_inv = dense_inverse(normalizer(sel) % p, p)
+        N_inv = dense_inverse(normalizer, p)
     except Singular as exc:
         raise HankelSingular(f"{run}-run normalizer singular") from exc
-    return polymat_mul(N_inv[None], M[sel, :s, :top + 1].transpose(2, 0, 1), p)
+    return polymat_mul(N_inv[None], M[:, :, :top + 1].transpose(2, 0, 1), p)
 
 
 def _pade_families(alpha, s: int, m: int, p: int):
@@ -237,17 +267,15 @@ def _pade_families(alpha, s: int, m: int, p: int):
 
     Raises HankelSingular at the first degree profile or normalizer that
     degenerates, the signature of a singular H."""
-    shifts = [0] * s + [1] * s
     out = {}
     for side, al in (("star", alpha), ("plain", [a.T for a in alpha])):
-        F = _stacked_series(al, s, p, 2 * m)
         # one run serves both orders: the q-state is the v-run's prefix
-        Mv, degv, _, snap = _mbasis(F, 2 * m, shifts, p, snapshot_at=2 * m - 2)
-        Mq, degq, Eq = snap
+        (Mv, degv, _), (Mq, degq, Eq) = _pade_basis(al, s, p, 2 * m, 2 * m,
+                                                    snapshot_at=2 * m - 2)
         # q-family: order 2m-2, degree <= m-1, normalized by the residue
         # at x^{2m-2}; v-family: order 2m, degree <= m, by the constant term
-        q = _family(Mq, degq, m - 1, lambda sel: Eq[sel, :, 2 * m - 2], s, p, "q")
-        v = _family(Mv, degv, m, lambda sel: Mv[sel, :s, 0], s, p, "v")
+        q = _family(Mq, degq, m - 1, Eq[:, :, 2 * m - 2], p, "q")
+        v = _family(Mv, degv, m, Mv[:, :, 0], p, "v")
         out[side] = (q, v)
     (q_star, v_star), (q_t, v_t) = out["star"], out["plain"]
     return q_t.transpose(0, 2, 1), q_star, v_t.transpose(0, 2, 1), v_star

@@ -6,7 +6,13 @@ Counter accounting follows the matrix-times-vector convention: applying an
 operator to an n x k block counts as k vector applications.  Counters are
 lock-protected so concurrent applies lose no updates; everything else about
 an operator is immutable after construction, apart from the butterfly's
-transposed row plan, built on the first transposed apply.
+transposed row plan, built on the first transposed apply.  The sparse apply
+works in two panel buffers that belong to the applying thread, not to an
+operator: made on the thread's first sparse apply, grown when a wider panel
+needs it, reused by every later sparse apply of that thread (of any
+operator), and freed when the thread ends.  Panels above
+``PANEL_ELEMENTS`` products get fresh buffers (see
+``field.thread_buffers``).
 
 The hot loops reduce by floor division in place (``x - x // p * p``, as
 ``matmul_mod`` does), never by numpy's slower ``%``, and work in column or
@@ -21,7 +27,10 @@ import numpy as np
 
 from .errors import DimensionError
 from .field import (PANEL_ELEMENTS, PrimeField, matmul_mod, reduce_in_place,
-                    reduce_mod)
+                    reduce_mod, thread_buffers)
+
+# the sparse apply's products and quotients, shared by every SparseOperator
+_sparse_buffers = threading.local()
 
 
 class BlackBoxOperator:
@@ -151,19 +160,34 @@ class SparseOperator(BlackBoxOperator):
 
     def _apply_block(self, V, transposed):
         # column panels of at most PANEL_ELEMENTS products bound the
-        # temporaries, whatever the width of V
+        # buffers, whatever the width of V
         p = self.field.p
         gather, vals, uniq, starts = self._bw if transposed else self._fw
-        out = np.zeros((self.n, V.shape[1]), dtype=np.int64)
+        n, k = V.shape
+        out = np.zeros((n, k), dtype=np.int64)
         if len(vals) == 0:
             return out
-        width = max(1, PANEL_ELEMENTS // len(vals))
-        for lo in range(0, V.shape[1], width):
-            prods = V[gather, lo:lo + width]
-            prods *= vals[:, None]
-            reduce_in_place(prods, p)
-            sums = np.add.reduceat(prods, starts, axis=0)
-            out[uniq, lo:lo + width] = reduce_in_place(sums, p)
+        width = max(1, min(k, PANEL_ELEMENTS // len(vals)))
+        prods, spare = thread_buffers(_sparse_buffers, len(vals) * width,
+                                      (np.int64, np.int64))
+        for lo in range(0, k, width):
+            w = min(width, k - lo)
+            G = prods[:len(vals) * w].reshape(-1, w)
+            Q = spare[:len(vals) * w].reshape(-1, w)
+            # mode="raise" would make numpy buffer ``out``
+            V[:, lo:lo + w].take(gather, axis=0, out=G, mode="clip")
+            G *= vals[:, None]
+            np.floor_divide(G, p, out=Q)
+            Q *= p
+            G -= Q
+            # the segment sums go into the spent quotients, their own
+            # quotients into the spent products
+            S = np.add.reduceat(G, starts, axis=0, out=Q[:len(uniq)])
+            R = G[:len(uniq)]
+            np.floor_divide(S, p, out=R)
+            R *= p
+            S -= R
+            out[uniq, lo:lo + w] = S
         return out
 
 

@@ -36,11 +36,12 @@ class BlockProjection:
 
 
 def u_contract(P: BlockProjection, W: np.ndarray, p: int) -> np.ndarray:
-    """u.T @ W: fold the m s-row slices of W (additions only, O(nk))."""
+    """u.T @ W: fold the m s-row slices of W (additions only, O(nk)),
+    reduced by floor division into [0, p)."""
     W = reduce_mod(W, p)
     if W.shape[0] != P.n:
         raise DimensionError(f"expected {P.n} rows, got {W.shape[0]}")
-    return W.reshape(P.m, P.s, -1).sum(axis=0) % p
+    return reduce_in_place(W.reshape(P.m, P.s, -1).sum(axis=0), p)
 
 
 def u_expand(P: BlockProjection, M: np.ndarray, p: int) -> np.ndarray:

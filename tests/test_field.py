@@ -116,6 +116,26 @@ def test_matmul_mod_exact_property(operands):
     assert np.array_equal(matmul_mod(A, B, p), dense_mul_int(A, B, p))
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(_residue_operands(), st.sampled_from((None, 2, 3)), st.integers(0, 2**32 - 1))
+def test_limb_product_accumulates_into_residues(operands, max_inner, seed):
+    # out <- out + A B with one reduction, and the plain product next to it,
+    # also when a small MAX_INNER cuts the inner indices into chunks that
+    # are accumulated in turn
+    A, B, p = operands
+    C = _residues(np.random.default_rng(seed), (A.shape[0], B.shape[1]), p, "mixed")
+    L = field.left_limbs(A, p)
+    R = field.right_limbs(B, np.empty((2 * B.shape[0], B.shape[1])))
+    with pytest.MonkeyPatch.context() as mp:
+        if max_inner:
+            mp.setattr(field, "MAX_INNER", max_inner)
+        acc = field.limb_product(L, R, p, C.copy(), accumulate=True)
+        plain = field.limb_product(L, R, p, np.empty_like(C))
+    want = dense_mul_int(A, B, p)
+    assert np.array_equal(plain, want)
+    assert np.array_equal(acc, (C + want) % p)
+
+
 def test_matmul_mod_exact_past_chunk_bound():
     # inner dimension past MAX_INNER = 2**20 takes the chunked path; all
     # (p-1) entries give near-largest limb sums, and (p-1)**2 = 1 mod p

@@ -160,6 +160,31 @@ def test_mbasis_matches_reference(p):
                 assert np.array_equal(snapshot[2], snapshot0[2])
 
 
+@pytest.mark.parametrize("p", [3, 65537, 2147483629])
+def test_restricted_mbasis_matches_reference_columns(p):
+    # tracking only the first c basis columns gives the reference's first c
+    # columns, and its degrees, residual and snapshot, bit for bit; a small
+    # panel budget cuts every window transform into several panels
+    rng = np.random.default_rng(p % 1013)
+    for trial in range(40):
+        kind = ("random", "low-rank", "partly-zero", "pade")[trial % 4]
+        F, sigma, shifts = _order_basis_series(rng, p, kind)
+        rows, cols = F.shape[:2]
+        snap = int(rng.integers(0, sigma))
+        M0, deg0, E0, snapshot0 = mbasis_reference(F, sigma, shifts, p, snap)
+        for c in sorted({1, min(cols, rows), rows}):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hankel, "PANEL_ELEMENTS", int(rng.integers(1, 120)))
+                M, deg, E, snapshot = hankel._mbasis(F, sigma, shifts, p, snap, keep=c)
+            assert deg == deg0, (kind, trial, c)
+            assert M.shape == (rows, c, sigma + 1), (kind, trial, c)
+            assert np.array_equal(M, M0[:, :c]), (kind, trial, c)
+            assert np.array_equal(E, E0), (kind, trial, c)
+            assert snapshot[1] == snapshot0[1]
+            assert np.array_equal(snapshot[0], snapshot0[0][:, :c])
+            assert np.array_equal(snapshot[2], snapshot0[2])
+
+
 def test_rep_m1_single_block():
     # m = 1 runs the Pade path too: q_0 = q*_0 = alpha_0^{-1}, no T3 T4 term
     rng = np.random.default_rng(55)

@@ -292,3 +292,103 @@ def test_sparse_apply_temporaries_bounded_by_panel_budget():
     dense = sparse_to_dense(S)
     assert np.array_equal(out, matmul_mod(dense, V, big.p))
     assert np.array_equal(S._apply_block(V, True), matmul_mod(dense.T, V, big.p))
+
+
+def _random_sparse(rng, n, p, fill):
+    """A SparseOperator over p with about ``fill`` of its entries nonzero
+    (possibly none), values near p - 1 among them."""
+    mask = rng.random((n, n)) < fill
+    vals = rng.integers(1, p, size=(n, n), dtype=np.int64)
+    vals[rng.random((n, n)) < 0.3] = p - 1
+    rows, cols = np.nonzero(mask)
+    return SparseOperator(n, list(zip(rows.tolist(), cols.tolist(),
+                                      vals[rows, cols].tolist())), PrimeField(p))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 30), st.floats(0.0, 0.5), st.integers(1, 200), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 13), st.booleans()), min_size=2, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_sparse_apply_reuses_buffers_across_widths(n, fill, panel, held, applies, seed):
+    # one operator, consecutive applies of different widths in both
+    # directions, with a panel budget small enough for several panels per
+    # apply: a stale or undersized kept buffer shows against the dense
+    # product.  Without ``held`` the scratch bound is as small as a panel,
+    # so that wider panels take fresh buffers
+    import blackbox_linalg.field as field
+    import blackbox_linalg.operators as operators
+    p = 2147483629
+    rng = np.random.default_rng(seed)
+    S = _random_sparse(rng, n, p, fill)
+    dense = sparse_to_dense(S).astype(object)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "PANEL_ELEMENTS", panel)
+        if not held:
+            mp.setattr(field, "PANEL_ELEMENTS", panel)
+        for k, transposed in applies:
+            V = rng.integers(0, p, size=(n, k), dtype=np.int64)
+            want = ((dense.T if transposed else dense) @ V.astype(object)) % p
+            got = S._apply_block(V, transposed)
+            assert got.shape == (n, k)
+            assert np.array_equal(got, want.astype(np.int64)), (k, transposed)
+
+
+def test_concurrent_applies_match_single_thread():
+    # two threads apply one SparseOperator, and a composition holding it, to
+    # different blocks at once: every result is the single-thread one and
+    # the counters add up exactly.  The sparse panels and the dense factor's
+    # limb GEMM products live in per-thread scratch
+    import sys
+    import threading
+    from blackbox_linalg.cli import random_sparse_operator
+    rng = np.random.default_rng(34)
+    big = PrimeField(2147483629)
+    S = random_sparse_operator(300, 5, big, rng)
+    C = ComposedOperator([DiagonalOperator.random(300, big, rng), S,
+                          ButterflyOperator(300, big, rng),
+                          DenseOperator(rng.integers(0, big.p, size=(300, 300)), big)])
+    rounds = 12
+    # one thread's blocks fit one sparse panel, the other's need several
+    jobs = [[(op, rng.integers(0, big.p, size=(300, k + i), dtype=np.int64), tr)
+             for i in range(4) for op in (S, C) for tr in (False, True)]
+            for k in (3, 70)]
+    want = [[op._apply_block(V, tr) for op, V, tr in calls] for calls in jobs]
+    before = [(op.apply_count, op.transpose_apply_count) for op in (S, C)]
+    results, errors = [[] for _ in jobs], []
+    start = threading.Barrier(len(jobs))
+
+    def run(t):
+        try:
+            start.wait(timeout=60)
+            for _ in range(rounds):
+                for op, V, tr in jobs[t]:
+                    apply = op.apply_transpose_matrix if tr else op.apply_matrix
+                    results[t].append(apply(V))
+        except Exception as exc:  # reported by the test thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # switch threads often
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    for t, calls in enumerate(jobs):
+        assert len(results[t]) == rounds * len(calls)
+        for i, out in enumerate(results[t]):
+            assert np.array_equal(out, want[t][i % len(calls)]), (t, i)
+
+    def width(direct, transposed):
+        return rounds * sum(V.shape[1] for calls in jobs for op, V, tr in calls
+                            if op in direct and tr == transposed)
+
+    # S counts its own applies and, once more, every apply of C
+    for op, (fw, bw), direct in ((S, before[0], (S, C)), (C, before[1], (C,))):
+        assert op.apply_count - fw == width(direct, False)
+        assert op.transpose_apply_count - bw == width(direct, True)
