@@ -18,8 +18,9 @@ from .errors import (BlackboxLinalgError, DegenerateSequence, DimensionError,
 from .field import PrimeField, is_probable_prime, matmul_mod
 from .hankel import (BlockHankel, HankelInverseRep, build_hankel,
                      hankel_inverse_apply, hankel_inverse_rep)
-from .inverse import (InversionConfig, InversionResult, blackbox_inverse,
-                      blackbox_inverse_apply, precondition, verify_inverse)
+from .inverse import (InversionConfig, InversionResult, RunStats,
+                      blackbox_inverse, blackbox_inverse_apply, precondition,
+                      verify_inverse)
 from .mmio import (MatrixMarketData, read_matrix_market, to_dense_residues,
                    to_sparse_operator, write_matrix_market_array)
 from .nullrank import (RankCertificate, berlekamp_massey, nullspace_rank,

@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 verified-negative (singular with certificate),
 2 retries exhausted or a field too small for the size, 3 usage or input
 errors, invalid flag values included.  Reports serialize
 deterministically (sorted keys); given the same input and seed every
-output matrix is byte-identical and every report field except wall_time
-is identical.
+output matrix is byte-identical and every report field except
+stats.wall_time is identical.
 """
 from __future__ import annotations
 
@@ -22,14 +22,15 @@ from .determinant import det_integer_crt, det_mod_p, hadamard_bound, word_size_p
 from .errors import (FieldTooSmall, MatrixMarketError, RetriesExhausted,
                      SingularMatrix)
 from .field import PrimeField
-from .inverse import InversionConfig, blackbox_inverse, blackbox_inverse_apply
+from .inverse import (InversionConfig, RunStats, blackbox_inverse,
+                      blackbox_inverse_apply)
 from .mmio import (read_matrix_market, to_dense_residues, to_sparse_operator,
                    write_matrix_market_array)
 from .nullrank import nullspace_rank
 from .operators import SparseOperator
 
 DEFAULT_PRIME = 2147483629  # word-size prime just below 2**31
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -38,12 +39,8 @@ class RunReport:
     input_digest: str
     prime: int
     seed: int
-    s: int
-    m: int
-    retries: int
-    bb_apply_count: int
-    wall_time: float
     outcome: str
+    stats: RunStats | None  # None when the run ended without a result
     schema_version: int = SCHEMA_VERSION
     extra: dict = dc_field(default_factory=dict)
 
@@ -71,24 +68,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bbla", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="Matrix Market file")
+    def common(p, out=False, verify=False):
+        p.add_argument("input", help="Matrix Market file")
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
         p.add_argument("--block-size", type=int, default=0,
                        help="blocking factor s (0 = auto)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--retries", type=int, default=8)
-        p.add_argument("--no-verify", action="store_true")
-        p.add_argument("--out", help="write the result matrix here")
+        if verify:
+            p.add_argument("--no-verify", action="store_true")
+        if out:
+            p.add_argument("--out", help="write the result matrix here")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="print the run report as JSON")
 
-    common(sub.add_parser("invert", help="dense inverse of a black-box matrix"))
+    common(sub.add_parser("invert", help="dense inverse of a black-box matrix"),
+           out=True, verify=True)
     p = sub.add_parser("apply-inverse", help="A^-1 M without materializing A^-1")
-    common(p)
+    common(p, out=True, verify=True)
     p.add_argument("rhs", help="Matrix Market file for M")
-    common(sub.add_parser("nullspace", help="certified nullspace basis and rank"))
+    common(sub.add_parser("nullspace", help="certified nullspace basis and rank"),
+           out=True)
     common(sub.add_parser("rank", help="certified rank"))
     p = sub.add_parser("det", help="determinant mod p (or exact integer with --crt)")
     common(p)
@@ -142,20 +142,9 @@ def _write_matrix(M, out):
 
 
 def _report(args, command, digest, outcome, stats=None, extra=None) -> RunReport:
-    stats = stats or {}
-    return RunReport(
-        command=command,
-        input_digest=digest,
-        prime=getattr(args, "prime", DEFAULT_PRIME),
-        seed=args.seed,
-        s=stats.get("s", getattr(args, "block_size", 0)),
-        m=stats.get("m", 0),
-        retries=stats.get("retries", 0),
-        bb_apply_count=stats.get("bb_apply_count", 0),
-        wall_time=stats.get("wall_time", 0.0),
-        outcome=outcome,
-        extra=extra or {},
-    )
+    return RunReport(command=command, input_digest=digest, prime=args.prime,
+                     seed=args.seed, outcome=outcome, stats=stats,
+                     extra=extra or {})
 
 
 def random_sparse_operator(n: int, density: int, field: PrimeField, rng) -> SparseOperator:
@@ -194,15 +183,12 @@ def _cmd_bench(args, field, cfg):
         else:
             raise RetriesExhausted(
                 f"no invertible size-{n} instance in {cfg.max_retries} draws")
-        counts.append(res.stats["bb_applies_last_attempt"])
+        counts.append(res.stats.bb_applies_last_attempt)
     slope = float(np.polyfit(np.log(sizes), np.log(counts), 1)[0])
-    report = RunReport(
-        command="bench invert", input_digest="", prime=args.prime,
-        seed=args.seed, s=0, m=0, retries=0,
-        bb_apply_count=int(sum(counts)), wall_time=time.perf_counter() - t0,
-        outcome="ok",
-        extra={"sizes": sizes, "counts": [int(c) for c in counts],
-               "slope": slope, "density": args.density})
+    report = _report(
+        args, "bench invert", "", "ok",
+        RunStats(bb_apply_count=sum(counts), wall_time=time.perf_counter() - t0),
+        {"sizes": sizes, "counts": counts, "slope": slope, "density": args.density})
     print(report.to_json() if args.as_json
           else f"sizes={sizes} per-attempt counts={counts} slope={slope:.3f}")
     return 0, report
@@ -294,6 +280,7 @@ def _cmd_det(args, data, field, cfg, digest):
         value = det_integer_crt(data.rows, data.triples, primes,
                                 seed=args.seed, max_retries=args.retries)
         extra = {"det": str(value), "crt_primes": primes, "monte_carlo": True}
+        applies = 0  # the operators of each prime are made inside det_integer_crt
     else:
         A = to_sparse_operator(data, field)
         value = det_mod_p(A, cfg)
@@ -301,10 +288,11 @@ def _cmd_det(args, data, field, cfg, digest):
             if det_mod_p(A, replace(cfg, seed=args.seed + 7919 * (k + 1))) != value:
                 raise RetriesExhausted("independent determinant runs disagree")
         extra = {"det": str(value), "monte_carlo": True, "confirm": args.confirm}
+        applies = A.total_applications
     if not args.as_json:
         print(value)
-    return _report(args, "det", digest, "ok",
-                   {"wall_time": time.perf_counter() - t0}, extra)
+    return _report(args, "det", digest, "ok", RunStats(
+        bb_apply_count=applies, wall_time=time.perf_counter() - t0), extra)
 
 
 def main(argv=None) -> int:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,19 +66,24 @@ class InversionConfig:
         return min(max(round(math.sqrt(n)), 1), n)
 
 
+@dataclass(frozen=True)
+class RunStats:
+    """What one run cost: black-box applications of the input operator in
+    all attempts and in the accepted one, the failed attempts before it,
+    wall time in seconds, and the blocking factor s and block count m (both
+    0 for a run without a block Krylov pipeline of its own)."""
+    bb_apply_count: int
+    wall_time: float
+    retries: int = 0
+    s: int = 0
+    m: int = 0
+    bb_applies_last_attempt: int = 0
+
+
 @dataclass
 class InversionResult:
     matrix: np.ndarray
-    stats: dict = dc_field(default_factory=dict)
-
-
-def run_stats(A: BlackBoxOperator, base_count: int, t0: float, retries: int,
-              **extra) -> dict:
-    """The cost report of a Las Vegas result: black-box applications of A
-    since ``base_count``, failed attempts before the accepted one, and wall
-    time since ``t0``."""
-    return {"bb_apply_count": A.total_applications - base_count,
-            "retries": retries, "wall_time": time.perf_counter() - t0, **extra}
+    stats: RunStats
 
 
 def field_size_bound(n: int, m: int) -> int:
@@ -177,10 +182,10 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg):
         X = unwrap(Z)[:n, :n] if M is None else (D.d[:, None] * Z % p)[:n]
         if cfg.verify and not verify_inverse(A, X, M):
             continue
-        return InversionResult(matrix=X, stats=run_stats(
-            A, base_count, t0, attempt,
-            bb_applies_last_attempt=A.total_applications - attempt_base,
-            seed=cfg.seed, s=s, m=P.m, verified=cfg.verify))
+        return InversionResult(matrix=X, stats=RunStats(
+            bb_apply_count=A.total_applications - base_count,
+            wall_time=time.perf_counter() - t0, retries=attempt, s=s, m=P.m,
+            bb_applies_last_attempt=A.total_applications - attempt_base))
     if not certified:
         _singular_certificate(A, cfg)
     what = "inversion" if M is None else "apply-inverse"

@@ -15,13 +15,13 @@ estimation failures retry with fresh randomness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RetriesExhausted, SingularMatrix
 from .field import matmul_mod
-from .inverse import InversionConfig, blackbox_inverse_apply, run_stats
+from .inverse import InversionConfig, RunStats, blackbox_inverse_apply
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, LeadingMinorOperator)
 
@@ -104,8 +104,7 @@ class RankCertificate:
     basis has full column rank n - rank by construction."""
     rank: int
     nullspace: np.ndarray
-    seed: int
-    stats: dict = dc_field(default_factory=dict)
+    stats: RunStats
 
 
 def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> RankCertificate:
@@ -124,6 +123,7 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
     base_count = A.total_applications
     sub_retries = max(2, cfg.max_retries // 2)
     for attempt in range(cfg.max_retries):
+        attempt_base = A.total_applications
         U = ButterflyOperator(n, field, rng)
         Vt = ButterflyOperator(n, field, rng).transpose()
         D = DiagonalOperator.random(n, field, rng)
@@ -133,9 +133,8 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
         if f[0] % p:
             if len(f) - 1 == n:
                 # f is the characteristic polynomial and f(0) != 0
-                return RankCertificate(
-                    rank=n, nullspace=np.zeros((n, 0), dtype=np.int64),
-                    seed=cfg.seed, stats=run_stats(A, base_count, t0, attempt))
+                r, N = n, np.zeros((n, 0), dtype=np.int64)
+                break
             continue
         r = len(f) - 2
         if r == 0:
@@ -157,13 +156,16 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
         if np.any(A_tilde.apply_matrix(N_tilde)):
             continue
         N = Vt.apply_matrix(D.apply_matrix(N_tilde))
-        if np.any(A.apply_matrix(N)):
-            # cannot happen for invertible U; kept as a hard assertion
-            continue
-        return RankCertificate(rank=r, nullspace=N, seed=cfg.seed,
-                               stats=run_stats(A, base_count, t0, attempt))
-    raise RetriesExhausted(
-        f"rank/nullspace failed {cfg.max_retries} preconditioning attempts")
+        # A N != 0 cannot happen for invertible U; kept as a hard assertion
+        if not np.any(A.apply_matrix(N)):
+            break
+    else:
+        raise RetriesExhausted(
+            f"rank/nullspace failed {cfg.max_retries} preconditioning attempts")
+    return RankCertificate(rank=r, nullspace=N, stats=RunStats(
+        bb_apply_count=A.total_applications - base_count,
+        wall_time=time.perf_counter() - t0, retries=attempt,
+        bb_applies_last_attempt=A.total_applications - attempt_base))
 
 
 def rank_certificate(A: BlackBoxOperator, cfg: InversionConfig) -> RankCertificate:

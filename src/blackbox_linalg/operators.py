@@ -106,10 +106,6 @@ class BlackBoxOperator:
         self._count(V.shape[1], True)
         return out
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize by applying to the identity.  Test use only; counts."""
-        return self.apply_matrix(np.eye(self.n, dtype=np.int64))
-
 
 class DenseOperator(BlackBoxOperator):
     """Wraps an explicit n x n matrix (tests, small oracles, dense inputs)."""
@@ -280,17 +276,6 @@ class ButterflyOperator(BlackBoxOperator):
                 plan.append((partner, own, other))
             span *= 2
         self._plans = [plan, None]
-
-    @property
-    def stages(self):
-        """Per stage in application order, ``(lo, hi, a, b, c, d)``: the
-        paired rows (ascending) and the coefficients, read from the plan."""
-        out = []
-        for partner, own, other in self._plans[False]:
-            lo = np.flatnonzero(partner > np.arange(self.n))
-            hi = partner[lo]
-            out.append((lo, hi, own[lo, 0], other[lo, 0], other[hi, 0], own[hi, 0]))
-        return out
 
     def transpose(self) -> "ButterflyOperator":
         """The transposed network as a butterfly of its own (fresh counters,

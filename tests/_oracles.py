@@ -12,8 +12,9 @@ one.  Two exceptions: ``sigma_basis``, a
 test-facing wrapper that exposes the library's internal order-basis routine
 for property checks, and ``dense_solve``, which multiplies by the library's
 dense inverse.  The dense rank, solve and nullspace routines, the identity
-operator and the materializations of sparse and block-Hankel operators
-serve only the suite, so they live here and not in the library.
+operator, the materializations of operators (``materialize``, and entry by
+entry for sparse and block-Hankel ones) and the stage view of a butterfly's
+row plan serve only the suite, so they live here and not in the library.
 """
 from types import SimpleNamespace
 
@@ -153,6 +154,12 @@ class IdentityOperator(BlackBoxOperator):
         return V.copy()
 
 
+def materialize(op):
+    """The n x n matrix of any operator, by applying it to the identity
+    (counts n applications)."""
+    return op.apply_matrix(np.eye(op.n, dtype=np.int64))
+
+
 def sparse_to_dense(S):
     """Entry-level materialization of a SparseOperator (no counter)."""
     M = np.zeros((S.n, S.n), dtype=np.int64)
@@ -242,14 +249,26 @@ def mbasis_reference(F, sigma, shifts, p, snapshot_at=None):
     return M, deg, E, snapshot
 
 
+def butterfly_stages(op):
+    """Per stage of a ButterflyOperator in application order,
+    ``(lo, hi, a, b, c, d)``: the paired rows (ascending) and the
+    coefficients, read from its forward row plan."""
+    out = []
+    for partner, own, other in op._plans[False]:
+        lo = np.flatnonzero(partner > np.arange(op.n))
+        hi = partner[lo]
+        out.append((lo, hi, own[lo, 0], other[lo, 0], other[hi, 0], own[hi, 0]))
+    return out
+
+
 def butterfly_reference(op, V, transposed):
-    """A butterfly network applied stage by stage from ``op.stages``: both
-    halves gathered by fancy indexing, mixed, reduced with ``%`` and
+    """A butterfly network applied stage by stage from ``butterfly_stages``:
+    both halves gathered by fancy indexing, mixed, reduced with ``%`` and
     scattered back.  The transposed direction runs the stages in reverse
     with b and c swapped."""
     p = op.field.p
     V = np.array(V, dtype=np.int64)
-    stages = op.stages
+    stages = butterfly_stages(op)
     if transposed:
         stages = [(lo, hi, a, c, b, d) for lo, hi, a, b, c, d in reversed(stages)]
     for idx_lo, idx_hi, a, b, c, d in stages:

@@ -33,7 +33,7 @@ def record(ok: bool, stats=None):
     TALLY["wrong"] += not ok
     if stats is not None:
         TALLY["first_attempt_total"] += 1
-        TALLY["first_attempt_ok"] += stats.get("retries", 1) == 0
+        TALLY["first_attempt_ok"] += stats.retries == 0
 
 
 def announce(num, ok, detail):
@@ -168,8 +168,8 @@ def test_criterion_6_operation_count_bound_and_slope():
         A = random_sparse_operator(n, 5, FIELD, rng)
         res = blackbox_inverse(A, InversionConfig(seed=0))
         record(True, res.stats)  # pipeline-verified (A X = I held at return)
-        m = res.stats["m"]
-        count = res.stats["bb_applies_last_attempt"]
+        m = res.stats.m
+        count = res.stats.bb_applies_last_attempt
         details.append(f"n={n}: {count} <= {3 * m * n}")
         ok = ok and count <= 3 * m * n
     code, report = run_command(["bench", "invert", "--sizes", "64,128,256,512"])
@@ -269,7 +269,7 @@ def test_criterion_5_las_vegas_soundness():
         res = blackbox_inverse(A, InversionConfig(seed=10_000 + trial))
         ok = np.array_equal(res.matrix, dense_inverse(sparse_to_dense(A), P))
         record(ok, res.stats)
-        first_ok += res.stats["retries"] == 0
+        first_ok += res.stats.retries == 0
     # top up to the 1000-run floor if criteria ran standalone
     while TALLY["runs"] < 1000:
         A = nonsingular_sparse(rng, 12)

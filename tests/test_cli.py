@@ -1,9 +1,16 @@
+import contextlib
+import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blackbox_linalg import read_matrix_market, to_dense_residues, PrimeField
+from blackbox_linalg import (RunStats, read_matrix_market, to_dense_residues,
+                             to_sparse_operator, PrimeField)
 from blackbox_linalg import cli
 from blackbox_linalg.cli import run_command
 from blackbox_linalg.errors import SingularMatrix
@@ -58,7 +65,7 @@ def test_invert_random_and_determinism(tmp_path):
     assert code1 == code2 == 0
     assert out1.read_bytes() == out2.read_bytes()  # byte-identical outputs
     d1, d2 = json.loads(rep1.to_json()), json.loads(rep2.to_json())
-    d1.pop("wall_time"), d2.pop("wall_time")
+    d1["stats"].pop("wall_time"), d2["stats"].pop("wall_time")
     assert d1 == d2
 
 
@@ -98,10 +105,9 @@ def test_rank_below_field_bound(tmp_path):
     # bound; a rank deficiency still needs the bound for its minor solve
     full = [(0, 0, 1), (1, 1, 2), (2, 2, 3), (0, 2, 1)]
     src = write_coordinate(tmp_path / "f5.mtx", 3, full)
-    for command in ("rank", "nullspace"):
-        code, report = run_command([command, src, "--prime", "5",
-                                    "--out", str(tmp_path / "n5.mtx")])
-        assert code == 0, command
+    for argv in (["rank"], ["nullspace", "--out", str(tmp_path / "n5.mtx")]):
+        code, report = run_command(argv + [src, "--prime", "5"])
+        assert code == 0, argv
         assert report.extra == {"rank": 3, "nullity": 0}
     src = write_coordinate(tmp_path / "s5.mtx", 3, full[:2] + full[3:])
     code, report = run_command(["rank", src, "--prime", "5"])
@@ -250,3 +256,126 @@ def test_empty_matrix_exits_3(tmp_path, command):
         src.write_text(f"%%MatrixMarket matrix {fmt} integer general\n{body}")
         code, report = run_command([command, str(src)])
         assert (code, report) == (3, None), (fmt, body)
+
+
+@pytest.mark.parametrize("argv", [["rank", "--out", "r.mtx"],
+                                  ["nullspace", "--no-verify"],
+                                  ["rank", "--no-verify"],
+                                  ["det", "--out", "d.mtx"],
+                                  ["det", "--out", "d.mtx", "--no-verify"],
+                                  ["det", "--crt", "--no-verify"]])
+def test_flags_are_accepted_only_where_read(tmp_path, monkeypatch, argv):
+    # --out is read by invert, apply-inverse and nullspace, --no-verify by
+    # invert and apply-inverse; anywhere else they are usage errors
+    monkeypatch.chdir(tmp_path)
+    src = write_coordinate(tmp_path / "diag.mtx", 3, [(i, i, i + 2) for i in range(3)])
+    code, report = run_command(argv[:1] + [src] + argv[1:])
+    assert (code, report) == (3, None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diag.mtx"]
+
+
+def test_json_reports_carry_schema_2_and_run_stats(tmp_path, monkeypatch, capsys):
+    # every command reports one RunStats; the counts are those of the
+    # operators the command made (det --crt makes its own, so it reports 0)
+    n = 6
+    src = write_coordinate(tmp_path / "a.mtx", n,
+                           [(i, i, i + 2) for i in range(n)] + [(0, n - 1, 5)])
+    rhs = write_array(tmp_path / "m.mtx", np.arange(2 * n).reshape(n, 2))
+    made = []
+
+    def counted_operator(data, field):
+        made.append(to_sparse_operator(data, field))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "to_sparse_operator", counted_operator)
+    out = str(tmp_path / "out.mtx")
+    runs = {"invert": ["invert", src, "--out", out],
+            "apply-inverse": ["apply-inverse", src, rhs, "--out", out],
+            "nullspace": ["nullspace", src, "--out", out],
+            "rank": ["rank", src],
+            "det": ["det", src, "--confirm", "1"],
+            "det --crt": ["det", src, "--crt"]}
+    # s = round(sqrt(6)) = 2 and m = 3 for the inverse; the other commands
+    # do not report a blocking, and det reports no attempts
+    blocking = {"invert": (2, 3), "apply-inverse": (2, 3)}
+    for name, argv in runs.items():
+        made.clear()
+        code, report = run_command(argv + ["--json"])
+        assert code == 0, name
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert printed["schema_version"] == report.schema_version == 2
+        stats = report.stats
+        assert isinstance(stats, RunStats)
+        assert printed["stats"] == dataclasses.asdict(stats)
+        assert sorted(printed["stats"]) == sorted(
+            ["bb_apply_count", "bb_applies_last_attempt", "m", "retries", "s",
+             "wall_time"])
+        assert stats.bb_apply_count == sum(op.total_applications for op in made)
+        assert (stats.bb_apply_count > 0) == (name != "det --crt"), name
+        assert stats.retries == 0
+        assert (stats.s, stats.m) == blocking.get(name, (0, 0)), name
+        last = stats.bb_apply_count if name in ("invert", "apply-inverse",
+                                                "nullspace", "rank") else 0
+        assert stats.bb_applies_last_attempt == last, name
+        assert stats.wall_time > 0
+    assert made == []  # det --crt built no operator through the CLI
+
+
+BANNER_WORDS = ("%%MatrixMarket", "%MatrixMarket", "matrix", "vector",
+                "coordinate", "array", "integer", "real", "pattern", "complex",
+                "general", "symmetric", "skew-symmetric", "hermitian", "", "x")
+# size tokens stay small: a mutated size line must not ask for a huge matrix
+SIZE_TOKENS = st.one_of(st.integers(-2, 5).map(str),
+                        st.sampled_from(("", "x", "1.5", "3e0", "+2", "0x3")))
+ENTRY_TOKENS = st.one_of(st.integers(-3, 9).map(str),
+                         st.sampled_from(("", "x", "0.5", "2.0", "-0", "1e400000",
+                                          "inf", "nan", "2147483629",
+                                          "99999999999999999999999")))
+FUZZ_COMMANDS = (["invert"], ["apply-inverse"], ["nullspace"], ["rank"],
+                 ["det"], ["det", "--crt"])
+
+
+@st.composite
+def mutated_matrix_market(draw):
+    """A valid n x n coordinate file with up to three tokens replaced in its
+    banner, its size line or its entries; returns (n, text)."""
+    n = draw(st.integers(1, 4))
+    banner = "%%MatrixMarket matrix coordinate integer general".split()
+    size = [str(n), str(n), str(n)]
+    entries = [[str(i + 1), str(i + 1), str(draw(st.integers(1, 9)))]
+               for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        part = draw(st.sampled_from(("banner", "size", "entry")))
+        if part == "banner":
+            banner[draw(st.integers(0, 4))] = draw(st.sampled_from(BANNER_WORDS))
+        elif part == "size":
+            size[draw(st.integers(0, 2))] = draw(SIZE_TOKENS)
+        else:
+            entries[draw(st.integers(0, n - 1))][draw(st.integers(0, 2))] = \
+                draw(ENTRY_TOKENS)
+    lines = [" ".join(banner), " ".join(size)] + [" ".join(e) for e in entries]
+    return n, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(mutated_matrix_market())
+def test_mutated_matrix_market_keeps_exit_codes_and_report(case):
+    n, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "a.mtx")
+        src.write_text(text)
+        rhs = write_array(Path(tmp, "m.mtx"), np.ones((n, 1), dtype=np.int64))
+        for command in FUZZ_COMMANDS:
+            argv = command[:1] + [str(src)] + ([rhs] if command[0] == "apply-inverse"
+                                               else []) + command[1:] + ["--json"]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code, report = run_command(argv)
+            assert code in (0, 1, 2, 3), argv
+            if code == 3:
+                assert report is None
+                continue
+            printed = json.loads(stdout.getvalue().splitlines()[-1])
+            assert printed["schema_version"] == 2, argv
+            assert (printed["stats"] is None) == (code != 0), argv

@@ -79,7 +79,7 @@ def test_golden_output_files(inputs, tmp_path):
         code, report = run_command(argv + COMMON + ["--out", str(out)])
         assert code == 0, name
         got[name] = _sha(out)
-        applies[name] = report.bb_apply_count
+        applies[name] = report.stats.bb_apply_count
     assert got == GOLDEN
     assert applies == GOLDEN_APPLIES
 

@@ -10,7 +10,7 @@ from blackbox_linalg.cli import random_sparse_operator
 from blackbox_linalg.errors import (FieldTooSmall, HankelSingular,
                                    RetriesExhausted, SingularMatrix)
 
-from _oracles import IdentityOperator, dense_rank, sparse_to_dense
+from _oracles import IdentityOperator, dense_rank, materialize, sparse_to_dense
 
 BIG = PrimeField(2147483629)
 
@@ -29,8 +29,8 @@ def test_precondition_materializes_to_duad():
     B, D, U, unwrap = precondition(A, 2, rng)
     p = BIG.p
     M = matmul_mod(np.diag(D.d), matmul_mod(
-        U.to_dense(), matmul_mod(sparse_to_dense(A), np.diag(D.d), p), p), p)
-    assert np.array_equal(B.to_dense(), M)
+        materialize(U), matmul_mod(sparse_to_dense(A), np.diag(D.d), p), p), p)
+    assert np.array_equal(materialize(B), M)
 
 
 def test_precondition_field_bound():
@@ -63,7 +63,7 @@ def test_inverse_identity():
     A = IdentityOperator(6, BIG)
     res = blackbox_inverse(A, InversionConfig(seed=0))
     assert np.array_equal(res.matrix, np.eye(6, dtype=np.int64))
-    assert res.stats["retries"] == 0
+    assert res.stats.retries == 0
 
 
 def test_inverse_diagonal_known():
@@ -92,8 +92,8 @@ def test_inverse_counter_bound():
     for n in (16, 64):
         A = nonsingular_sparse(rng, n, BIG)
         res = blackbox_inverse(A, InversionConfig(seed=0))
-        m = res.stats["m"]
-        assert res.stats["bb_applies_last_attempt"] <= 3 * m * n
+        m = res.stats.m
+        assert res.stats.bb_applies_last_attempt <= 3 * m * n
 
 
 def test_inverse_nondividing_block_size_pads():
@@ -212,7 +212,7 @@ def test_unlucky_draw_certifies_once_then_inverts(monkeypatch):
     _counting(monkeypatch, inverse, "_singular_certificate", certs)
     res = blackbox_inverse(A, InversionConfig(seed=0))
     assert len(certs) == 1
-    assert res.stats["retries"] == 1
+    assert res.stats.retries == 1
     assert np.array_equal(res.matrix, dense_inverse(sparse_to_dense(A), BIG.p))
 
 

@@ -180,8 +180,8 @@ def test_full_rank_certified_by_minpoly_degree(monkeypatch):
     assert cert.rank == 9
     assert cert.nullspace.shape == (9, 0)
     assert solves == []
-    assert cert.stats["retries"] == 0
-    assert cert.stats["bb_apply_count"] == 2 * 9 - 1 == 17
+    assert cert.stats.retries == 0
+    assert cert.stats.bb_apply_count == 2 * 9 - 1 == 17
 
 
 def test_short_minpoly_with_nonzero_constant_is_not_rank_n(monkeypatch):
@@ -198,7 +198,7 @@ def test_short_minpoly_with_nonzero_constant_is_not_rank_n(monkeypatch):
     A = DenseOperator(_nonsingular(np.random.default_rng(6), 9), BIG)
     cert = nullspace_rank(A, InversionConfig(seed=0))
     assert cert.rank == 9
-    assert cert.stats["retries"] == 1
+    assert cert.stats.retries == 1
     assert len(calls) == 2
 
     monkeypatch.setattr(nullrank, "wiedemann_minpoly",
@@ -236,7 +236,7 @@ def test_minor_failures_recover(monkeypatch):
     monkeypatch.setattr(inverse, "_singular_certificate", cert_spy)
     cert = nullspace_rank(A, InversionConfig(seed=0))
     assert certs == [r]
-    assert (cert.rank, cert.stats["retries"]) == (r, 0)
+    assert (cert.rank, cert.stats.retries) == (r, 0)
     assert not matmul_mod(M, cert.nullspace, P).any()
     assert dense_rank(cert.nullspace, P) == n - r
     monkeypatch.undo()
@@ -253,7 +253,7 @@ def test_minor_failures_recover(monkeypatch):
     monkeypatch.setattr(nullrank, "blackbox_inverse_apply", singular_first)
     cert = nullspace_rank(A, InversionConfig(seed=0))
     assert len(solves) == 2
-    assert (cert.rank, cert.stats["retries"]) == (r, 1)
+    assert (cert.rank, cert.stats.retries) == (r, 1)
     assert not matmul_mod(M, cert.nullspace, P).any()
     assert dense_rank(cert.nullspace, P) == n - r
 
