@@ -68,11 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bbla", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=False, verify=False):
+    def common(p, block=True, out=False, verify=False):
         p.add_argument("input", help="Matrix Market file")
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-        p.add_argument("--block-size", type=int, default=0,
-                       help="blocking factor s (0 = auto)")
+        if block:
+            p.add_argument("--block-size", type=int, default=0,
+                           help="blocking factor s (0 = auto)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--retries", type=int, default=8)
         if verify:
@@ -88,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, out=True, verify=True)
     p.add_argument("rhs", help="Matrix Market file for M")
     common(sub.add_parser("nullspace", help="certified nullspace basis and rank"),
-           out=True)
-    common(sub.add_parser("rank", help="certified rank"))
+           block=False, out=True)
+    common(sub.add_parser("rank", help="certified rank"), block=False)
     p = sub.add_parser("det", help="determinant mod p (or exact integer with --crt)")
     common(p)
     p.add_argument("--crt", action="store_true",
@@ -115,6 +116,8 @@ def _settings(args):
                           "(at most the smallest size)")
     if args.command == "det" and args.confirm < 0:
         raise _UsageError("--confirm must be >= 0")
+    if args.command == "det" and args.crt and (args.block_size or args.confirm):
+        raise _UsageError("det --crt reads neither --block-size nor --confirm")
     try:
         field = PrimeField(args.prime)
         cfg = InversionConfig(s=getattr(args, "block_size", 0), seed=args.seed,

@@ -3,15 +3,18 @@ baby-steps/giant-steps block minimal matrix generator, plus Chinese-
 remainder assembly of integer determinants over several primes.
 
 Per prime: precondition B = D1 (U A) D2 (butterfly U has determinant 1 by
-construction), project the power sequence alpha_i = u^T B^i v with the
-stacked-identity u on the left and a dense random v on the right, compute
-the minimal right matrix generator by the order-basis algorithm, and read
+construction), project the power sequence alpha_i = u^T B^i v, i <= 2m,
+with the stacked-identity u on the left and a dense random n x s block v
+on the right (one ``krylov_apply_left`` sweep, 2m applications of B to v),
+compute the minimal right matrix generator by the order-basis algorithm,
+and read
 
     det B = (-1)^n det F(0) / lead(det F)
 
 (the generator is row-reduced, so lead(det F) is the determinant of the
 constant coefficients of the un-reversed basis rows).  The diagonal
-determinants divide back out exactly.
+determinants divide back out exactly.  Retries and the singularity
+certificate are ``inverse.run_attempts``, the policy of every pipeline.
 """
 from __future__ import annotations
 
@@ -21,16 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import dense_det
-from .errors import (DegenerateSequence, FieldTooSmall, InsufficientPrimes,
-                     RetriesExhausted)
+from .errors import DegenerateSequence, InsufficientPrimes, SingularMatrix
 from .field import PrimeField, is_probable_prime, reduce_mod
 from .hankel import _pade_basis
-from .inverse import InversionConfig
-from .nullrank import rank_certificate
+from .inverse import InversionConfig, run_attempts
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, EmbeddedOperator, SparseOperator)
 from .polymat import polymat_mul
-from .projection import BlockProjection, u_contract
+from .projection import BlockProjection, krylov_apply_left
 
 
 @dataclass
@@ -93,12 +94,11 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
     """Determinant of A modulo the operator's prime (Monte Carlo: verified
     only by the degree checks; run twice with different seeds to confirm).
 
-    A degenerate sequence most often means that A is singular, so the first
-    one runs ``rank_certificate`` at once: a certified rank < n returns 0.
-    Otherwise (full rank certified, or the certificate failed) the attempts
-    go on with fresh preconditioners and projections, and the certificate
-    does not run again.  When they run out, a FieldTooSmall from the
-    certificate is raised, else RetriesExhausted."""
+    Each attempt draws a fresh preconditioner and projection under
+    ``run_attempts``: the first degenerate sequence runs the singularity
+    certificate, and a certified rank < n returns 0.  When the attempts run
+    out, a FieldTooSmall from the certificate is raised, else
+    RetriesExhausted."""
     cfg = cfg or InversionConfig()
     field = A.field
     p = field.p
@@ -108,42 +108,26 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
     n = m * s
     work = EmbeddedOperator(A, n) if n != n0 else A
     P = BlockProjection(n, s)
-    rng = np.random.default_rng(cfg.seed)
-    certified = False
-    failure = None  # what the certificate raised, re-raised once retries run out
-    for attempt in range(cfg.max_retries):
+
+    def attempt(rng):
         D1 = DiagonalOperator.random(n, field, rng)
         D2 = DiagonalOperator.random(n, field, rng)
         U = ButterflyOperator(n, field, rng)
         B = ComposedOperator([D1, U, work, D2])
         v = rng.integers(0, p, size=(n, s), dtype=np.int64)
-        alpha = []
-        w = v
-        for i in range(2 * m + 1):
-            alpha.append(u_contract(P, w, p))
-            if i < 2 * m:
-                w = B.apply_matrix(w)
-        try:
-            gen = block_generator(alpha, m, p, expected_degree_sum=n)
-        except DegenerateSequence:
-            if not certified:
-                certified = True
-                try:
-                    if rank_certificate(A, cfg).rank < n0:
-                        return 0
-                except (FieldTooSmall, RetriesExhausted) as exc:
-                    failure = exc
-            continue
+        alpha = krylov_apply_left(B, P, v, terms=2 * m + 1).reshape(2 * m + 1, s, s)
+        gen = block_generator(alpha, m, p, expected_degree_sum=n)
         det_B = gen.det_at_zero * field.inv(gen.det_lead) % p
         if n % 2:
             det_B = (-det_B) % p
         # det U = 1 by construction; padding contributes det 1
         scale = D1.determinant() * D2.determinant() % p
         return det_B * field.inv(scale) % p
-    if isinstance(failure, FieldTooSmall):
-        raise failure
-    raise RetriesExhausted(
-        f"determinant failed {cfg.max_retries} generator attempts")
+
+    try:
+        return run_attempts(A, cfg, attempt, certify=True, s=s, m=m)[0]
+    except SingularMatrix:
+        return 0
 
 
 def hadamard_bound(n: int, triples) -> int:

@@ -20,14 +20,9 @@ stacked-identity projection u.  Per attempt:
   6. verification A X = M (k applications) unless disabled.
 
 Any internal degeneracy or a failed verification retries with completely
-fresh randomness; accepted answers are always exact.  A singular Hankel
-matrix most often means that A itself is singular, when every further
-attempt is doomed too; so the first HankelSingular runs the rank
-certificate at once, and a certified rank deficiency turns into
-SingularMatrix.  On a nonsingular A (an unlucky draw) the certificate is
-cheap, 2n - 1 applications when its first estimate succeeds, and the
-attempts go on; it never runs twice, and runs once after the last attempt
-when none raised HankelSingular.
+fresh randomness; accepted answers are always exact.  ``run_attempts`` holds
+this Las Vegas policy for the determinant and the rank as well, with the
+singularity certificate that a singular A needs.
 """
 from __future__ import annotations
 
@@ -37,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FieldTooSmall, HankelSingular, RetriesExhausted,
-                     SingularMatrix)
+from .errors import (DegenerateSequence, FieldTooSmall, HankelSingular,
+                     RetriesExhausted, SingularMatrix)
 from .field import reduce_mod
 from .hankel import build_hankel, hankel_inverse_apply, hankel_inverse_rep
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
@@ -152,8 +147,8 @@ def blackbox_inverse_apply(A: BlackBoxOperator, M: np.ndarray,
 
 
 def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg):
-    """The attempt loop of both entry points: A^{-1} when M is None, else
-    A^{-1} M for a reduced n x k block M."""
+    """Both entry points, one attempt body under ``run_attempts``: A^{-1}
+    when M is None, else A^{-1} M for a reduced n x k block M."""
     cfg = cfg or InversionConfig()
     p = A.field.p
     n = A.n
@@ -161,46 +156,74 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg):
     work = EmbeddedOperator(A, (n + s - 1) // s * s) if n % s else A
     P = BlockProjection(work.n, s)
     M_pad = None if M is None else np.pad(M, ((0, work.n - n), (0, 0)))
-    rng = np.random.default_rng(cfg.seed)
-    t0 = time.perf_counter()
-    base_count = A.total_applications
-    certified = False  # the certificate runs at most once
-    for attempt in range(cfg.max_retries):
-        attempt_base = A.total_applications
+
+    def attempt(rng):
         B, D, U, unwrap = precondition(work, s, rng)
         H, Kl = build_hankel(B, P, keep_left=M is None)
-        try:
-            rep = hankel_inverse_rep(H, rng)
-        except HankelSingular:
-            if not certified:
-                certified = True
-                _singular_certificate(A, cfg)
-            continue
+        rep = hankel_inverse_rep(H, rng)
         left = Kl if M is None else krylov_apply_left(
             B, P, D.apply_matrix(U.apply_matrix(M_pad)))
         Z = krylov_apply_right(B, P, hankel_inverse_apply(rep, left))
         X = unwrap(Z)[:n, :n] if M is None else (D.d[:, None] * Z % p)[:n]
-        if cfg.verify and not verify_inverse(A, X, M):
-            continue
-        return InversionResult(matrix=X, stats=RunStats(
-            bb_apply_count=A.total_applications - base_count,
-            wall_time=time.perf_counter() - t0, retries=attempt, s=s, m=P.m,
-            bb_applies_last_attempt=A.total_applications - attempt_base))
-    if not certified:
-        _singular_certificate(A, cfg)
-    what = "inversion" if M is None else "apply-inverse"
-    raise RetriesExhausted(
-        f"{what} failed {cfg.max_retries} attempts without a singularity certificate")
+        return X if not cfg.verify or verify_inverse(A, X, M) else None
+
+    X, stats = run_attempts(A, cfg, attempt, certify=True, s=s, m=P.m)
+    return InversionResult(matrix=X, stats=stats)
+
+
+def run_attempts(A: BlackBoxOperator, cfg: InversionConfig, attempt,
+                 certify: bool, s: int = 0, m: int = 0):
+    """The Las Vegas policy of every pipeline; returns (answer, RunStats).
+
+    Up to ``cfg.max_retries`` calls ``attempt(rng)`` draw from one generator
+    seeded with ``cfg.seed``.  An attempt returns its answer, returns None
+    to retry, or raises HankelSingular or DegenerateSequence on a degenerate
+    projection.  That most often means that A itself is singular, when every
+    further attempt is doomed too; so with ``certify`` the first one runs
+    ``_singular_certificate`` at once, and a certified rank deficiency
+    propagates as SingularMatrix.  On a nonsingular A (an unlucky draw) the
+    certificate is cheap, 2n - 1 applications when its first estimate
+    succeeds, and the attempts go on; it never runs twice, and runs after
+    the last attempt when no projection degenerated.  When the attempts run
+    out, its FieldTooSmall is raised, else RetriesExhausted.  The stats
+    count the applications of A and report s and m as given."""
+    rng = np.random.default_rng(cfg.seed)
+    t0 = time.perf_counter()
+    base_count = A.total_applications
+    failure = None  # a FieldTooSmall of the certificate
+    for retry in range(cfg.max_retries):
+        attempt_base = A.total_applications
+        degenerate = False
+        try:
+            answer = attempt(rng)
+        except (HankelSingular, DegenerateSequence):
+            answer, degenerate = None, True
+        if answer is not None:
+            return answer, RunStats(
+                bb_apply_count=A.total_applications - base_count,
+                wall_time=time.perf_counter() - t0, retries=retry, s=s, m=m,
+                bb_applies_last_attempt=A.total_applications - attempt_base)
+        if certify and (degenerate or retry + 1 == cfg.max_retries):
+            certify = False  # at most once
+            try:
+                _singular_certificate(A, cfg)
+            except FieldTooSmall as exc:
+                failure = exc
+    raise failure or RetriesExhausted(
+        f"{cfg.max_retries} attempts failed without a certified answer")
 
 
 def _singular_certificate(A: BlackBoxOperator, cfg: InversionConfig) -> None:
-    """Try to prove A singular: a certified rank < n raises SingularMatrix
-    with a kernel vector; any other outcome returns."""
-    from .nullrank import rank_certificate  # local import; nullrank uses inverse
+    """Try to prove A singular with ``nullspace_rank`` on a seed derived
+    from ``cfg.seed``, its draws independent of the caller's: a certified
+    rank < n raises SingularMatrix with a kernel vector, and a FieldTooSmall
+    of its minor solve propagates; any other outcome returns."""
+    from .nullrank import nullspace_rank  # local import; nullrank uses inverse
 
     try:
-        cert = rank_certificate(A, cfg)
-    except (RetriesExhausted, FieldTooSmall):
+        cert = nullspace_rank(A, InversionConfig(
+            seed=cfg.seed + 0x9E3779B9, max_retries=cfg.max_retries))
+    except RetriesExhausted:
         return
-    if cert.rank < A.n and cert.nullspace.shape[1]:
+    if cert.rank < A.n:
         raise SingularMatrix(cert.nullspace[:, 0].copy())

@@ -10,18 +10,20 @@ the leading r x r minor builds n - r independent columns N with A N = 0
 (checked with n - r applications), so rank A <= r.  The right butterfly
 enters transposed: a forward network there loses the generic rank profile
 on inputs with structured dead columns.  Certificates are unconditional;
-estimation failures retry with fresh randomness.
+estimation failures retry with fresh randomness (``inverse.run_attempts``,
+without the singularity certificate, which is this function on a derived
+seed).
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RetriesExhausted, SingularMatrix
 from .field import matmul_mod
-from .inverse import InversionConfig, RunStats, blackbox_inverse_apply
+from .inverse import (InversionConfig, RunStats, blackbox_inverse_apply,
+                      run_attempts)
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, LeadingMinorOperator)
 
@@ -118,12 +120,9 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
     field = A.field
     p = field.p
     n = A.n
-    rng = np.random.default_rng(cfg.seed)
-    t0 = time.perf_counter()
-    base_count = A.total_applications
     sub_retries = max(2, cfg.max_retries // 2)
-    for attempt in range(cfg.max_retries):
-        attempt_base = A.total_applications
+
+    def attempt(rng):
         U = ButterflyOperator(n, field, rng)
         Vt = ButterflyOperator(n, field, rng).transpose()
         D = DiagonalOperator.random(n, field, rng)
@@ -131,11 +130,8 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
         f = wiedemann_minpoly(A_tilde, rng)
         sub_seed = int(rng.integers(0, 2**63 - 1))  # every attempt: fixed draw order
         if f[0] % p:
-            if len(f) - 1 == n:
-                # f is the characteristic polynomial and f(0) != 0
-                r, N = n, np.zeros((n, 0), dtype=np.int64)
-                break
-            continue
+            # deg f = n: f is the characteristic polynomial and f(0) != 0
+            return (n, np.zeros((n, 0), dtype=np.int64)) if len(f) - 1 == n else None
         r = len(f) - 2
         if r == 0:
             N_tilde = (p - 1) * np.eye(n, dtype=np.int64) % p
@@ -149,29 +145,15 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
                 W = blackbox_inverse_apply(A0, A1, InversionConfig(
                     seed=sub_seed, max_retries=sub_retries)).matrix
             except (RetriesExhausted, SingularMatrix):
-                continue
+                return None
             N_tilde = np.concatenate(
                 [W, (p - 1) * np.eye(n - r, dtype=np.int64) % p], axis=0)
         # Schur complement certificate: the whole product must vanish
         if np.any(A_tilde.apply_matrix(N_tilde)):
-            continue
+            return None
         N = Vt.apply_matrix(D.apply_matrix(N_tilde))
         # A N != 0 cannot happen for invertible U; kept as a hard assertion
-        if not np.any(A.apply_matrix(N)):
-            break
-    else:
-        raise RetriesExhausted(
-            f"rank/nullspace failed {cfg.max_retries} preconditioning attempts")
-    return RankCertificate(rank=r, nullspace=N, stats=RunStats(
-        bb_apply_count=A.total_applications - base_count,
-        wall_time=time.perf_counter() - t0, retries=attempt,
-        bb_applies_last_attempt=A.total_applications - attempt_base))
+        return None if np.any(A.apply_matrix(N)) else (r, N)
 
-
-def rank_certificate(A: BlackBoxOperator, cfg: InversionConfig) -> RankCertificate:
-    """``nullspace_rank`` of A on a seed derived from ``cfg.seed``: the
-    certificate the inverse and determinant pipelines fall back on, its
-    draws independent of their own."""
-    return nullspace_rank(A, InversionConfig(
-        seed=cfg.seed + 0x9E3779B9, max_retries=cfg.max_retries))
-
+    (r, N), stats = run_attempts(A, cfg, attempt, certify=False)
+    return RankCertificate(rank=r, nullspace=N, stats=stats)

@@ -253,27 +253,22 @@ class ButterflyOperator(BlackBoxOperator):
         p = field.p
         plan = []
         span = 1
+        i = np.arange(n)
         while span < n:
-            los, his = [], []
-            for block in range(0, n, 2 * span):
-                for i in range(block, min(block + span, n)):
-                    j = i + span
-                    if j < n:
-                        los.append(i)
-                        his.append(j)
-            if los:
-                k = len(los)
-                a = rng.integers(1, p, size=k, dtype=np.int64)
-                b = rng.integers(0, p, size=k, dtype=np.int64)
-                c = rng.integers(0, p, size=k, dtype=np.int64)
-                d = (1 + b * c % p) % p * field.inv_vec(a) % p
-                partner = np.arange(n)
-                partner[los], partner[his] = his, los
-                own = np.ones((n, 1), dtype=np.int64)
-                own[los, 0], own[his, 0] = a, d
-                other = np.zeros((n, 1), dtype=np.int64)
-                other[los, 0], other[his, 0] = b, c
-                plan.append((partner, own, other))
+            los = i[((i // span) % 2 == 0) & (i + span < n)]
+            his = los + span
+            k = len(los)
+            a = rng.integers(1, p, size=k, dtype=np.int64)
+            b = rng.integers(0, p, size=k, dtype=np.int64)
+            c = rng.integers(0, p, size=k, dtype=np.int64)
+            d = (1 + b * c % p) % p * field.inv_vec(a) % p
+            partner = i.copy()
+            partner[los], partner[his] = his, los
+            own = np.ones((n, 1), dtype=np.int64)
+            own[los, 0], own[his, 0] = a, d
+            other = np.zeros((n, 1), dtype=np.int64)
+            other[los, 0], other[his, 0] = b, c
+            plan.append((partner, own, other))
             span *= 2
         self._plans = [plan, None]
 

@@ -3,7 +3,9 @@ structure-exploiting products of block-Krylov matrices with dense blocks.
 
 Products with u never multiply by it: contracting with u.T is a fold of m row
 slices (additions only), expanding by u is a vertical tile, and
-Krylov-matrix products run through Horner-style operator applies.
+Krylov-matrix products run through operator applies to the whole block: a
+forward sweep that folds each iterate (the left product of A^{-1} M and the
+determinant's sequence) and a Horner sweep (the right product).
 """
 from __future__ import annotations
 
@@ -74,20 +76,19 @@ def krylov_apply_right(B: BlackBoxOperator, P: BlockProjection,
 
 
 def krylov_apply_left(B: BlackBoxOperator, P: BlockProjection,
-                      M: np.ndarray) -> np.ndarray:
-    """Stacked [u.T; u.T B; ...; u.T B^{m-1}] @ M, processing M in blocks of
-    s columns: per block, m-1 applications of B followed by u-contractions."""
+                      M: np.ndarray, terms: int | None = None) -> np.ndarray:
+    """Stacked [u.T; u.T B; ...; u.T B^{terms-1}] @ M (terms defaults to m):
+    terms - 1 applications of B to the whole block M, each iterate folded
+    by a u-contraction."""
     p = B.field.p
     M = reduce_mod(M, p)
     if M.shape[0] != P.n:
         raise DimensionError(f"expected {P.n} rows, got {M.shape[0]}")
-    s, m = P.s, P.m
-    k = M.shape[1]
-    out = np.zeros((P.n, k), dtype=np.int64)
-    for lo in range(0, k, s):
-        W = M[:, lo:lo + s]
-        out[:s, lo:lo + s] = u_contract(P, W, p)
-        for i in range(1, m):
-            W = B.apply_matrix(W)
-            out[i * s:(i + 1) * s, lo:lo + s] = u_contract(P, W, p)
+    s = P.s
+    terms = P.m if terms is None else terms
+    out = np.empty((terms * s, M.shape[1]), dtype=np.int64)
+    out[:s] = u_contract(P, M, p)
+    for i in range(1, terms):
+        M = B.apply_matrix(M)
+        out[i * s:(i + 1) * s] = u_contract(P, M, p)
     return out

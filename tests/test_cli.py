@@ -263,10 +263,16 @@ def test_empty_matrix_exits_3(tmp_path, command):
                                   ["rank", "--no-verify"],
                                   ["det", "--out", "d.mtx"],
                                   ["det", "--out", "d.mtx", "--no-verify"],
-                                  ["det", "--crt", "--no-verify"]])
+                                  ["det", "--crt", "--no-verify"],
+                                  ["rank", "--block-size", "2"],
+                                  ["nullspace", "--block-size", "2"],
+                                  ["det", "--crt", "--block-size", "2"],
+                                  ["det", "--crt", "--confirm", "1"]])
 def test_flags_are_accepted_only_where_read(tmp_path, monkeypatch, argv):
     # --out is read by invert, apply-inverse and nullspace, --no-verify by
-    # invert and apply-inverse; anywhere else they are usage errors
+    # invert and apply-inverse, --block-size by invert, apply-inverse and
+    # det without --crt, --confirm by det without --crt; anywhere else they
+    # are usage errors
     monkeypatch.chdir(tmp_path)
     src = write_coordinate(tmp_path / "diag.mtx", 3, [(i, i, i + 2) for i in range(3)])
     code, report = run_command(argv[:1] + [src] + argv[1:])

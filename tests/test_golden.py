@@ -13,7 +13,8 @@ import pytest
 from blackbox_linalg.cli import run_command
 
 N = 24
-COMMON = ["--block-size", "5", "--seed", "11"]
+SEED = ["--seed", "11"]
+COMMON = ["--block-size", "5"] + SEED  # nullspace and det --crt take SEED only
 DEAD_ROWS = (3, 17)  # emptied in the singular variant
 
 GOLDEN = {
@@ -76,7 +77,8 @@ def test_golden_output_files(inputs, tmp_path):
     got, applies = {}, {}
     for name, argv in runs.items():
         out = tmp_path / f"{name}.mtx"
-        code, report = run_command(argv + COMMON + ["--out", str(out)])
+        flags = SEED if name == "nullspace" else COMMON
+        code, report = run_command(argv + flags + ["--out", str(out)])
         assert code == 0, name
         got[name] = _sha(out)
         applies[name] = report.stats.bb_apply_count
@@ -86,10 +88,10 @@ def test_golden_output_files(inputs, tmp_path):
 
 def test_golden_determinants(inputs):
     got = {}
-    for name, argv in (("det", ["det", inputs["A"]]),
-                       ("det-singular", ["det", inputs["S"]]),
-                       ("det-crt", ["det", inputs["A"], "--crt"])):
-        code, report = run_command(argv + COMMON)
+    for name, argv in (("det", ["det", inputs["A"]] + COMMON),
+                       ("det-singular", ["det", inputs["S"]] + COMMON),
+                       ("det-crt", ["det", inputs["A"], "--crt"] + SEED)):
+        code, report = run_command(argv)
         assert code == 0, name
         got[name] = report.extra["det"]
     assert got == GOLDEN_DET

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import blackbox_linalg.determinant as determinant
 import blackbox_linalg.inverse as inverse
+import blackbox_linalg.nullrank as nullrank
 from blackbox_linalg import (DenseOperator, DiagonalOperator, InversionConfig,
                              PrimeField, blackbox_inverse,
-                             blackbox_inverse_apply, dense_inverse, matmul_mod,
-                             precondition, verify_inverse)
+                             blackbox_inverse_apply, dense_inverse, det_mod_p,
+                             matmul_mod, nullspace_rank, precondition,
+                             verify_inverse)
 from blackbox_linalg.cli import random_sparse_operator
-from blackbox_linalg.errors import (FieldTooSmall, HankelSingular,
-                                   RetriesExhausted, SingularMatrix)
+from blackbox_linalg.errors import (DegenerateSequence, FieldTooSmall,
+                                   HankelSingular, RetriesExhausted,
+                                   SingularMatrix)
 
 from _oracles import IdentityOperator, dense_rank, materialize, sparse_to_dense
 
@@ -163,15 +167,16 @@ def test_verify_inverse():
     assert not verify_inverse(A, X)
 
 
-def _counting(monkeypatch, module, name, log, fail=lambda call: False):
+def _counting(monkeypatch, module, name, log, fail=lambda call: False,
+              error=HankelSingular):
     """Replace ``module.name`` by a wrapper that appends each call's
-    arguments to ``log`` and raises HankelSingular where ``fail(call)``."""
+    arguments to ``log`` and raises ``error`` where ``fail(call)``."""
     inner = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         log.append(args)
         if fail(len(log)):
-            raise HankelSingular("forced")
+            raise error("forced")
         return inner(*args, **kwargs)
     monkeypatch.setattr(module, name, wrapper)
 
@@ -232,3 +237,46 @@ def test_all_attempts_fail_certificate_runs_once(monkeypatch, failure):
     with pytest.raises(RetriesExhausted):
         blackbox_inverse(A, InversionConfig(seed=0))
     assert len(certs) == 1
+
+
+@pytest.mark.parametrize("pipeline", ["inverse", "det"])
+def test_certificate_field_too_small_is_raised_once_attempts_run_out(
+        monkeypatch, pipeline):
+    # every projection degenerates and the certificate raises FieldTooSmall:
+    # both pipelines run it once, make every attempt, then raise its error
+    A = nonsingular_sparse(np.random.default_rng(86), 12, BIG)
+    tries, certs = [], []
+    if pipeline == "inverse":
+        _counting(monkeypatch, inverse, "hankel_inverse_rep", tries,
+                  fail=lambda call: True)
+        run = blackbox_inverse
+    else:
+        _counting(monkeypatch, determinant, "block_generator", tries,
+                  fail=lambda call: True, error=DegenerateSequence)
+        run = det_mod_p
+
+    def certificate(B, cfg):
+        certs.append(B.n)
+        raise FieldTooSmall(BIG.p, 2 * BIG.p)
+    monkeypatch.setattr(inverse, "_singular_certificate", certificate)
+    with pytest.raises(FieldTooSmall):
+        run(A, InversionConfig(seed=0, max_retries=3))
+    assert certs == [12]
+    assert len(tries) == 3
+
+
+def test_rank_retries_a_degenerate_attempt_without_certificate(monkeypatch):
+    # nullspace_rank is the certificate, so it never runs one; its stats
+    # count the failed attempt's 2n - 1 applications and the accepted one's
+    A = nonsingular_sparse(np.random.default_rng(87), 12, BIG)
+    _counting(monkeypatch, nullrank, "berlekamp_massey", [],
+              fail=lambda call: call == 1, error=DegenerateSequence)
+
+    def certificate(*args):
+        raise AssertionError("nullspace_rank ran the certificate")
+    monkeypatch.setattr(inverse, "_singular_certificate", certificate)
+    cert = nullspace_rank(A, InversionConfig(seed=0))
+    assert cert.rank == 12
+    stats = cert.stats
+    assert (stats.retries, stats.bb_applies_last_attempt,
+            stats.bb_apply_count) == (1, 23, 46)
