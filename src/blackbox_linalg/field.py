@@ -39,8 +39,9 @@ allocates no panel.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import threading
-from math import isqrt
 
 import numpy as np
 
@@ -106,7 +107,7 @@ class PrimeField:
 
     def inv_vec(self, a: np.ndarray) -> np.ndarray:
         """Elementwise inverse of a nonzero int64 array (Fermat ladder)."""
-        a = np.asarray(a, dtype=np.int64) % self.p
+        a = reduce_mod(a, self.p)
         if np.any(a == 0):
             raise NotInvertible("array contains zero")
         result = np.ones_like(a)
@@ -224,12 +225,12 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     elements; blocking the rows keeps the panels wide when A is tall.
     Entries must lie in (-2**31, 2**31); the result is in [0, p).
     """
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
+    A = as_int64(A, p)
+    B = as_int64(B, p)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise DimensionError(f"cannot multiply {A.shape} by {B.shape}")
     (r, k), c = A.shape, B.shape[1]
-    rows = max(1, min(r, isqrt(PANEL_ELEMENTS) // 2))
+    rows = max(1, min(r, math.isqrt(PANEL_ELEMENTS) // 2))
     width = max(1, PANEL_ELEMENTS // (2 * k + 4 * rows + 1))
     out = np.empty((r, c), dtype=np.int64)
     R = np.empty((2 * k, min(width, c)))
@@ -242,15 +243,63 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def as_int64(A, p: int) -> np.ndarray:
+    """A as an int64 array congruent to it mod p, converted exactly.
+
+    An int64 array is returned as it is: the only cost is a dtype test, so
+    the hot loops pay nothing.  Other integer arrays are widened (uint64 is
+    reduced first, so that nothing wraps).  Integral floats and Python
+    integers of any size are reduced mod p exactly: a float array by
+    ``np.fmod``, which is exact in floating point, and anything that numpy
+    would hold as objects, or as floats it rounded from Python integers,
+    one entry at a time.  A non-integral or non-finite entry, or one that
+    is not a number at all, raises ValueError: nothing is truncated."""
+    if isinstance(A, np.ndarray) and A.dtype == np.int64:
+        return A
+    arr = np.asarray(A)
+    kind = arr.dtype.kind
+    if kind == "u" and arr.dtype.itemsize == 8:
+        return (arr % np.uint64(p)).astype(np.int64)
+    if kind in "biu":
+        return arr.astype(np.int64)
+    if kind == "f" and arr is A and arr.dtype.itemsize <= 8:
+        x = arr.astype(np.float64, copy=False)
+        if not np.isfinite(x).all() or (x != np.trunc(x)).any():
+            raise ValueError("entries must be integers; got a non-integral "
+                             "or non-finite value")
+        return np.fmod(x, p).astype(np.int64)
+    if kind in "fO":
+        obj = np.array(A, dtype=object)
+        return np.array([_exact_int(x) % p for x in obj.flat],
+                        dtype=np.int64).reshape(obj.shape)
+    raise ValueError(f"entries must be integers, got dtype {arr.dtype}")
+
+
+def _exact_int(x) -> int:
+    """The Python integer equal to x; ValueError unless x is a finite
+    integral number."""
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    try:
+        v = math.floor(x)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None or v != x:
+        raise ValueError(f"entry {x!r} is not an integer")
+    return v
+
+
 def reduce_mod(A, p: int) -> np.ndarray:
     """Canonical residues in [0, p) as a new int64 array.
 
-    Computed as ``A - A // p * p`` by floor division, which numpy does
-    several times faster than its remainder.  It equals ``A % p`` for every
-    int64, negatives included: the floor quotient makes the true result lie
-    in [0, p), and the int64 product and difference wrap modulo 2**64, so
-    the result is exact even where ``A // p * p`` itself wraps."""
-    A = np.asarray(A, dtype=np.int64)
+    Any input goes through ``as_int64`` first, so non-integral entries
+    raise instead of being truncated.  The residues are computed as
+    ``A - A // p * p`` by floor division, which numpy does several times
+    faster than its remainder.  It equals ``A % p`` for every int64,
+    negatives included: the floor quotient makes the true result lie in
+    [0, p), and the int64 product and difference wrap modulo 2**64, so the
+    result is exact even where ``A // p * p`` itself wraps."""
+    A = as_int64(A, p)
     R = np.floor_divide(A, p, out=np.empty_like(A))
     R *= p
     return np.subtract(A, R, out=R)

@@ -143,8 +143,10 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
     Returns (M, degrees, E, snapshot): M is the first ``keep`` columns
     (default all ``rows``) of the basis, as (rows x keep x sigma+1), E the
     updated residual series (basis)*F (useful one coefficient past the order
-    for residues).  ``snapshot_at`` (below ``sigma``) captures (M, degrees,
-    E) copies after that many order steps, letting one run serve two orders.
+    for residues).  ``snapshot_at`` (below ``sigma``) captures copies of M,
+    the degrees and E's coefficient ``snapshot_at`` (rows x cols, the one
+    coefficient a caller reads there) after that many order steps, letting
+    one run serve two orders.
 
     Order step k eliminates on the constant term delta = E_k alone and
     records its row operations in a rows x rows transform T, then applies T
@@ -169,8 +171,7 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
     snapshot = None
     for k in range(sigma):
         if k == snapshot_at:
-            snapshot = (M.transpose(0, 2, 1).copy(), list(deg),
-                        E.transpose(0, 2, 1).copy())
+            snapshot = (M.transpose(0, 2, 1).copy(), list(deg), E[:, k, :].copy())
         # [delta | T]: the constant term and the row operations done on it
         DT = np.zeros((rows, cols + rows), dtype=np.int64)
         DT[:, :cols] = E[:, k, :]
@@ -239,7 +240,7 @@ def _pade_basis(alpha, s: int, p: int, ncoeff: int, sigma: int,
     Returns (M, degrees, E) of the s basis rows of least degree (ties by
     lowest index): M as (s x s x sigma+1), E as (s x s x ncoeff).  With
     ``snapshot_at`` a second triple follows, the same rows picked at that
-    order."""
+    order, with E's coefficient ``snapshot_at`` alone (s x s)."""
     F = _stacked_series(alpha, s, p, ncoeff)
     M, deg, E, snap = _mbasis(F, sigma, [0] * s + [1] * s, p, snapshot_at, keep=s)
     picked = []
@@ -274,7 +275,7 @@ def _pade_families(alpha, s: int, m: int, p: int):
                                                     snapshot_at=2 * m - 2)
         # q-family: order 2m-2, degree <= m-1, normalized by the residue
         # at x^{2m-2}; v-family: order 2m, degree <= m, by the constant term
-        q = _family(Mq, degq, m - 1, Eq[:, :, 2 * m - 2], p, "q")
+        q = _family(Mq, degq, m - 1, Eq, p, "q")
         v = _family(Mv, degv, m, Mv[:, :, 0], p, "v")
         out[side] = (q, v)
     (q_star, v_star), (q_t, v_t) = out["star"], out["plain"]

@@ -11,13 +11,21 @@ stacked-identity projection u.  Per attempt:
   1. one transposed sweep of (2m-1) s applications gives the Hankel blocks
      of H (and, for the inverse, K_l itself),
   2. the order-basis representation of H^{-1} (no applications),
-  3. the left product: for A^{-1} it is K_l from the sweep, for A^{-1} M
+  3. the left block: for A^{-1} it is K_l from the sweep, for A^{-1} M
      it is K_l (D U M) by a Krylov sweep of (m-1) k applications,
-  4. H^{-1} applied to it, then the Horner sweep for K_r ((m-1) k
-     applications),
-  5. the final map: D Z D U (one dense butterfly multiplication) for the
-     inverse, D Z for A^{-1} M,
-  6. verification A X = M (k applications) unless disabled.
+  4. Z = K_r H^{-1} (left block), one column panel of
+     ``PANEL_ELEMENTS // n`` columns at a time: H^{-1} applied to the
+     panel, then the Horner sweep for K_r ((m-1) k applications in all),
+     the result written back over the panel, so the left block's buffer
+     becomes Z,
+  5. the final map, in place in Z: D Z D U (two diagonal scalings and one
+     butterfly applied from the right) for the inverse, D Z for A^{-1} M,
+  6. verification A X = M (k applications) unless disabled, one column
+     panel at a time.
+
+Every step treats columns independently, so the panels change neither the
+answer nor the draws nor the application counts; the only n x n array of a
+full inverse is the answer itself, plus panel-sized scratch.
 
 Any internal degeneracy or a failed verification retries with completely
 fresh randomness; accepted answers are always exact.  ``run_attempts`` holds
@@ -34,7 +42,7 @@ import numpy as np
 
 from .errors import (DegenerateSequence, FieldTooSmall, HankelSingular,
                      RetriesExhausted, SingularMatrix)
-from .field import reduce_mod
+from .field import PANEL_ELEMENTS, reduce_in_place, reduce_mod
 from .hankel import build_hankel, hankel_inverse_apply, hankel_inverse_rep
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, EmbeddedOperator)
@@ -88,8 +96,9 @@ def field_size_bound(n: int, m: int) -> int:
 
 def precondition(A: BlackBoxOperator, s: int, rng):
     """B = D (U A) D plus the recipe turning a B-pipeline result back into
-    A^{-1} (two diagonal scalings and one dense butterfly multiplication,
-    O(n^2 log n) field operations).
+    A^{-1}: ``unwrap(Z)`` overwrites the n x n residue block Z with D Z D U
+    and returns it (two diagonal scalings and the transposed butterfly on
+    the rows of Z, O(n^2 log n) field operations, panel-sized scratch).
 
     Raises FieldTooSmall when p is below the 2 (m+1) n ceil(log2 n) bound."""
     n = A.n
@@ -106,9 +115,13 @@ def precondition(A: BlackBoxOperator, s: int, rng):
     B = ComposedOperator([D, U, A, D])
 
     def unwrap(Z: np.ndarray) -> np.ndarray:
-        p = field.p
-        W = D.d[:, None] * Z % p * D.d[None, :] % p
-        return U.apply_transpose_matrix(W.T).T.copy()
+        Z *= D.d[:, None]
+        reduce_in_place(Z, field.p)
+        Z *= D.d
+        reduce_in_place(Z, field.p)
+        # (D Z D) U = (U.T (D Z D).T).T
+        U.apply_transpose_in_place(Z.T)
+        return Z
 
     return B, D, U, unwrap
 
@@ -116,13 +129,26 @@ def precondition(A: BlackBoxOperator, s: int, rng):
 def verify_inverse(A: BlackBoxOperator, X: np.ndarray,
                    M: np.ndarray | None = None) -> bool:
     """True iff A X = M exactly (M defaults to the identity); costs one
-    application per column of X."""
-    X = reduce_mod(X, A.field.p)
-    if M is None:
-        M = np.eye(A.n, dtype=np.int64)
-    if X.shape != M.shape:
+    application per column of X, whatever the outcome.
+
+    A X is formed and compared one column panel of ``PANEL_ELEMENTS // n``
+    columns at a time, so nothing of the size of X is allocated."""
+    X = np.asarray(X)
+    n = A.n
+    if X.shape != ((n, n) if M is None else np.shape(M)):
         return False
-    return bool(np.array_equal(A.apply_matrix(X), M))
+    width = max(1, PANEL_ELEMENTS // max(n, 1))
+    ok = True
+    for lo in range(0, X.shape[1], width):
+        AX = A.apply_matrix(X[:, lo:lo + width])
+        if M is None:
+            # the identity's columns lo.. have their ones at rows lo..
+            cols = np.arange(AX.shape[1])
+            AX[lo + cols, cols] -= 1
+            ok &= not AX.any()
+        else:
+            ok &= bool(np.array_equal(AX, M[:, lo:lo + width]))
+    return ok
 
 
 def blackbox_inverse(A: BlackBoxOperator,
@@ -156,15 +182,23 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg):
     work = EmbeddedOperator(A, (n + s - 1) // s * s) if n % s else A
     P = BlockProjection(work.n, s)
     M_pad = None if M is None else np.pad(M, ((0, work.n - n), (0, 0)))
+    width = max(1, PANEL_ELEMENTS // work.n)
 
     def attempt(rng):
         B, D, U, unwrap = precondition(work, s, rng)
         H, Kl = build_hankel(B, P, keep_left=M is None)
         rep = hankel_inverse_rep(H, rng)
-        left = Kl if M is None else krylov_apply_left(
+        Z = Kl if M is None else krylov_apply_left(
             B, P, D.apply_matrix(U.apply_matrix(M_pad)))
-        Z = krylov_apply_right(B, P, hankel_inverse_apply(rep, left))
-        X = unwrap(Z)[:n, :n] if M is None else (D.d[:, None] * Z % p)[:n]
+        # each column panel of the left block is overwritten by its Z
+        for lo in range(0, Z.shape[1], width):
+            panel = Z[:, lo:lo + width]
+            panel[...] = krylov_apply_right(B, P, hankel_inverse_apply(rep, panel))
+        if M is None:
+            X = unwrap(Z)[:n, :n]
+        else:
+            Z *= D.d[:, None]
+            X = reduce_in_place(Z, p)[:n]
         return X if not cfg.verify or verify_inverse(A, X, M) else None
 
     X, stats = run_attempts(A, cfg, attempt, certify=True, s=s, m=P.m)

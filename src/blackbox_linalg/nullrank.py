@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RetriesExhausted, SingularMatrix
-from .field import matmul_mod
+from .field import matmul_mod, reduce_mod
 from .inverse import (InversionConfig, RunStats, blackbox_inverse_apply,
                       run_attempts)
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
@@ -40,7 +40,7 @@ def berlekamp_massey(seq, p: int) -> np.ndarray:
     polynomials C and B are int64 arrays with room for degree len(seq);
     each discrepancy is one dot of C with the reversed window, every
     product reduced before the sum, and each update one slice."""
-    a = np.array([int(x) % p for x in seq], dtype=np.int64)
+    a = reduce_mod(seq, p)
     N = len(a)
     rev = a[::-1]  # a[i-1], ..., a[i-L] is rev[N-i:N-i+L]
     C = np.zeros(N + 1, dtype=np.int64)

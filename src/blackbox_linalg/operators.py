@@ -130,7 +130,7 @@ class SparseOperator(BlackBoxOperator):
         p = field.p
         rows = np.array([t[0] for t in triples], dtype=np.int64)
         cols = np.array([t[1] for t in triples], dtype=np.int64)
-        vals = np.array([t[2] for t in triples], dtype=np.int64) % p
+        vals = reduce_mod([t[2] for t in triples], p)
         if len(rows) and (rows.min() < 0 or rows.max() >= n
                           or cols.min() < 0 or cols.max() >= n):
             raise DimensionError("triple index out of range")
@@ -245,7 +245,9 @@ class ButterflyOperator(BlackBoxOperator):
 
     The block is processed in column panels of at most
     ``PANEL_ELEMENTS // n`` columns, each copied into a reused contiguous
-    buffer and taken through every stage while it is in cache.
+    buffer and taken through every stage while it is in cache.  A panel is
+    read whole before its result is written, so the output may be the input
+    itself (``apply_transpose_in_place``).
     """
 
     def __init__(self, n: int, field: PrimeField, rng):
@@ -289,14 +291,28 @@ class ButterflyOperator(BlackBoxOperator):
                                  for partner, own, other in reversed(self._plans[False])]
         return self._plans[transposed]
 
-    def _apply_block(self, V, transposed):
+    def apply_transpose_in_place(self, V: np.ndarray) -> np.ndarray:
+        """V <- U.T V in place, and return V.
+
+        V is an n x k block of residues of any strides, so
+        ``apply_transpose_in_place(X.T)`` multiplies X by U from the right
+        without a transposed copy.  Counts k transposed applications;
+        allocates two panels, nothing of the size of V."""
+        if V.shape[0] != self.n:
+            raise DimensionError(f"operand has {V.shape[0]} rows, operator is {self.n}")
+        self._apply_block(V, True, out=V)
+        self._count(V.shape[1], True)
+        return V
+
+    def _apply_block(self, V, transposed, out=None):
         n, k = V.shape
         plan = self._plan(transposed)
+        out = np.empty((n, k), dtype=np.int64) if out is None else out
         if not plan:
-            return V.copy()
+            out[...] = V
+            return out
         p = self.field.p
         width = max(1, min(k, PANEL_ELEMENTS // n))
-        out = np.empty((n, k), dtype=np.int64)
         work = np.empty(n * width, dtype=np.int64)
         gathered = np.empty(n * width, dtype=np.int64)
         for lo in range(0, k, width):

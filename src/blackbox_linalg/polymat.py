@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .field import PANEL_ELEMENTS, left_limbs, limb_product, right_limbs
+from .field import (PANEL_ELEMENTS, as_int64, left_limbs, limb_product,
+                    right_limbs)
 
 
 def polymat_mul(F: np.ndarray, G: np.ndarray, p: int, lo: int = 0,
@@ -31,8 +32,8 @@ def polymat_mul(F: np.ndarray, G: np.ndarray, p: int, lo: int = 0,
     column slice of the first and one row slice of the second.  Nothing of
     the size of G is copied.
     """
-    F = np.asarray(F, dtype=np.int64)
-    G = np.asarray(G, dtype=np.int64)
+    F = as_int64(F, p)
+    G = as_int64(G, p)
     df, r, c = F.shape
     dg, c2, k = G.shape
     if c != c2:

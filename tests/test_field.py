@@ -203,3 +203,34 @@ def test_reduce_mod_matches_python_remainder():
         block = values.reshape(-1, 10).copy()
         assert reduce_in_place(block, p) is block
         assert block.ravel().tolist() == expect
+
+
+def test_reduce_mod_converts_exactly_or_raises():
+    # int64 arrays pass as they are; integral floats and Python integers of
+    # any size are reduced exactly; fractional or non-finite entries raise
+    # (they were truncated, and 10**30 overflowed)
+    p = 7
+    V = np.array([3, -4], dtype=np.int64)
+    assert field.as_int64(V, p) is V
+    for bad in ([2.9, -0.5, 1e300], [0.5], np.array([1.7, 2.0]),
+                np.array([np.inf]), [float("nan")], np.array([1 + 1j]), ["3"]):
+        with pytest.raises(ValueError):
+            reduce_mod(bad, p)
+    big = [10**30, -10**30, 2**63 + 1, 2**64 - 1]
+    assert reduce_mod(big, p).tolist() == [x % p for x in big]
+    assert reduce_mod([1, 2**63 + 1], p).tolist() == [1, (2**63 + 1) % p]
+    floats = np.array([1e300, -1e300, -0.0, 2.0**62, -3.0])
+    assert reduce_mod(floats, p).tolist() == [int(x) % p for x in floats]
+    assert reduce_mod(floats[2:].astype(np.float32), 2147483629).tolist() == [
+        0, 2**62 % 2147483629, 2147483626]
+    assert reduce_mod(np.array([2**64 - 1], dtype=np.uint64), p).tolist() == [
+        (2**64 - 1) % p]
+    assert reduce_mod(np.array([[True, False]]), p).tolist() == [[1, 0]]
+    assert reduce_mod([], p).shape == (0,)
+    M = reduce_mod(np.array([[2.0, 1e20], [-1.0, 0.0]]), 2147483629)
+    assert M.dtype == np.int64 and M.tolist() == [
+        [2, 10**20 % 2147483629], [2147483628, 0]]
+    with pytest.raises(ValueError):
+        matmul_mod(np.array([[0.5]]), np.array([[1]]), p)
+    with pytest.raises(ValueError):
+        PrimeField(p).inv_vec([1.5])

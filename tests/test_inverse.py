@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from blackbox_linalg.cli import random_sparse_operator
 from blackbox_linalg.errors import (DegenerateSequence, FieldTooSmall,
                                    HankelSingular, RetriesExhausted,
                                    SingularMatrix)
+from blackbox_linalg.hankel import (build_hankel, hankel_inverse_apply,
+                                    hankel_inverse_rep)
+from blackbox_linalg.projection import BlockProjection, krylov_apply_right
 
 from _oracles import IdentityOperator, dense_rank, materialize, sparse_to_dense
 
@@ -165,6 +170,108 @@ def test_verify_inverse():
     assert A.apply_count - before == 8  # exactly n applications
     X[3, 5] = (X[3, 5] + 1) % BIG.p
     assert not verify_inverse(A, X)
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("panel", ["first", "last"])
+def test_verify_inverse_checks_every_panel(monkeypatch, where, panel):
+    # panels of 4 columns split n = 18 into five (the last one ragged); a
+    # diagonal A makes a wrong entry of X a wrong entry of A X at the same
+    # place.  An identity check costs exactly n applications, made in
+    # panel-wide blocks, whatever its outcome
+    field = PrimeField(10007)
+    n = 18
+    monkeypatch.setattr(inverse, "PANEL_ELEMENTS", 4 * n)
+    d = np.arange(2, n + 2, dtype=np.int64)
+    A = DiagonalOperator(d, field)
+    X = np.diag([field.inv(int(x)) for x in d]).astype(np.int64)
+    widths = []
+    apply_matrix = A.apply_matrix
+
+    def logged(V):
+        widths.append(V.shape[1])
+        return apply_matrix(V)
+    monkeypatch.setattr(A, "apply_matrix", logged)
+    assert verify_inverse(A, X)
+    assert widths == [4, 4, 4, 4, 2]
+    col = {"first": 1, "last": n - 1}[panel]
+    row = col if where == "diagonal" else (col + 5) % n
+    X[row, col] = (X[row, col] + 1) % field.p
+    before = A.apply_count
+    assert not verify_inverse(A, X)
+    assert A.apply_count - before == n
+    M = np.arange(n * 3, dtype=np.int64).reshape(n, 3)
+    Y = matmul_mod(np.diag([field.inv(int(x)) for x in d]), M, field.p)
+    assert verify_inverse(A, Y, M)
+    Y[row, 0] += 1
+    assert not verify_inverse(A, Y, M)
+    assert not verify_inverse(A, X[:, :-1])
+
+
+def test_panel_steps_equal_the_whole_block_on_strided_columns():
+    # H^{-1} and the Horner sweep treat columns independently: a strided
+    # column slice gives those columns of the whole-block result, and
+    # neither step writes to its input
+    rng = np.random.default_rng(88)
+    A = nonsingular_sparse(rng, 24, BIG)
+    P = BlockProjection(24, 4)
+    B, D, U, unwrap = precondition(A, 4, rng)
+    H, _ = build_hankel(B, P)
+    rep = hankel_inverse_rep(H, rng)
+    V = rng.integers(0, BIG.p, size=(24, 17), dtype=np.int64)
+    keep = V.copy()
+    for step in (lambda W: hankel_inverse_apply(rep, W),
+                 lambda W: krylov_apply_right(B, P, W)):
+        whole = step(V)
+        for cols in (np.s_[2:15:3], np.s_[16:], np.s_[::-5]):
+            assert np.array_equal(step(V[:, cols]), whole[:, cols])
+        assert np.array_equal(V, keep)
+
+
+def test_unwrap_overwrites_its_block_with_dzdu():
+    rng = np.random.default_rng(89)
+    n, p = 12, BIG.p
+    A = nonsingular_sparse(rng, n, BIG)
+    B, D, U, unwrap = precondition(A, 4, rng)
+    Z = rng.integers(0, p, size=(n, n), dtype=np.int64)
+    expect = matmul_mod(matmul_mod(np.diag(D.d), matmul_mod(
+        Z, np.diag(D.d), p), p), materialize(U), p)
+    assert unwrap(Z) is Z
+    assert np.array_equal(Z, expect)
+
+
+def test_inverse_memory_is_the_answer_plus_panels():
+    # n = 512 pads to 529 (auto s = 23): the traced peak of one full
+    # inverse stays within 4 n^2 int64 plus 2 MiB (the whole-block pipeline
+    # needed 7.9 n^2)
+    rng = np.random.default_rng(90)
+    n = 512
+    A = random_sparse_operator(n, 5, BIG, rng)
+    tracemalloc.start()
+    try:
+        res = blackbox_inverse(A, InversionConfig(seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.stats.s, res.stats.m, res.stats.retries) == (23, 23, 0)
+    assert peak <= 4 * n * n * 8 + 2 * 2**20
+    assert np.array_equal(A.apply_matrix(res.matrix[:, :5]),
+                          np.eye(n, 5, dtype=np.int64))
+
+
+def test_apply_inverse_rejects_non_integral_rhs():
+    # a right-hand side of 1.7 was solved as ones, and 0.5 as zeros
+    rng = np.random.default_rng(91)
+    A = nonsingular_sparse(rng, 12, BIG)
+    for value in (1.7, 0.5, np.nan):
+        with pytest.raises(ValueError):
+            blackbox_inverse_apply(A, np.full((12, 2), value))
+    exact = blackbox_inverse_apply(A, np.full(12, 3), InversionConfig(seed=0))
+    floats = blackbox_inverse_apply(A, np.full(12, 3.0), InversionConfig(seed=0))
+    huge = blackbox_inverse_apply(A, [3 + 10**30 * BIG.p] * 12,
+                                  InversionConfig(seed=0))
+    assert np.array_equal(floats.matrix, exact.matrix)
+    assert np.array_equal(huge.matrix, exact.matrix)
 
 
 def _counting(monkeypatch, module, name, log, fail=lambda call: False,

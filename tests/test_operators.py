@@ -119,6 +119,46 @@ def test_butterfly_matches_gather_scatter_reference(n, width, seed):
                                   butterfly_reference(op, V, transposed))
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(st.integers(1, 70), st.sampled_from((64, 529))),
+       st.sampled_from(("one", "ragged")), st.integers(0, 2**32 - 1))
+def test_butterfly_transpose_in_place_matches_reference(n, width, seed):
+    # in place on a block and on the transposed view of a row-major block
+    # (what multiplies by U from the right): the reference's result, k
+    # applications counted, and the block itself returned
+    rng = np.random.default_rng(seed)
+    big = PrimeField(2147483629)
+    k = {"one": 1, "ragged": PANEL_ELEMENTS // n + 5}[width]
+    B = ButterflyOperator(n, big, rng)
+    V = rng.integers(0, big.p, size=(n, k), dtype=np.int64)
+    expect = butterfly_reference(B, V, True)
+    W = V.copy()
+    assert B.apply_transpose_in_place(W) is W
+    assert np.array_equal(W, expect)
+    X = V.T.copy()
+    Y = X.T
+    assert B.apply_transpose_in_place(Y) is Y
+    assert np.array_equal(X.T, expect)
+    assert B.transpose_apply_count == 2 * k and B.apply_count == 0
+    with pytest.raises(DimensionError):
+        B.apply_transpose_in_place(np.zeros((n + 1, 2), dtype=np.int64))
+
+
+def test_operators_reject_non_integral_entries():
+    # values are converted exactly: integral floats and big Python integers
+    # are reduced, a fractional entry raises instead of being truncated
+    with pytest.raises(ValueError):
+        SparseOperator(2, [(0, 0, 1.7), (1, 1, 1)], F)
+    with pytest.raises(ValueError):
+        DenseOperator([[1.5, 0], [0, 1]], F)
+    with pytest.raises(ValueError):
+        DenseOperator(np.array([[np.nan, 0], [0, 1]]), F)
+    S = SparseOperator(2, [(0, 0, 10**30), (1, 1, 3.0), (0, 1, -10**30)], F)
+    assert S.vals.tolist() == [10**30 % P, 3, -10**30 % P]
+    D = DenseOperator([[10**30, 2.0], [0, -1]], F)
+    assert D.matrix.tolist() == [[10**30 % P, 2], [0, P - 1]]
+
+
 def _peak_over_output(apply, V):
     tracemalloc.start()
     try:
