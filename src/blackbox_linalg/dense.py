@@ -16,10 +16,6 @@ from .errors import DimensionError, Singular
 from .field import reduce_mod
 
 
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
-
-
 def _inv_scalar(a: int, p: int) -> int:
     return pow(int(a), -1, p)
 
@@ -31,7 +27,7 @@ def dense_inverse(M: np.ndarray, p: int) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected square matrix, got {M.shape}")
     n = M.shape[0]
-    A = np.concatenate([M, identity(n)], axis=1)
+    A = np.concatenate([M, np.eye(n, dtype=np.int64)], axis=1)
     for col in range(n):
         sub = A[col:, col]
         nz = np.nonzero(sub)[0]

@@ -270,12 +270,12 @@ def as_int64(A, p: int) -> np.ndarray:
         return np.fmod(x, p).astype(np.int64)
     if kind in "fO":
         obj = np.array(A, dtype=object)
-        return np.array([_exact_int(x) % p for x in obj.flat],
+        return np.array([exact_int(x) % p for x in obj.flat],
                         dtype=np.int64).reshape(obj.shape)
     raise ValueError(f"entries must be integers, got dtype {arr.dtype}")
 
 
-def _exact_int(x) -> int:
+def exact_int(x) -> int:
     """The Python integer equal to x; ValueError unless x is a finite
     integral number."""
     if isinstance(x, numbers.Integral):

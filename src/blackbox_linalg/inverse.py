@@ -11,21 +11,21 @@ stacked-identity projection u.  Per attempt:
   1. one transposed sweep of (2m-1) s applications gives the Hankel blocks
      of H (and, for the inverse, K_l itself),
   2. the order-basis representation of H^{-1} (no applications),
-  3. the left block: for A^{-1} it is K_l from the sweep, for A^{-1} M
-     it is K_l (D U M) by a Krylov sweep of (m-1) k applications,
-  4. Z = K_r H^{-1} (left block), one column panel of
-     ``PANEL_ELEMENTS // n`` columns at a time: H^{-1} applied to the
-     panel, then the Horner sweep for K_r ((m-1) k applications in all),
-     the result written back over the panel, so the left block's buffer
-     becomes Z,
-  5. the final map, in place in Z: D Z D U (two diagonal scalings and one
-     butterfly applied from the right) for the inverse, D Z for A^{-1} M,
+  3. the left block, the one step where the two differ: for A^{-1}, K_l D U
+     made in place from the sweep's K_l (a column scaling and a butterfly
+     from the right); for A^{-1} M, the answer buffer starts as M padded to
+     n rows, and each column panel of it gives its own K_l (D U panel) by a
+     Krylov sweep ((m-1) k applications in all),
+  4. Z = K_r H^{-1} (left block), one column panel of ``PANEL_ELEMENTS // n``
+     columns at a time: H^{-1}, then the Horner sweep for K_r ((m-1) k
+     applications in all), the result written back over the panel,
+  5. the one final map of both, in place: D Z, then its leading n x k block,
   6. verification A X = M (k applications) unless disabled, one column
      panel at a time.
 
 Every step treats columns independently, so the panels change neither the
-answer nor the draws nor the application counts; the only n x n array of a
-full inverse is the answer itself, plus panel-sized scratch.
+answer nor the draws nor the application counts; the only n x k array of
+either, besides M, is the answer itself, plus panel-sized scratch.
 
 Any internal degeneracy or a failed verification retries with completely
 fresh randomness; accepted answers are always exact.  ``run_attempts`` holds
@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSequence, FieldTooSmall, HankelSingular,
-                     RetriesExhausted, SingularMatrix)
-from .field import PANEL_ELEMENTS, reduce_in_place, reduce_mod
+from .errors import (DegenerateSequence, DimensionError, FieldTooSmall,
+                     HankelSingular, RetriesExhausted, SingularMatrix)
+from .field import PANEL_ELEMENTS, as_int64, reduce_in_place, reduce_mod
 from .hankel import build_hankel, hankel_inverse_apply, hankel_inverse_rep
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, EmbeddedOperator)
@@ -95,10 +95,10 @@ def field_size_bound(n: int, m: int) -> int:
 
 
 def precondition(A: BlackBoxOperator, s: int, rng):
-    """B = D (U A) D plus the recipe turning a B-pipeline result back into
-    A^{-1}: ``unwrap(Z)`` overwrites the n x n residue block Z with D Z D U
-    and returns it (two diagonal scalings and the transposed butterfly on
-    the rows of Z, O(n^2 log n) field operations, panel-sized scratch).
+    """B = D (U A) D, its factors D and U, and the final map of both entry
+    points: ``unwrap(Z)`` overwrites the n x k residue block
+    Z = K_r H^{-1} K_l D U M with D Z = A^{-1} M and returns it (one row
+    scaling in place; the left block carries D U already).
 
     Raises FieldTooSmall when p is below the 2 (m+1) n ceil(log2 n) bound."""
     n = A.n
@@ -116,19 +116,14 @@ def precondition(A: BlackBoxOperator, s: int, rng):
 
     def unwrap(Z: np.ndarray) -> np.ndarray:
         Z *= D.d[:, None]
-        reduce_in_place(Z, field.p)
-        Z *= D.d
-        reduce_in_place(Z, field.p)
-        # (D Z D) U = (U.T (D Z D).T).T
-        U.apply_transpose_in_place(Z.T)
-        return Z
+        return reduce_in_place(Z, field.p)
 
     return B, D, U, unwrap
 
 
 def verify_inverse(A: BlackBoxOperator, X: np.ndarray,
                    M: np.ndarray | None = None) -> bool:
-    """True iff A X = M exactly (M defaults to the identity); costs one
+    """True iff A X = M mod p (M defaults to the identity); costs one
     application per column of X, whatever the outcome.
 
     A X is formed and compared one column panel of ``PANEL_ELEMENTS // n``
@@ -147,7 +142,7 @@ def verify_inverse(A: BlackBoxOperator, X: np.ndarray,
             AX[lo + cols, cols] -= 1
             ok &= not AX.any()
         else:
-            ok &= bool(np.array_equal(AX, M[:, lo:lo + width]))
+            ok &= bool(np.array_equal(AX, reduce_mod(M[:, lo:lo + width], A.field.p)))
     return ok
 
 
@@ -162,11 +157,11 @@ def blackbox_inverse(A: BlackBoxOperator,
 
 def blackbox_inverse_apply(A: BlackBoxOperator, M: np.ndarray,
                            cfg: InversionConfig | None = None) -> InversionResult:
-    """A^{-1} M without materializing A^{-1} (M may be a vector); raises
-    like blackbox_inverse."""
-    M = reduce_mod(M, A.field.p)
-    if M.shape[0] != A.n:
-        raise ValueError(f"M has {M.shape[0]} rows, operator is {A.n}")
+    """A^{-1} M without materializing A^{-1} (M may be a vector; its only
+    whole copy is the answer buffer); raises like blackbox_inverse."""
+    M = as_int64(M, A.field.p)
+    if M.ndim not in (1, 2) or M.shape[0] != A.n:
+        raise DimensionError(f"M has shape {M.shape}, operator is {A.n} x {A.n}")
     res = _solve(A, M[:, None] if M.ndim == 1 else M, cfg)
     res.matrix = res.matrix.reshape(M.shape)
     return res
@@ -174,31 +169,32 @@ def blackbox_inverse_apply(A: BlackBoxOperator, M: np.ndarray,
 
 def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg):
     """Both entry points, one attempt body under ``run_attempts``: A^{-1}
-    when M is None, else A^{-1} M for a reduced n x k block M."""
+    when M is None, else A^{-1} M for an int64 n x k block M."""
     cfg = cfg or InversionConfig()
-    p = A.field.p
     n = A.n
     s = cfg.block_size(n)
     work = EmbeddedOperator(A, (n + s - 1) // s * s) if n % s else A
     P = BlockProjection(work.n, s)
-    M_pad = None if M is None else np.pad(M, ((0, work.n - n), (0, 0)))
+    k = n if M is None else M.shape[1]
     width = max(1, PANEL_ELEMENTS // work.n)
 
     def attempt(rng):
         B, D, U, unwrap = precondition(work, s, rng)
         H, Kl = build_hankel(B, P, keep_left=M is None)
         rep = hankel_inverse_rep(H, rng)
-        Z = Kl if M is None else krylov_apply_left(
-            B, P, D.apply_matrix(U.apply_matrix(M_pad)))
-        # each column panel of the left block is overwritten by its Z
+        if M is None:
+            # K_l D U in place: (K_l D) U = (U.T (K_l D).T).T
+            Kl *= D.d
+            Z = U.apply_transpose_in_place(reduce_in_place(Kl, A.field.p).T).T
+            left = lambda V: V
+        else:
+            Z = reduce_in_place(np.pad(M, ((0, work.n - n), (0, 0))), A.field.p)
+            left = lambda V: krylov_apply_left(B, P, D.apply_matrix(U.apply_matrix(V)))
+        # each column panel of Z is overwritten by K_r H^{-1} (its left block)
         for lo in range(0, Z.shape[1], width):
             panel = Z[:, lo:lo + width]
-            panel[...] = krylov_apply_right(B, P, hankel_inverse_apply(rep, panel))
-        if M is None:
-            X = unwrap(Z)[:n, :n]
-        else:
-            Z *= D.d[:, None]
-            X = reduce_in_place(Z, p)[:n]
+            panel[...] = krylov_apply_right(B, P, hankel_inverse_apply(rep, left(panel)))
+        X = unwrap(Z)[:n, :k]
         return X if not cfg.verify or verify_inverse(A, X, M) else None
 
     X, stats = run_attempts(A, cfg, attempt, certify=True, s=s, m=P.m)

@@ -26,8 +26,8 @@ import threading
 import numpy as np
 
 from .errors import DimensionError
-from .field import (PANEL_ELEMENTS, PrimeField, matmul_mod, reduce_in_place,
-                    reduce_mod, thread_buffers)
+from .field import (PANEL_ELEMENTS, PrimeField, exact_int, matmul_mod,
+                    reduce_in_place, reduce_mod, thread_buffers)
 
 # the sparse apply's products and quotients, shared by every SparseOperator
 _sparse_buffers = threading.local()
@@ -122,18 +122,25 @@ class DenseOperator(BlackBoxOperator):
         return matmul_mod(M, V, self.field.p)
 
 
+def _indices(seq, n: int) -> np.ndarray:
+    """Exact integer indices in [0, n) as int64 (one array pass for int64
+    ints); ValueError for a non-integral one, DimensionError out of range."""
+    idx = np.asarray(seq)
+    if idx.dtype.kind not in "iu":
+        idx = np.array([exact_int(x) for x in seq], dtype=object)
+    if len(idx) and (idx.min() < 0 or idx.max() >= n):
+        raise DimensionError("triple index out of range")
+    return idx.astype(np.int64)
+
+
 class SparseOperator(BlackBoxOperator):
     """Coordinate-format sparse matrix; apply cost proportional to nnz."""
 
     def __init__(self, n: int, triples, field: PrimeField):
         super().__init__(n, field)
-        p = field.p
-        rows = np.array([t[0] for t in triples], dtype=np.int64)
-        cols = np.array([t[1] for t in triples], dtype=np.int64)
-        vals = reduce_mod([t[2] for t in triples], p)
-        if len(rows) and (rows.min() < 0 or rows.max() >= n
-                          or cols.min() < 0 or cols.max() >= n):
-            raise DimensionError("triple index out of range")
+        rows = _indices([t[0] for t in triples], n)
+        cols = _indices([t[1] for t in triples], n)
+        vals = reduce_mod([t[2] for t in triples], field.p)
         if np.any(vals == 0):
             raise ValueError("explicit zero value in sparse triples")
         keys = rows * n + cols

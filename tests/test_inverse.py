@@ -12,9 +12,9 @@ from blackbox_linalg import (DenseOperator, DiagonalOperator, InversionConfig,
                              matmul_mod, nullspace_rank, precondition,
                              verify_inverse)
 from blackbox_linalg.cli import random_sparse_operator
-from blackbox_linalg.errors import (DegenerateSequence, FieldTooSmall,
-                                   HankelSingular, RetriesExhausted,
-                                   SingularMatrix)
+from blackbox_linalg.errors import (DegenerateSequence, DimensionError,
+                                   FieldTooSmall, HankelSingular,
+                                   RetriesExhausted, SingularMatrix)
 from blackbox_linalg.hankel import (build_hankel, hankel_inverse_apply,
                                     hankel_inverse_rep)
 from blackbox_linalg.projection import BlockProjection, krylov_apply_right
@@ -134,12 +134,14 @@ def test_apply_inverse_zero_rhs():
 
 
 def test_apply_inverse_identity_consistency():
+    # n = 13 pads to 16 (auto s = 4): M = I gives the inverse byte for byte
     rng = np.random.default_rng(79)
-    A = nonsingular_sparse(rng, 12, BIG)
-    cfg = InversionConfig(seed=5)
-    r1 = blackbox_inverse(A, cfg)
-    r2 = blackbox_inverse_apply(A, np.eye(12, dtype=np.int64), cfg)
-    assert np.array_equal(r1.matrix, r2.matrix)
+    for n in (12, 13):
+        A = nonsingular_sparse(rng, n, BIG)
+        cfg = InversionConfig(seed=5)
+        r1 = blackbox_inverse(A, cfg)
+        r2 = blackbox_inverse_apply(A, np.eye(n, dtype=np.int64), cfg)
+        assert np.array_equal(r1.matrix, r2.matrix)
 
 
 def test_apply_inverse_random_rhs():
@@ -228,16 +230,18 @@ def test_panel_steps_equal_the_whole_block_on_strided_columns():
         assert np.array_equal(V, keep)
 
 
-def test_unwrap_overwrites_its_block_with_dzdu():
+def test_unwrap_overwrites_its_block_with_dz():
+    # the final map of both entry points: the left block carries D U, so
+    # only the row scaling by D is left, on an n x k block of any width
     rng = np.random.default_rng(89)
     n, p = 12, BIG.p
     A = nonsingular_sparse(rng, n, BIG)
     B, D, U, unwrap = precondition(A, 4, rng)
-    Z = rng.integers(0, p, size=(n, n), dtype=np.int64)
-    expect = matmul_mod(matmul_mod(np.diag(D.d), matmul_mod(
-        Z, np.diag(D.d), p), p), materialize(U), p)
-    assert unwrap(Z) is Z
-    assert np.array_equal(Z, expect)
+    for k in (n, 5):
+        Z = rng.integers(0, p, size=(n, k), dtype=np.int64)
+        expect = matmul_mod(np.diag(D.d), Z, p)
+        assert unwrap(Z) is Z
+        assert np.array_equal(Z, expect)
 
 
 def test_inverse_memory_is_the_answer_plus_panels():
@@ -257,6 +261,65 @@ def test_inverse_memory_is_the_answer_plus_panels():
     assert peak <= 4 * n * n * 8 + 2 * 2**20
     assert np.array_equal(A.apply_matrix(res.matrix[:, :5]),
                           np.eye(n, 5, dtype=np.int64))
+
+
+def test_apply_inverse_memory_is_the_answer_plus_panels():
+    # n = k = 512 pads to 529 (auto s = 23): the traced peak of one A^{-1} M
+    # stays within 4 n k int64 plus 2 MiB, like the full inverse (sweeping
+    # D U M as one block needed 8.6 n k)
+    rng = np.random.default_rng(92)
+    n = 512
+    A = random_sparse_operator(n, 5, BIG, rng)
+    M = rng.integers(0, BIG.p, size=(n, n), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        res = blackbox_inverse_apply(A, M, InversionConfig(seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.stats.s, res.stats.m, res.stats.retries) == (23, 23, 0)
+    assert peak <= 4 * n * n * 8 + 2 * 2**20
+    assert np.array_equal(A.apply_matrix(res.matrix[:, :5]), M[:, :5])
+
+
+def test_apply_inverse_sweeps_each_panel_from_m(monkeypatch):
+    # n = 10 pads to 12 (s = 4) and panels of 3 columns split k = 8 into
+    # three: each panel gets its own left Krylov sweep, and the answer is
+    # that of one whole-block panel, the dense oracle's and A^{-1} @ M
+    rng = np.random.default_rng(93)
+    n, k, p = 10, 8, BIG.p
+    A = nonsingular_sparse(rng, n, BIG)
+    M = rng.integers(-p, 2 * p, size=(n, k), dtype=np.int64)
+    M_keep = M.copy()
+    cfg = InversionConfig(s=4, seed=3)
+    whole = blackbox_inverse_apply(A, M, cfg)
+    widths = []
+    sweep = inverse.krylov_apply_left
+
+    def logged(B, P, V):
+        widths.append(V.shape)
+        return sweep(B, P, V)
+    monkeypatch.setattr(inverse, "krylov_apply_left", logged)
+    monkeypatch.setattr(inverse, "PANEL_ELEMENTS", 3 * 12)
+    res = blackbox_inverse_apply(A, M, cfg)
+    assert widths == [(12, 3), (12, 3), (12, 2)] * (res.stats.retries + 1)
+    assert np.array_equal(M, M_keep)
+    assert np.array_equal(res.matrix, whole.matrix)
+    assert res.stats.bb_apply_count == whole.stats.bb_apply_count
+    Ainv = dense_inverse(sparse_to_dense(A), p)
+    assert np.array_equal(res.matrix, matmul_mod(Ainv, M % p, p))
+    inv = blackbox_inverse(A, cfg).matrix
+    assert np.array_equal(res.matrix, matmul_mod(inv, M % p, p))
+
+
+def test_apply_inverse_rejects_bad_rhs_shape_before_applying():
+    rng = np.random.default_rng(94)
+    A = nonsingular_sparse(rng, 8, BIG)
+    for M in (np.ones((8, 2, 2), dtype=np.int64), np.int64(3),
+              np.ones((7, 2), dtype=np.int64)):
+        with pytest.raises(DimensionError):
+            blackbox_inverse_apply(A, M)
+    assert A.total_applications == 0
 
 
 def test_apply_inverse_rejects_non_integral_rhs():

@@ -60,6 +60,26 @@ def test_sparse_validation():
         SparseOperator(2, [(0, 0, 1)], F).apply(np.zeros(3, dtype=np.int64))
 
 
+def test_sparse_indices_are_exact_integers():
+    # an index is never truncated: 0.7 and 1.9 were stored as (0, 1)
+    for bad in ([(0.7, 1.9, 5), (1, 0, 1)], [(1, 0.5, 2)], [(np.nan, 0, 1)],
+                [("1", 0, 1)]):
+        with pytest.raises(ValueError):
+            SparseOperator(2, bad, PrimeField(7))
+    # integral floats and numpy integers are indices like Python ints
+    S = SparseOperator(2, [(1.0, 0.0, 3), (np.int32(0), np.uint8(1), 2)], F)
+    assert (S.rows.tolist(), S.cols.tolist()) == ([1, 0], [0, 1])
+    assert S.rows.dtype == S.cols.dtype == np.int64
+    assert np.array_equal(S.apply(np.array([5, 6])), [12, 15])
+    # an index out of range is a DimensionError whatever its size: past
+    # int64 numpy raises OverflowError, and it makes floats of a mix of
+    # ints above int64 and negative ones
+    for bad in ([(2**70, 0, 1)], [(0, 2**63, 1)], [(-2**70, 0, 1)],
+                [(0, -1, 1)], [(0, 0, 1), (2**63, 1, 1), (-1, 1, 1)]):
+        with pytest.raises(DimensionError):
+            SparseOperator(2, bad, F)
+
+
 def test_diagonal_ones_is_identity():
     D = DiagonalOperator(np.ones(5, dtype=np.int64), F)
     v = np.arange(5, dtype=np.int64)
