@@ -23,8 +23,7 @@ from .inverse import (InversionConfig, InversionResult, RunStats,
                       verify_inverse)
 from .mmio import (MatrixMarketData, read_matrix_market, to_dense_residues,
                    to_sparse_operator, write_matrix_market_array)
-from .nullrank import (RankCertificate, berlekamp_massey, nullspace_rank,
-                       wiedemann_minpoly)
+from .nullrank import RankCertificate, nullspace_rank
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DenseOperator, DiagonalOperator, EmbeddedOperator,
                         LeadingMinorOperator, SparseOperator)

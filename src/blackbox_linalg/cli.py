@@ -273,9 +273,10 @@ def _cmd_det(args, data, field, cfg, digest):
     t0 = time.perf_counter()
     if args.crt:
         bound = hadamard_bound(data.rows, data.triples)
+        # each prime exceeds 2**30, so this many always reach 2 * bound
         primes = []
         prod = 1
-        for q in word_size_primes(64):
+        for q in word_size_primes((2 * bound).bit_length() // 30 + 1):
             primes.append(q)
             prod *= q
             if prod > 2 * bound:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import dense_det
-from .errors import DegenerateSequence, InsufficientPrimes, SingularMatrix
+from .errors import (DegenerateSequence, DimensionError, InsufficientPrimes,
+                     SingularMatrix)
 from .field import PrimeField, is_probable_prime, reduce_mod
 from .hankel import _pade_basis
 from .inverse import InversionConfig, run_attempts
@@ -131,9 +132,12 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
 
 
 def hadamard_bound(n: int, triples) -> int:
-    """Integer upper bound on |det| from row 2-norms (exact, big ints)."""
+    """Integer upper bound on |det| from row 2-norms (exact, big ints);
+    DimensionError for an entry outside the n x n matrix."""
     row_sq = [0] * n
-    for i, _, v in triples:
+    for i, j, v in triples:
+        if not (0 <= i < n and 0 <= j < n):
+            raise DimensionError(f"entry ({i}, {j}) outside the {n} x {n} matrix")
         row_sq[int(i)] += int(v) * int(v)
     bound = 1
     for sq in row_sq:
@@ -155,13 +159,17 @@ def crt_combine(residues, moduli) -> int:
 
 
 def word_size_primes(count: int, below: int = (1 << 31)) -> list:
-    """The largest ``count`` primes below the word bound, descending."""
+    """The largest ``count`` odd primes below the word bound, descending
+    (the primes of the fields, which start at 3); ValueError when fewer
+    lie below ``below``."""
     out = []
-    candidate = below - 1
+    candidate = below - 1 if below % 2 == 0 else below - 2
     while len(out) < count:
+        if candidate < 3:
+            raise ValueError(f"fewer than {count} odd primes below {below}")
         if is_probable_prime(candidate):
             out.append(candidate)
-        candidate -= 2 if candidate % 2 else 1
+        candidate -= 2
     return out
 
 

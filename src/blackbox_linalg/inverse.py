@@ -73,8 +73,9 @@ class InversionConfig:
 class RunStats:
     """What one run cost: black-box applications of the input operator in
     all attempts and in the accepted one, the failed attempts before it,
-    wall time in seconds, and the blocking factor s and block count m (both
-    0 for a run without a block Krylov pipeline of its own)."""
+    wall time in seconds, and the blocking factor s and block count m of
+    its block Krylov sweeps (inverse, det, rank and nullspace; both 0 when
+    not given)."""
     bb_apply_count: int
     wall_time: float
     retries: int = 0
@@ -212,11 +213,13 @@ def run_attempts(A: BlackBoxOperator, cfg: InversionConfig, attempt,
     further attempt is doomed too; so with ``certify`` the first one runs
     ``_singular_certificate`` at once, and a certified rank deficiency
     propagates as SingularMatrix.  On a nonsingular A (an unlucky draw) the
-    certificate is cheap, 2n - 1 applications when its first estimate
-    succeeds, and the attempts go on; it never runs twice, and runs after
-    the last attempt when no projection degenerated.  When the attempts run
-    out, its FieldTooSmall is raised, else RetriesExhausted.  The stats
-    count the applications of A and report s and m as given."""
+    certificate is cheap when its first estimate succeeds: one block sweep
+    of 2N applications (N is n rounded up to a multiple of s = sqrt(n))
+    and one Hankel certificate, and the attempts go on; it never runs
+    twice, and runs after the last attempt when no projection degenerated.
+    When the attempts run out, its FieldTooSmall is raised, else
+    RetriesExhausted.  The stats count the applications of A and report s
+    and m as given."""
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     base_count = A.total_applications

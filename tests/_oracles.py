@@ -6,12 +6,10 @@ fraction-free (Bareiss) elimination over big integers for determinants,
 plain repeated application instead of the Horner Krylov products, one
 row operation at a time on the whole series (``mbasis_reference``) instead
 of one transform per order step, gather/scatter butterfly stages
-(``butterfly_reference``) instead of the row plan, a pure-Python
-Berlekamp-Massey (``berlekamp_massey_reference``) instead of the array
-one.  Two exceptions: ``sigma_basis``, a
-test-facing wrapper that exposes the library's internal order-basis routine
-for property checks, and ``dense_solve``, which multiplies by the library's
-dense inverse.  The dense rank, solve and nullspace routines, the identity
+(``butterfly_reference``) instead of the row plan.  Two exceptions:
+``sigma_basis``, a test-facing wrapper that exposes the library's internal
+order-basis routine for property checks, and ``dense_solve``, which
+multiplies by the library's dense inverse.  The dense rank, solve and nullspace routines, the identity
 operator, the materializations of operators (``materialize``, and entry by
 entry for sparse and block-Hankel ones) and the stage view of a butterfly's
 row plan serve only the suite, so they live here and not in the library.
@@ -66,16 +64,6 @@ def bareiss_det(M) -> int:
                 A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
         prev = A[k][k]
     return sign * A[n - 1][n - 1]
-
-
-def poly_from_roots(roots, p: int):
-    """Monic polynomial with the given roots, coefficients mod p (ascending)."""
-    coeffs = [1]
-    for r in roots:
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] = (coeffs[i] - int(r) * coeffs[i + 1]) % p
-    return np.array(coeffs[::1], dtype=np.int64) % p
 
 
 def dense_mul_int(A, B, p: int):
@@ -277,37 +265,3 @@ def butterfly_reference(op, V, transposed):
         V[idx_lo] = (a[:, None] * lo + b[:, None] * hi) % p
         V[idx_hi] = (c[:, None] * lo + d[:, None] * hi) % p
     return V
-
-
-def berlekamp_massey_reference(seq, p: int) -> np.ndarray:
-    """Berlekamp-Massey on Python ints, one discrepancy term and one update
-    coefficient at a time; the same return value as
-    ``nullrank.berlekamp_massey``."""
-    seq = [int(x) % p for x in seq]
-    C = [1]
-    B = [1]
-    L = 0
-    shift = 1
-    b = 1
-    for i, a in enumerate(seq):
-        d = a
-        for j in range(1, L + 1):
-            d = (d + C[j] * seq[i - j]) % p
-        if d == 0:
-            shift += 1
-            continue
-        coeff = d * pow(b, p - 2, p) % p
-        T = list(C)
-        while len(C) < len(B) + shift:
-            C.append(0)
-        for j, bj in enumerate(B):
-            C[j + shift] = (C[j + shift] - coeff * bj) % p
-        if 2 * L <= i:
-            L = i + 1 - L
-            B = T
-            b = d
-            shift = 1
-        else:
-            shift += 1
-    C = C[:L + 1] + [0] * (L + 1 - len(C))
-    return np.array(C[::-1], dtype=np.int64) % p

@@ -15,6 +15,8 @@ from blackbox_linalg import cli
 from blackbox_linalg.cli import run_command
 from blackbox_linalg.errors import SingularMatrix
 
+from _oracles import bareiss_det
+
 
 def write_coordinate(path, n, triples):
     with open(path, "wt") as f:
@@ -129,6 +131,22 @@ def test_det_crt_command(tmp_path):
     code, report = run_command(["det", src, "--crt"])
     assert code == 0
     assert report.extra["det"] == "1"
+
+
+def test_det_crt_takes_as_many_primes_as_large_entries_need(tmp_path):
+    # 300-bit entries need about 80 word-size primes; a fixed supply of 64
+    # once ended in an uncaught InsufficientPrimes
+    rng = np.random.default_rng(17)
+    M = [[int.from_bytes(rng.bytes(38), "big") >> 4 for _ in range(8)]
+         for _ in range(8)]
+    for i in range(8):
+        M[i][(3 * i) % 8] *= -1
+    src = write_coordinate(tmp_path / "big.mtx", 8,
+                           [(i, j, M[i][j]) for i in range(8) for j in range(8)])
+    code, report = run_command(["det", src, "--crt", "--json"])
+    assert code == 0
+    assert int(report.extra["det"]) == bareiss_det(M) != 0
+    assert len(report.extra["crt_primes"]) > 64
 
 
 def test_det_confirm(tmp_path):
@@ -301,9 +319,9 @@ def test_json_reports_carry_schema_2_and_run_stats(tmp_path, monkeypatch, capsys
             "rank": ["rank", src],
             "det": ["det", src, "--confirm", "1"],
             "det --crt": ["det", src, "--crt"]}
-    # s = round(sqrt(6)) = 2 and m = 3 for the inverse; the other commands
-    # do not report a blocking, and det reports no attempts
-    blocking = {"invert": (2, 3), "apply-inverse": (2, 3)}
+    # s = round(sqrt(6)) = 2 and m = 3 for the inverse and for the block
+    # sweep of rank and nullspace; det reports no attempts, so no blocking
+    blocking = {name: (2, 3) for name in ("invert", "apply-inverse", "nullspace", "rank")}
     for name, argv in runs.items():
         made.clear()
         code, report = run_command(argv + ["--json"])

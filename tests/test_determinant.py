@@ -7,7 +7,8 @@ from blackbox_linalg import (DenseOperator, InversionConfig, PrimeField,
                              block_generator, dense_det, det_integer_crt,
                              det_mod_p, matmul_mod)
 from blackbox_linalg.determinant import crt_combine, hadamard_bound, word_size_primes
-from blackbox_linalg.errors import DegenerateSequence, InsufficientPrimes
+from blackbox_linalg.errors import (DegenerateSequence, DimensionError,
+                                   InsufficientPrimes)
 
 from _oracles import IdentityOperator, bareiss_det
 
@@ -175,6 +176,23 @@ def test_crt_combine_and_hadamard():
     # identity: every row norm 1
     assert hadamard_bound(3, [(i, i, 1) for i in range(3)]) == 1
     assert hadamard_bound(2, [(0, 0, 3), (0, 1, 4), (1, 1, 2)]) == 10
+
+
+def test_word_size_primes_raise_when_too_few_lie_below():
+    # the odd primes below 4 are 3 alone; this once looped forever
+    assert word_size_primes(1, below=4) == [3]
+    assert word_size_primes(3, below=12) == [11, 7, 5]
+    for count, below in ((2, 4), (1, 3), (5, 12)):
+        with pytest.raises(ValueError):
+            word_size_primes(count, below=below)
+
+
+@pytest.mark.parametrize("entry", [(5, 0, 1), (0, 3, 1), (-1, 0, 1), (0, -4, 1)])
+def test_det_integer_crt_rejects_entries_outside_the_matrix(entry):
+    # as SparseOperator does, before any prime is tried
+    with pytest.raises(DimensionError):
+        det_integer_crt(3, [(0, 0, 1), (1, 1, 1), (2, 2, 1), entry],
+                        word_size_primes(2))
 
 
 def test_det_singular_certified_after_first_degenerate_sequence(monkeypatch):

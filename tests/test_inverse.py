@@ -437,9 +437,10 @@ def test_certificate_field_too_small_is_raised_once_attempts_run_out(
 
 def test_rank_retries_a_degenerate_attempt_without_certificate(monkeypatch):
     # nullspace_rank is the certificate, so it never runs one; its stats
-    # count the failed attempt's 2n - 1 applications and the accepted one's
+    # count the 2N applications of the failed attempt's sweep and the
+    # accepted one's (n = N = 12, s = 3, m = 4)
     A = nonsingular_sparse(np.random.default_rng(87), 12, BIG)
-    _counting(monkeypatch, nullrank, "berlekamp_massey", [],
+    _counting(monkeypatch, nullrank, "block_generator", [],
               fail=lambda call: call == 1, error=DegenerateSequence)
 
     def certificate(*args):
@@ -449,4 +450,4 @@ def test_rank_retries_a_degenerate_attempt_without_certificate(monkeypatch):
     assert cert.rank == 12
     stats = cert.stats
     assert (stats.retries, stats.bb_applies_last_attempt,
-            stats.bb_apply_count) == (1, 23, 46)
+            stats.bb_apply_count) == (1, 24, 48)

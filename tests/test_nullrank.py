@@ -1,16 +1,16 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from blackbox_linalg import (DenseOperator, InversionConfig, PrimeField,
-                             SparseOperator, berlekamp_massey, dense_inverse,
-                             matmul_mod, nullspace_rank, wiedemann_minpoly)
-from blackbox_linalg.errors import RetriesExhausted
+from blackbox_linalg import (BlockHankel, DenseOperator, InversionConfig,
+                             PrimeField, SparseOperator, matmul_mod,
+                             nullspace_rank)
+from blackbox_linalg.errors import HankelSingular, RetriesExhausted
+from blackbox_linalg.hankel import _pade_families
 
-from _oracles import (IdentityOperator, berlekamp_massey_reference, dense_rank,
-                      poly_from_roots)
+from _oracles import IdentityOperator, dense_rank, hankel_to_dense
 
 BIG = PrimeField(2147483629)
 P = BIG.p
@@ -28,81 +28,79 @@ def _low_rank(rng, n, r):
                       rng.integers(0, P, size=(r, n), dtype=np.int64), P)
 
 
-def test_bm_geometric_sequence():
-    p = 10007
-    c = 29
-    seq = [pow(c, i, p) for i in range(12)]
-    f = berlekamp_massey(seq, p)
-    assert np.array_equal(f, np.array([(-c) % p, 1]))  # x - c
+def _spy_estimates(monkeypatch, degrees=None):
+    """Record the order N = m s and the generator degree sum of each rank
+    estimate; ``degrees(call, m, col_degrees)``, when given, replaces the
+    generator's column degrees (a forged estimate)."""
+    import blackbox_linalg.nullrank as nullrank
+    inner = nullrank.block_generator
+    log = []
+
+    def spy(alpha, m, p, *args):
+        gen = inner(alpha, m, p, *args)
+        if degrees is not None:
+            gen = dataclasses.replace(
+                gen, col_degrees=degrees(len(log), m, gen.col_degrees))
+        log.append((m * alpha.shape[1], sum(gen.col_degrees)))
+        return gen
+    monkeypatch.setattr(nullrank, "block_generator", spy)
+    return log
 
 
-def test_bm_fibonacci_recurrence():
-    p = 10007
-    seq = [1, 1]
-    for _ in range(14):
-        seq.append((seq[-1] + seq[-2]) % p)
-    f = berlekamp_massey(seq, p)
-    # minimal polynomial x^2 - x - 1
-    assert np.array_equal(f, np.array([p - 1, p - 1, 1]))
-    # annihilation on every window
-    for i in range(len(seq) - 2):
-        assert sum(int(f[j]) * seq[i + j] for j in range(3)) % p == 0
+def _pade_succeeds(alpha, s, m, p):
+    try:
+        _pade_families(alpha, s, m, p)
+    except HankelSingular:
+        return False
+    return True
 
 
-@st.composite
-def _sequences(draw):
-    p = draw(st.sampled_from((3, 65537, 2147483629)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    N = draw(st.integers(0, 60))
-    kind = draw(st.sampled_from(("random", "recurrence", "zero", "zero-prefix")))
-    if kind == "zero":
-        return [0] * N, p
-    if kind == "recurrence":
-        # a_{i+deg} = sum_j c_j a_{i+j} from random start values
-        deg = draw(st.integers(1, 12))
-        c = rng.integers(0, p, size=deg).tolist()
-        seq = rng.integers(0, p, size=deg).tolist()
-        while len(seq) < N:
-            seq.append(sum(cj * x for cj, x in zip(c, seq[-deg:])) % p)
-        return seq[:N], p
-    seq = rng.integers(0, p, size=N).tolist()
-    if kind == "zero-prefix":
-        z = draw(st.integers(0, N))
-        seq[:z] = [0] * z
-    return seq, p
+def test_pade_families_exist_exactly_for_nonsingular_hankel():
+    # the rank-n certificate: Pade families with invertible normalizers
+    # exist only for a nonsingular block-Hankel matrix.  Every sequence
+    # alpha_0..alpha_{2m-1} (the last block is read past H) for s = 1,
+    # m <= 3 over GF(3), s = 1, m <= 2 over GF(5) and s = 2, m = 1 over
+    # GF(3), then random s = 2, m = 2 blocks over GF(3)
+    cases = [(s, m, p, itertools.product(range(p), repeat=2 * m * s * s))
+             for s, m, p in ((1, 1, 3), (1, 2, 3), (1, 3, 3), (1, 1, 5),
+                             (1, 2, 5), (2, 1, 3))]
+    rng = np.random.default_rng(41)
+    cases.append((2, 2, 3, rng.integers(0, 3, size=(400, 16))))
+    seen = {True: 0, False: 0}
+    for s, m, p, draws in cases:
+        for entries in draws:
+            alpha = list(np.array(entries, dtype=np.int64).reshape(2 * m, s, s))
+            H = BlockHankel(s, m, alpha, p)
+            nonsingular = dense_rank(hankel_to_dense(H), p) == H.n
+            assert _pade_succeeds(H.alpha, s, m, p) == nonsingular, (s, m, p, entries)
+            seen[nonsingular] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(_sequences())
-def test_bm_matches_reference(case):
-    seq, p = case
-    got = berlekamp_massey(seq, p)
-    expect = berlekamp_massey_reference(seq, p)
-    assert got.dtype == expect.dtype
-    assert np.array_equal(got, expect)
+@pytest.mark.parametrize("n, s, N", [(5, 0, 6), (16, 0, 16), (18, 0, 20),
+                                     (12, 1, 12), (12, 5, 15)])
+def test_first_estimate_is_the_rank(monkeypatch, n, s, N):
+    # the degree sum of the block generator, less the padding N - n, is the
+    # rank, for ranks 0, 1, n/2, n - 1 and n: with s | n (16, s = 4), with
+    # padding (5 and 18 pad to 6 and 20, 12 with s = 5 to 15) and with the
+    # scalar projection s = 1.  One estimate and no retry each
+    log = _spy_estimates(monkeypatch)
+    rng = np.random.default_rng(42 + n + s)
+    for r in (0, 1, n // 2, n - 1, n):
+        M = _low_rank(rng, n, r) if r else np.zeros((n, n), dtype=np.int64)
+        assert dense_rank(M, P) == r
+        log.clear()
+        cert = nullspace_rank(DenseOperator(M, BIG), InversionConfig(s=s, seed=r))
+        assert log == [(N, r + N - n)], r
+        assert (cert.rank, cert.stats.retries) == (r, 0)
+        assert not matmul_mod(M, cert.nullspace, P).any()
 
 
-def test_minpoly_zero_operator():
-    A = SparseOperator(5, [], BIG)  # the zero matrix
-    f = wiedemann_minpoly(A, np.random.default_rng(0))
-    assert np.array_equal(f, np.array([0, 1]))  # x
-
-
-def test_minpoly_identity():
-    A = IdentityOperator(5, BIG)
-    f = wiedemann_minpoly(A, np.random.default_rng(1))
-    assert np.array_equal(f, np.array([P - 1, 1]))  # x - 1
-
-
-def test_minpoly_distinct_eigenvalues_matches_charpoly():
-    rng = np.random.default_rng(2)
-    n = 10
-    lam = np.arange(2, 2 + n, dtype=np.int64)  # distinct eigenvalues
-    V = _nonsingular(rng, n)
-    A = matmul_mod(V, matmul_mod(np.diag(lam), dense_inverse(V, P), P), P)
-    f = wiedemann_minpoly(DenseOperator(A, BIG), rng)
-    assert len(f) == n + 1
-    assert np.array_equal(f, poly_from_roots(lam, P))
+def test_estimate_of_the_identity_black_box(monkeypatch):
+    log = _spy_estimates(monkeypatch)
+    cert = nullspace_rank(IdentityOperator(7, BIG), InversionConfig(seed=2))
+    assert log == [(9, 9)]  # s = 3, m = 3
+    assert (cert.rank, cert.nullspace.shape) == (7, (7, 0))
 
 
 def test_nullspace_zero_matrix():
@@ -162,50 +160,74 @@ def test_nullspace_small_field_fails_loudly():
     assert not matmul_mod(A.matrix, cert.nullspace, 5).any()
 
 
-def test_full_rank_certified_by_minpoly_degree(monkeypatch):
-    # a degree-n minimal generator with f(0) != 0 is the characteristic
-    # polynomial of U A V^T D: rank n with no inversion at all, for the
-    # 2n - 1 applications of the estimate
+@pytest.mark.parametrize("n, applications", [(9, 18), (10, 24)])
+def test_full_rank_certified_by_the_hankel_certificate(monkeypatch, n, applications):
+    # a full degree sum proves nothing by itself: hankel_inverse_rep
+    # succeeding on the N x N Hankel matrix of the sequence certifies rank
+    # n, with no inversion, for the 2N applications of the sweep (n = 9:
+    # s = m = 3; n = 10: s = 3, m = 4, padded to N = 12)
     import blackbox_linalg.inverse as inverse
     import blackbox_linalg.nullrank as nullrank
-    A = DenseOperator(_nonsingular(np.random.default_rng(5), 9), BIG)
-    solves = []
+    A = DenseOperator(_nonsingular(np.random.default_rng(5), n), BIG)
+    solves, hankels = [], []
 
     def spy(*args, **kwargs):
         solves.append(args)
         raise AssertionError("no inversion may run")
     monkeypatch.setattr(nullrank, "blackbox_inverse_apply", spy)
     monkeypatch.setattr(inverse, "_solve", spy)
+    inner = nullrank.hankel_inverse_rep
+
+    def rep(H, rng):
+        hankels.append(H.n)
+        return inner(H, rng)
+    monkeypatch.setattr(nullrank, "hankel_inverse_rep", rep)
     cert = nullspace_rank(A, InversionConfig(seed=1))
-    assert cert.rank == 9
-    assert cert.nullspace.shape == (9, 0)
+    assert cert.rank == n
+    assert cert.nullspace.shape == (n, 0)
     assert solves == []
+    assert hankels == [applications // 2]
     assert cert.stats.retries == 0
-    assert cert.stats.bb_apply_count == 2 * 9 - 1 == 17
+    assert cert.stats.bb_apply_count == applications
 
 
-def test_short_minpoly_with_nonzero_constant_is_not_rank_n(monkeypatch):
-    # f(0) != 0 with deg f < n proves nothing: the attempt retries
+def test_forged_estimates_fail_their_certificates(monkeypatch):
+    # the estimate certifies nothing.  A short degree sum on a nonsingular
+    # input runs the minor solve, and its kernel check fails: one retry
     import blackbox_linalg.nullrank as nullrank
-    inner = nullrank.wiedemann_minpoly
-    calls = []
-
-    def short_first(A, rng):
-        calls.append(A.n)
-        f = inner(A, rng)
-        return np.array([3, 1], dtype=np.int64) if len(calls) == 1 else f
-    monkeypatch.setattr(nullrank, "wiedemann_minpoly", short_first)
     A = DenseOperator(_nonsingular(np.random.default_rng(6), 9), BIG)
+    log = _spy_estimates(monkeypatch, lambda call, m, degs:
+                         [d - (call == 0 and c == 0) for c, d in enumerate(degs)])
     cert = nullspace_rank(A, InversionConfig(seed=0))
-    assert cert.rank == 9
-    assert cert.stats.retries == 1
-    assert len(calls) == 2
+    assert [total for _, total in log] == [8, 9]
+    assert (cert.rank, cert.stats.retries) == (9, 1)
 
-    monkeypatch.setattr(nullrank, "wiedemann_minpoly",
-                        lambda A, rng: np.array([3, 1], dtype=np.int64))
+    # a full degree sum on a singular input fails the Hankel certificate
+    # (HankelSingular): once costs one retry, every time exhausts them
+    monkeypatch.undo()
     S = DenseOperator(_low_rank(np.random.default_rng(7), 9, 4), BIG)
-    with pytest.raises(RetriesExhausted):
-        nullspace_rank(S, InversionConfig(seed=0, max_retries=3))
+    reps = []
+    inner = nullrank.hankel_inverse_rep
+
+    def rep(H, rng):
+        reps.append(H.n)
+        return inner(H, rng)
+    monkeypatch.setattr(nullrank, "hankel_inverse_rep", rep)
+    cfg = InversionConfig(seed=0, max_retries=3)
+    for forged in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            log = _spy_estimates(mp, lambda call, m, degs:
+                                 [m] * len(degs) if call < forged else degs)
+            reps.clear()
+            if forged < cfg.max_retries:
+                cert = nullspace_rank(S, cfg)
+                assert (cert.rank, cert.stats.retries) == (4, 1)
+                assert not matmul_mod(S.matrix, cert.nullspace, P).any()
+            else:
+                with pytest.raises(RetriesExhausted):
+                    nullspace_rank(S, cfg)
+        assert reps == [9] * forged
+        assert [total for _, total in log][:forged] == [9] * forged
 
 
 def test_minor_failures_recover(monkeypatch):
@@ -262,16 +284,9 @@ def test_butterflies_keep_generic_rank_profile_on_dead_rows_and_columns(monkeypa
     # every proper set of dead rows and every proper set of dead columns of
     # a random dense n x n matrix, n = 2..6 (228 runs): the first
     # preconditioning U A V^T D must give the exact rank, so each run makes
-    # exactly one minimal-polynomial estimate.  A forward butterfly in place
-    # of V^T loses the rank profile on some of these column sets.
-    import blackbox_linalg.nullrank as nullrank
-    estimates = []
-    inner = nullrank.wiedemann_minpoly
-
-    def spy(A, rng):
-        estimates.append(A.n)
-        return inner(A, rng)
-    monkeypatch.setattr(nullrank, "wiedemann_minpoly", spy)
+    # exactly one block rank estimate.  A forward butterfly in place of V^T
+    # loses the rank profile on some of these column sets.
+    estimates = _spy_estimates(monkeypatch)
     rng = np.random.default_rng(40)
     runs = 0
     for n in range(2, 7):
