@@ -187,13 +187,16 @@ def _cmd_bench(args, field, cfg):
             raise RetriesExhausted(
                 f"no invertible size-{n} instance in {cfg.max_retries} draws")
         counts.append(res.stats.bb_applies_last_attempt)
-    slope = float(np.polyfit(np.log(sizes), np.log(counts), 1)[0])
+    slope, shown = None, "undefined (fewer than two distinct sizes)"
+    if len(set(sizes)) > 1:
+        slope = float(np.polyfit(np.log(sizes), np.log(counts), 1)[0])
+        shown = f"{slope:.3f}"
     report = _report(
         args, "bench invert", "", "ok",
         RunStats(bb_apply_count=sum(counts), wall_time=time.perf_counter() - t0),
         {"sizes": sizes, "counts": counts, "slope": slope, "density": args.density})
     print(report.to_json() if args.as_json
-          else f"sizes={sizes} per-attempt counts={counts} slope={slope:.3f}")
+          else f"sizes={sizes} per-attempt counts={counts} slope={shown}")
     return 0, report
 
 

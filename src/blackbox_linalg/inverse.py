@@ -51,7 +51,8 @@ from .projection import BlockProjection, krylov_apply_left, krylov_apply_right
 
 @dataclass
 class InversionConfig:
-    """Knobs for the randomized inversion; s = 0 picks round(sqrt(n))."""
+    """Knobs of every pipeline; s = 0 is round(sqrt(n)) for the inverse and
+    the rank, round(n^(1/3)) for the determinant."""
     s: int = 0
     seed: int = 0
     max_retries: int = 8

@@ -208,6 +208,17 @@ def test_bench_small_grid():
     assert report.extra["slope"] > 0.5
 
 
+@pytest.mark.parametrize("sizes", ["16", "16,16"])
+def test_bench_single_distinct_size_has_no_slope(sizes, capsys):
+    # a fit through one point warned (a RuntimeWarning, an error here) and
+    # reported a meaningless slope
+    code, report = run_command(["bench", "invert", "--sizes", sizes])
+    assert code == 0
+    assert report.extra["slope"] is None
+    assert len(report.extra["counts"]) == len(sizes.split(","))
+    assert "slope=undefined" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag,value", [("--retries", "0"), ("--prime", "4"),
                                         ("--block-size", "-3")])
 def test_invalid_flag_values_are_usage_errors(identity_fixture, flag, value):

@@ -127,6 +127,47 @@ def test_det_block_diagonal_multiplicative():
         assert dAB == dA * dB % P
 
 
+def _structured(name, n):
+    I = np.eye(n, dtype=np.int64)
+    if name == "identity":
+        return I
+    if name == "shift":
+        return np.roll(I, 1, axis=0)
+    if name == "reversal":
+        return I[::-1].copy()
+    if name == "jordan":
+        return I + np.eye(n, k=1, dtype=np.int64)
+    M = np.zeros((n, n), dtype=np.int64)  # repeated 2 x 2 blocks
+    for i in range(0, n - 1, 2):
+        M[i:i + 2, i:i + 2] = [[1, 2], [3, 4]]
+    if n % 2:
+        M[-1, -1] = 1
+    return M
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+@pytest.mark.parametrize("n", [30, 31])
+@pytest.mark.parametrize("name", ["identity", "shift", "reversal", "jordan", "blocks2"])
+def test_det_structured_families_small_fields(name, n, p):
+    # repeated eigenvalues and many equal invariant factors: only the
+    # random diagonal scaling D1 A D2 makes them generic for block Wiedemann
+    field = PrimeField(p)
+    M = _structured(name, n)
+    expect = dense_det(M, p)
+    for seed in range(20):
+        assert det_mod_p(DenseOperator(M, field), InversionConfig(seed=seed)) == expect
+
+
+def test_det_spends_two_m_s_applications_when_s_does_not_divide_n():
+    # n = 31, s = 3: m = 11, no padding; 2m applications of D1 A D2 to the
+    # n x 3 block V
+    rng = np.random.default_rng(98)
+    M = rng.integers(0, P, size=(31, 31), dtype=np.int64)
+    A = DenseOperator(M, BIG)
+    assert det_mod_p(A, InversionConfig(s=3, seed=0)) == dense_det(M, P)
+    assert A.total_applications == 2 * 11 * 3
+
+
 def triples_of(M):
     return [(i, j, int(M[i, j])) for i in range(M.shape[0])
             for j in range(M.shape[1]) if M[i, j]]
