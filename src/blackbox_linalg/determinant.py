@@ -2,12 +2,12 @@
 baby-steps/giant-steps block minimal matrix generator, plus Chinese-
 remainder assembly of integer determinants over several primes.
 
-Per prime, plain block Wiedemann (Kaltofen, Math. Comp. 1995): B = D1 A D2
-with random nonsingular diagonals has at most s nontrivial invariant
-factors for a nonsingular A with high probability (Chen, Eberly, Kaltofen,
-Saunders, Turner and Villard, LAA 2002).  Dense random u (s x n) and V
-(n x s) project alpha_i = u B^i V, i <= 2m (m = ceil(n / s), no padding),
-and the minimal right matrix generator by the order-basis algorithm gives
+Per prime: precondition B = D1 (U A) D2 (butterfly U has determinant 1 by
+construction), project the power sequence alpha_i = u^T B^i v, i <= 2m,
+with the stacked-identity u on the left and a dense random n x s block v
+on the right (one ``krylov_apply_left`` sweep, 2m applications of B to v),
+compute the minimal right matrix generator by the order-basis algorithm,
+and read
 
     det B = (-1)^n det F(0) / lead(det F)
 
@@ -26,12 +26,13 @@ import numpy as np
 from .dense import dense_det
 from .errors import (DegenerateSequence, DimensionError, InsufficientPrimes,
                      SingularMatrix)
-from .field import PrimeField, is_probable_prime, matmul_mod, reduce_mod
+from .field import PrimeField, is_probable_prime, reduce_mod
 from .hankel import _pade_basis
 from .inverse import InversionConfig, run_attempts
-from .operators import (BlackBoxOperator, ComposedOperator, DiagonalOperator,
-                        SparseOperator)
+from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
+                        DiagonalOperator, EmbeddedOperator, SparseOperator)
 from .polymat import polymat_mul
+from .projection import BlockProjection, krylov_apply_left
 
 
 @dataclass
@@ -54,7 +55,7 @@ def block_generator(alpha, m: int, p: int,
     """Minimal right matrix generator from >= 2m sequence blocks.
 
     Raises DegenerateSequence when the degree profile falls short of
-    ``expected_degree_sum`` (det passes n, its order) or a normalizer is
+    ``expected_degree_sum`` (callers pass n = m s) or a normalizer is
     singular; callers retry with fresh projections."""
     alpha = reduce_mod(np.stack(alpha), p)
     s = alpha.shape[1]
@@ -94,34 +95,33 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
     """Determinant of A modulo the operator's prime (Monte Carlo: verified
     only by the degree checks; run twice with different seeds to confirm).
 
-    Each attempt draws D1, D2, then dense u (s x n) and V (n x s), and reads
-    det(D1 A D2) from u (D1 A D2)^i V, i <= 2m, with no padding: 2 m s
-    applications of A (Kaltofen 1995; Chen et al. 2002).  Under
-    ``run_attempts`` the first degenerate sequence runs the singularity
+    Each attempt draws a fresh preconditioner and projection under
+    ``run_attempts``: the first degenerate sequence runs the singularity
     certificate, and a certified rank < n returns 0.  When the attempts run
     out, a FieldTooSmall from the certificate is raised, else
     RetriesExhausted."""
     cfg = cfg or InversionConfig()
     field = A.field
     p = field.p
-    n = A.n
-    s = min(cfg.s, n) if cfg.s else min(max(round(n ** (1 / 3)), 1), n)
-    m = (n + s - 1) // s
+    n0 = A.n
+    s = min(cfg.s, n0) if cfg.s else min(max(round(n0 ** (1 / 3)), 1), n0)
+    m = (n0 + s - 1) // s
+    n = m * s
+    work = EmbeddedOperator(A, n) if n != n0 else A
+    P = BlockProjection(n, s)
 
     def attempt(rng):
         D1 = DiagonalOperator.random(n, field, rng)
         D2 = DiagonalOperator.random(n, field, rng)
-        B = ComposedOperator([D1, A, D2])
-        u = rng.integers(0, p, size=(s, n), dtype=np.int64)
-        V = rng.integers(0, p, size=(n, s), dtype=np.int64)
-        alpha = [matmul_mod(u, V, p)]
-        for _ in range(2 * m):
-            V = B.apply_matrix(V)
-            alpha.append(matmul_mod(u, V, p))
+        U = ButterflyOperator(n, field, rng)
+        B = ComposedOperator([D1, U, work, D2])
+        v = rng.integers(0, p, size=(n, s), dtype=np.int64)
+        alpha = krylov_apply_left(B, P, v, terms=2 * m + 1).reshape(2 * m + 1, s, s)
         gen = block_generator(alpha, m, p, expected_degree_sum=n)
         det_B = gen.det_at_zero * field.inv(gen.det_lead) % p
         if n % 2:
             det_B = (-det_B) % p
+        # det U = 1 by construction; padding contributes det 1
         scale = D1.determinant() * D2.determinant() % p
         return det_B * field.inv(scale) % p
 

@@ -51,8 +51,7 @@ from .projection import BlockProjection, krylov_apply_left, krylov_apply_right
 
 @dataclass
 class InversionConfig:
-    """Knobs of every pipeline; s = 0 is round(sqrt(n)) for the inverse and
-    the rank, round(n^(1/3)) for the determinant."""
+    """Knobs of every pipeline; s = 0 is round(sqrt(n)), for det round(n^(1/3))."""
     s: int = 0
     seed: int = 0
     max_retries: int = 8

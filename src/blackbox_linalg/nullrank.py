@@ -2,8 +2,8 @@
 
 Each attempt preconditions A~ = U A V^T D (butterflies U, V and a diagonal
 D, all invertible; Chen, Eberly, Kaltofen, Saunders, Turner and Villard,
-LAA 2002) and estimates its rank on the inverse's stacked-identity
-projection, as block Wiedemann does (Kaltofen, Math. Comp. 1995).
+LAA 2002) and estimates its rank on the block projections of the inverse
+and the determinant, as block Wiedemann does (Kaltofen, Math. Comp. 1995).
 With s = ``cfg.block_size(n)``, N = m s >= n and B = diag(A~, I) of order
 N, one ``krylov_apply_left`` sweep of a dense random N x s block v gives
 

@@ -228,7 +228,8 @@ class ButterflyOperator(BlackBoxOperator):
 
     Each pair is mixed by [[a, b], [c, d]] with random a != 0, b, c and
     d = (1 + b c) / a, so every stage has determinant exactly 1: the whole
-    network is invertible by construction.
+    network is invertible by construction and det = 1 (the determinant
+    pipeline divides preconditioner determinants back out relying on this).
     Pairs that would straddle n (when n is not a power of two) act as the
     identity, which keeps both properties.
 

@@ -5,7 +5,7 @@ Products with u never multiply by it: contracting with u.T is a fold of m row
 slices (additions only), expanding by u is a vertical tile, and
 Krylov-matrix products run through operator applies to the whole block: a
 forward sweep that folds each iterate (the left product of A^{-1} M and the
-rank estimate's sequence) and a Horner sweep (the right product).
+determinant's sequence) and a Horner sweep (the right product).
 """
 from __future__ import annotations
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from blackbox_linalg import (DenseOperator, InversionConfig, PrimeField,
-                             block_generator, dense_det, det_integer_crt,
-                             det_mod_p, matmul_mod)
+                             SparseOperator, block_generator, dense_det,
+                             det_integer_crt, det_mod_p, matmul_mod)
 from blackbox_linalg.determinant import crt_combine, hadamard_bound, word_size_primes
 from blackbox_linalg.errors import (DegenerateSequence, DimensionError,
                                    InsufficientPrimes)
@@ -149,8 +149,8 @@ def _structured(name, n):
 @pytest.mark.parametrize("n", [30, 31])
 @pytest.mark.parametrize("name", ["identity", "shift", "reversal", "jordan", "blocks2"])
 def test_det_structured_families_small_fields(name, n, p):
-    # repeated eigenvalues and many equal invariant factors: only the
-    # random diagonal scaling D1 A D2 makes them generic for block Wiedemann
+    # repeated eigenvalues and many equal invariant factors: the
+    # preconditioner must make them generic for block Wiedemann
     field = PrimeField(p)
     M = _structured(name, n)
     expect = dense_det(M, p)
@@ -158,9 +158,26 @@ def test_det_structured_families_small_fields(name, n, p):
         assert det_mod_p(DenseOperator(M, field), InversionConfig(seed=seed)) == expect
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+def test_det_diagonal_inputs_when_n_exceeds_the_field(n):
+    # p = 101 < n: a diagonal repeats some eigenvalue more than
+    # s = round(n^(1/3)) times, even after any diagonal scaling, which leaves
+    # more than s nontrivial invariant factors; the preconditioner must mix
+    # them (the butterfly does)
+    field = PrimeField(101)
+    d = np.random.default_rng(n).integers(1, 101, size=n)
+    for diag in (np.ones(n, dtype=np.int64), d):
+        A = SparseOperator(n, [(i, i, int(v)) for i, v in enumerate(diag)], field)
+        expect = 1
+        for v in diag:
+            expect = expect * int(v) % 101
+        for seed in range(3):
+            assert det_mod_p(A, InversionConfig(seed=seed)) == expect
+
+
 def test_det_spends_two_m_s_applications_when_s_does_not_divide_n():
-    # n = 31, s = 3: m = 11, no padding; 2m applications of D1 A D2 to the
-    # n x 3 block V
+    # n = 31, s = 3: m = 11, A padded to 33; 2m applications to the
+    # 33 x 3 block v, s of them on A per step
     rng = np.random.default_rng(98)
     M = rng.integers(0, P, size=(31, 31), dtype=np.int64)
     A = DenseOperator(M, BIG)
