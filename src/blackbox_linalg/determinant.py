@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import dense_det
-from .errors import (DegenerateSequence, DimensionError, InsufficientPrimes,
-                     SingularMatrix)
+from .errors import (DegenerateSequence, DimensionError, FieldTooSmall,
+                     InsufficientPrimes, SingularMatrix)
 from .field import PrimeField, is_probable_prime, reduce_mod
 from .hankel import _pade_basis
 from .inverse import InversionConfig, run_attempts
@@ -97,9 +97,9 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
 
     Each attempt draws a fresh preconditioner and projection under
     ``run_attempts``: the first degenerate sequence runs the singularity
-    certificate, and a certified rank < n returns 0.  When the attempts run
-    out, a FieldTooSmall from the certificate is raised, else
-    RetriesExhausted."""
+    certificate, and a certified rank < n returns 0, as does its FieldTooSmall
+    once every attempt has degenerated (the Monte Carlo answer).  Otherwise
+    running out of attempts raises RetriesExhausted."""
     cfg = cfg or InversionConfig()
     field = A.field
     p = field.p
@@ -127,7 +127,7 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
 
     try:
         return run_attempts(A, cfg, attempt, certify=True, s=s, m=m)[0]
-    except SingularMatrix:
+    except (SingularMatrix, FieldTooSmall):
         return 0
 
 

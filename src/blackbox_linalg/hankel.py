@@ -41,9 +41,11 @@ smallest degree.
 
 The Pade families and the determinant's block generator share one front end
 (``_pade_basis``): the stacked series, the M-Basis run and the row
-selection.  Both read only the first s columns of the 2s x 2s basis, so the
-run tracks only those; row operations act on each column on its own, so
-they come out bit-identical to the full basis's.
+selection.  Each side of the families is one run (``_pade_side``), and the
+rank takes its estimate and its certificate from the plain side's, the
+block generator's basis.  All read only the first s columns of the 2s x
+2s basis, so the run tracks only those; row operations act on each column
+on its own, so they come out bit-identical to the full basis's.
 """
 from __future__ import annotations
 
@@ -263,22 +265,25 @@ def _family(M, deg, top: int, normalizer, p: int, run: str):
     return polymat_mul(N_inv[None], M[:, :, :top + 1].transpose(2, 0, 1), p)
 
 
-def _pade_families(alpha, s: int, m: int, p: int):
-    """The four families as (coefficient, s, s) arrays, star side first.
+def _pade_side(alpha, s: int, m: int, p: int):
+    """Both families of one side from one order-basis run (the q-state is
+    the v-run's prefix): the v-run's row degrees and ``families()``, which
+    gives (q, v) or raises HankelSingular, the signature of a singular H."""
+    (Mv, degv, _), (Mq, degq, Eq) = _pade_basis(alpha, s, p, 2 * m, 2 * m,
+                                                snapshot_at=2 * m - 2)
 
-    Raises HankelSingular at the first degree profile or normalizer that
-    degenerates, the signature of a singular H."""
-    out = {}
-    for side, al in (("star", alpha), ("plain", [a.T for a in alpha])):
-        # one run serves both orders: the q-state is the v-run's prefix
-        (Mv, degv, _), (Mq, degq, Eq) = _pade_basis(al, s, p, 2 * m, 2 * m,
-                                                    snapshot_at=2 * m - 2)
+    def families():
         # q-family: order 2m-2, degree <= m-1, normalized by the residue
         # at x^{2m-2}; v-family: order 2m, degree <= m, by the constant term
-        q = _family(Mq, degq, m - 1, Eq, p, "q")
-        v = _family(Mv, degv, m, Mv[:, :, 0], p, "v")
-        out[side] = (q, v)
-    (q_star, v_star), (q_t, v_t) = out["star"], out["plain"]
+        return (_family(Mq, degq, m - 1, Eq, p, "q"),
+                _family(Mv, degv, m, Mv[:, :, 0], p, "v"))
+    return degv, families
+
+
+def _pade_families(alpha, s: int, m: int, p: int):
+    """The four families as (coefficient, s, s) arrays, star side first."""
+    q_star, v_star = _pade_side(alpha, s, m, p)[1]()
+    q_t, v_t = _pade_side([a.T for a in alpha], s, m, p)[1]()
     return q_t.transpose(0, 2, 1), q_star, v_t.transpose(0, 2, 1), v_star
 
 

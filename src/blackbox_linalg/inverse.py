@@ -215,11 +215,11 @@ def run_attempts(A: BlackBoxOperator, cfg: InversionConfig, attempt,
     propagates as SingularMatrix.  On a nonsingular A (an unlucky draw) the
     certificate is cheap when its first estimate succeeds: one block sweep
     of 2N applications (N is n rounded up to a multiple of s = sqrt(n))
-    and one Hankel certificate, and the attempts go on; it never runs
-    twice, and runs after the last attempt when no projection degenerated.
-    When the attempts run out, its FieldTooSmall is raised, else
-    RetriesExhausted.  The stats count the applications of A and report s
-    and m as given."""
+    and one order basis, whose families are the Hankel certificate, and the
+    attempts go on; it never runs twice, and runs after the last attempt
+    when no projection degenerated.  When the attempts run out, its
+    FieldTooSmall is raised, else RetriesExhausted.  The stats count the
+    applications of A and report s and m as given."""
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     base_count = A.total_applications

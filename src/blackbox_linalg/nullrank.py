@@ -9,19 +9,22 @@ N, one ``krylov_apply_left`` sweep of a dense random N x s block v gives
 
     alpha_k = u^T B^{k+1} v,   k < 2m   (2 N applications of A),
 
-and the degree sum of its minimal generator (``block_generator``) is the
-dimension of the projected Krylov space of B v.  That space lies in the
-range of B, of dimension rank A + N - n, and fills it with high
-probability, so r = degree sum - (N - n) estimates the rank.  The estimate
-certifies nothing; the certificates are unconditional:
+and one order-basis run on its transposed blocks (``hankel._pade_side``)
+gives the estimate and the rank-n certificate.  Its row degree sum (the
+minimal generator's) is the dimension of the projected Krylov space of
+B v, which lies in the range of B, of dimension rank A + N - n, and fills
+it with high probability: r = degree sum - (N - n) estimates the rank.
+The estimate certifies nothing; the certificates are unconditional:
 
-  * r >= n: ``hankel_inverse_rep`` succeeds on H = K_u^T B K_v, the block
-    Hankel matrix of the alpha_k.  Pade families with invertible
-    normalizers exist only for a nonsingular block-Hankel matrix (Labahn,
-    Choi and Cabay, SIAM J. Comput. 1990), so H, hence B and A, are
-    nonsingular: rank n, with no field-size bound.
+  * r >= n: the run's q- and v-families (Labahn, Choi and Cabay, SIAM J.
+    Comput. 1990) solve H [q_{m-1}; ...; q_0] = E_m, the last s columns of
+    I_N, and H [v_m; ...; v_1] = -h = -[alpha_m; ...; alpha_{2m-1}] for the
+    block Hankel H = K_u^T B K_v of the alpha_k (one exact check).  If
+    y H = 0, then y E_m = 0 (its last block vanishes) and y h = 0, so y
+    shifted down one block is in the left kernel too; after m shifts y = 0.
+    So H, B and A are nonsingular: rank n, with no field-size bound.
   * r < n: a solve with the leading r x r minor A0 builds n - r independent
-    columns N with A~ N = 0 (checked with n - r applications), so
+    columns N with A N = 0 (checked with n - r applications), so
     rank A <= r.  The solve returns only after ``hankel_inverse_rep`` has
     succeeded on its own Hankel matrix of A0 (preconditioned and padded),
     so by the same argument A0 is nonsingular, and rank A >= r.
@@ -38,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinant import block_generator
-from .errors import FieldTooSmall, RetriesExhausted, SingularMatrix
-from .hankel import BlockHankel, hankel_inverse_rep
+from .errors import FieldTooSmall, HankelSingular, RetriesExhausted, SingularMatrix
+from .hankel import BlockHankel, _pade_side
 from .inverse import (InversionConfig, RunStats, blackbox_inverse_apply,
                       run_attempts)
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
@@ -55,6 +57,17 @@ class RankCertificate:
     rank: int
     nullspace: np.ndarray
     stats: RunStats
+
+
+def _hankel_certificate(alpha, q_t, v_t, p: int) -> None:
+    """HankelSingular unless q_t, v_t (families of alpha^T) solve both Hankel systems."""
+    m, s = len(q_t), len(alpha[0])
+    QV = np.concatenate([q_t[::-1], v_t[:0:-1]], axis=1).transpose(0, 2, 1)
+    HQV = BlockHankel(s, m, alpha, p).apply(QV.reshape(m * s, 2 * s))
+    want = np.concatenate([np.eye(m * s, s, s - m * s, dtype=np.int64),
+                           (-np.concatenate(alpha[m:])) % p], axis=1)
+    if not np.array_equal(HQV, want):
+        raise HankelSingular("Pade families fail H Q = E_m, H V = -h")
 
 
 def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> RankCertificate:
@@ -73,7 +86,6 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
     s = cfg.block_size(n)
     m = (n + s - 1) // s
     P = BlockProjection(m * s, s)
-    sub_retries = max(2, cfg.max_retries // 2)
     too_small = []  # FieldTooSmall of the minor solves, raised if all fail
 
     def attempt(rng):
@@ -86,22 +98,19 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
         work = EmbeddedOperator(A_tilde, P.n) if P.n != n else A_tilde
         # blocks 1..2m of the sweep: alpha_k = u^T B^{k+1} v
         alpha = krylov_apply_left(work, P, v, terms=2 * m + 1)[s:].reshape(2 * m, s, s)
-        r = max(sum(block_generator(alpha, m, p).col_degrees) - (P.n - n), 0)
+        degrees, families = _pade_side([a.T for a in alpha], s, m, p)
+        r = max(sum(degrees) - (P.n - n), 0)
         if r >= n:
             # raises HankelSingular unless H, hence A~, is nonsingular
-            hankel_inverse_rep(BlockHankel(s, m, alpha, p), rng)
+            _hankel_certificate(alpha, *families(), p)
             return n, np.zeros((n, 0), dtype=np.int64)
-        if r == 0:
-            N_tilde = (p - 1) * np.eye(n, dtype=np.int64) % p
-        else:
+        W = np.zeros((0, n), dtype=np.int64)  # rank 0: N~ = -I
+        if r:
             A0 = LeadingMinorOperator(A_tilde, r)
-            tail = np.zeros((n, n - r), dtype=np.int64)
-            tail[r:] = np.eye(n - r, dtype=np.int64)
-            cols = A_tilde.apply_matrix(tail)
-            A1 = cols[:r]
+            A1 = A_tilde.apply_matrix(np.eye(n, n - r, -r, dtype=np.int64))[:r]
             try:
                 W = blackbox_inverse_apply(A0, A1, InversionConfig(
-                    seed=sub_seed, max_retries=sub_retries)).matrix
+                    seed=sub_seed, max_retries=max(2, cfg.max_retries // 2))).matrix
             except (RetriesExhausted, SingularMatrix):
                 return None
             except FieldTooSmall as exc:
@@ -109,13 +118,9 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
                 # more often, and rank n needs no bound: retry
                 too_small.append(exc)
                 return None
-            N_tilde = np.concatenate(
-                [W, (p - 1) * np.eye(n - r, dtype=np.int64) % p], axis=0)
-        # Schur complement certificate: the whole product must vanish
-        if np.any(A_tilde.apply_matrix(N_tilde)):
-            return None
+        N_tilde = np.concatenate([W, (p - 1) * np.eye(n - r, dtype=np.int64) % p])
         N = Vt.apply_matrix(D.apply_matrix(N_tilde))
-        # A N != 0 cannot happen for invertible U; kept as a hard assertion
+        # Schur complement certificate: A N (= U^-1 A~ N~) must vanish whole
         return None if np.any(A.apply_matrix(N)) else (r, N)
 
     try:

@@ -175,6 +175,26 @@ def test_det_diagonal_inputs_when_n_exceeds_the_field(n):
             assert det_mod_p(A, InversionConfig(seed=seed)) == expect
 
 
+@pytest.mark.parametrize("n", [30, 31])
+def test_det_sparse_inputs_small_field(n):
+    # 3 random off-diagonal entries per row, p = 101: most are singular, and
+    # the singularity certificate's minor solve needs a larger field
+    # (FieldTooSmall); det is Monte Carlo and returns 0 for them all
+    field = PrimeField(101)
+    singular = 0
+    for seed in range(200):
+        rng = np.random.default_rng(1000 + seed)
+        M = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            cols = rng.choice([j for j in range(n) if j != i], size=3, replace=False)
+            M[i, cols] = rng.integers(1, 101, size=3)
+        expect = dense_det(M, 101)
+        singular += expect == 0
+        A = SparseOperator(n, triples_of(M), field)
+        assert det_mod_p(A, InversionConfig(seed=seed)) == expect, seed
+    assert singular > 100
+
+
 def test_det_spends_two_m_s_applications_when_s_does_not_divide_n():
     # n = 31, s = 3: m = 11, A padded to 33; 2m applications to the
     # 33 x 3 block v, s of them on A per step

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +7,8 @@ from blackbox_linalg import (BlockHankel, DenseOperator, InversionConfig,
                              PrimeField, SparseOperator, matmul_mod,
                              nullspace_rank)
 from blackbox_linalg.errors import HankelSingular, RetriesExhausted
-from blackbox_linalg.hankel import _pade_families
+from blackbox_linalg.hankel import _pade_families, _pade_side
+from blackbox_linalg.nullrank import _hankel_certificate
 
 from _oracles import IdentityOperator, dense_rank, hankel_to_dense
 
@@ -28,22 +28,27 @@ def _low_rank(rng, n, r):
                       rng.integers(0, P, size=(r, n), dtype=np.int64), P)
 
 
-def _spy_estimates(monkeypatch, degrees=None):
-    """Record the order N = m s and the generator degree sum of each rank
-    estimate; ``degrees(call, m, col_degrees)``, when given, replaces the
-    generator's column degrees (a forged estimate)."""
+def _spy_estimates(monkeypatch, degrees=None, certificates=None):
+    """Record the order N = m s and the row degree sum of each rank
+    estimate's order-basis run (``nullrank._pade_side``);
+    ``degrees(call, m, degrees)``, when given, replaces the run's row
+    degrees (a forged estimate), and ``certificates``, when given, gets N
+    each time the run's families are asked for (a rank-n certificate)."""
     import blackbox_linalg.nullrank as nullrank
-    inner = nullrank.block_generator
+    inner = nullrank._pade_side
     log = []
 
-    def spy(alpha, m, p, *args):
-        gen = inner(alpha, m, p, *args)
+    def spy(alpha, s, m, p):
+        degs, families = inner(alpha, s, m, p)
         if degrees is not None:
-            gen = dataclasses.replace(
-                gen, col_degrees=degrees(len(log), m, gen.col_degrees))
-        log.append((m * alpha.shape[1], sum(gen.col_degrees)))
-        return gen
-    monkeypatch.setattr(nullrank, "block_generator", spy)
+            degs = degrees(len(log), m, degs)
+        log.append((m * s, sum(degs)))
+
+        def certified():
+            certificates.append(m * s)
+            return families()
+        return degs, families if certificates is None else certified
+    monkeypatch.setattr(nullrank, "_pade_side", spy)
     return log
 
 
@@ -55,9 +60,19 @@ def _pade_succeeds(alpha, s, m, p):
     return True
 
 
+def _one_side_certifies(alpha, s, m, p):
+    # the rank-n certificate: the plain side's families and the exact check
+    try:
+        _hankel_certificate(alpha, *_pade_side([a.T for a in alpha], s, m, p)[1](), p)
+    except HankelSingular:
+        return False
+    return True
+
+
 def test_pade_families_exist_exactly_for_nonsingular_hankel():
-    # the rank-n certificate: Pade families with invertible normalizers
-    # exist only for a nonsingular block-Hankel matrix.  Every sequence
+    # Pade families with invertible normalizers exist only for a
+    # nonsingular block-Hankel matrix, and the rank-n certificate (one
+    # side's families, checked exactly) succeeds exactly then.  Every sequence
     # alpha_0..alpha_{2m-1} (the last block is read past H) for s = 1,
     # m <= 3 over GF(3), s = 1, m <= 2 over GF(5) and s = 2, m = 1 over
     # GF(3), then random s = 2, m = 2 blocks over GF(3)
@@ -73,6 +88,7 @@ def test_pade_families_exist_exactly_for_nonsingular_hankel():
             H = BlockHankel(s, m, alpha, p)
             nonsingular = dense_rank(hankel_to_dense(H), p) == H.n
             assert _pade_succeeds(H.alpha, s, m, p) == nonsingular, (s, m, p, entries)
+            assert _one_side_certifies(H.alpha, s, m, p) == nonsingular, (s, m, p, entries)
             seen[nonsingular] += 1
     assert seen[True] > 0 and seen[False] > 0
 
@@ -162,10 +178,11 @@ def test_nullspace_small_field_fails_loudly():
 
 @pytest.mark.parametrize("n, applications", [(9, 18), (10, 24)])
 def test_full_rank_certified_by_the_hankel_certificate(monkeypatch, n, applications):
-    # a full degree sum proves nothing by itself: hankel_inverse_rep
-    # succeeding on the N x N Hankel matrix of the sequence certifies rank
-    # n, with no inversion, for the 2N applications of the sweep (n = 9:
-    # s = m = 3; n = 10: s = 3, m = 4, padded to N = 12)
+    # a full degree sum proves nothing by itself: the Pade families of the
+    # estimate's own order-basis run, checked on the N x N Hankel matrix of
+    # the sequence, certify rank n, with no inversion, for the 2N
+    # applications of the sweep (n = 9: s = m = 3; n = 10: s = 3, m = 4,
+    # padded to N = 12)
     import blackbox_linalg.inverse as inverse
     import blackbox_linalg.nullrank as nullrank
     A = DenseOperator(_nonsingular(np.random.default_rng(5), n), BIG)
@@ -176,25 +193,41 @@ def test_full_rank_certified_by_the_hankel_certificate(monkeypatch, n, applicati
         raise AssertionError("no inversion may run")
     monkeypatch.setattr(nullrank, "blackbox_inverse_apply", spy)
     monkeypatch.setattr(inverse, "_solve", spy)
-    inner = nullrank.hankel_inverse_rep
-
-    def rep(H, rng):
-        hankels.append(H.n)
-        return inner(H, rng)
-    monkeypatch.setattr(nullrank, "hankel_inverse_rep", rep)
+    log = _spy_estimates(monkeypatch, certificates=hankels)
     cert = nullspace_rank(A, InversionConfig(seed=1))
     assert cert.rank == n
     assert cert.nullspace.shape == (n, 0)
     assert solves == []
+    assert log == [(applications // 2, applications // 2)]
     assert hankels == [applications // 2]
     assert cert.stats.retries == 0
     assert cert.stats.bb_apply_count == applications
 
 
+def test_full_rank_runs_one_order_basis(monkeypatch):
+    # the estimate and the rank-n certificate share one M-Basis run, and
+    # rank takes neither the block generator nor the two-sided inverse
+    # representation
+    import blackbox_linalg.hankel as hankel
+    import blackbox_linalg.nullrank as nullrank
+    runs = []
+    inner = hankel._mbasis
+
+    def spy(*args, **kwargs):
+        runs.append(args[1])
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(hankel, "_mbasis", spy)
+    A = DenseOperator(_nonsingular(np.random.default_rng(9), 16), BIG)
+    cert = nullspace_rank(A, InversionConfig(seed=0))
+    assert (cert.rank, cert.stats.retries) == (16, 0)
+    assert runs == [8]  # one run to order 2m, s = m = 4
+    assert not hasattr(nullrank, "block_generator")
+    assert not hasattr(nullrank, "hankel_inverse_rep")
+
+
 def test_forged_estimates_fail_their_certificates(monkeypatch):
     # the estimate certifies nothing.  A short degree sum on a nonsingular
     # input runs the minor solve, and its kernel check fails: one retry
-    import blackbox_linalg.nullrank as nullrank
     A = DenseOperator(_nonsingular(np.random.default_rng(6), 9), BIG)
     log = _spy_estimates(monkeypatch, lambda call, m, degs:
                          [d - (call == 0 and c == 0) for c, d in enumerate(degs)])
@@ -207,18 +240,13 @@ def test_forged_estimates_fail_their_certificates(monkeypatch):
     monkeypatch.undo()
     S = DenseOperator(_low_rank(np.random.default_rng(7), 9, 4), BIG)
     reps = []
-    inner = nullrank.hankel_inverse_rep
-
-    def rep(H, rng):
-        reps.append(H.n)
-        return inner(H, rng)
-    monkeypatch.setattr(nullrank, "hankel_inverse_rep", rep)
     cfg = InversionConfig(seed=0, max_retries=3)
     for forged in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
-            log = _spy_estimates(mp, lambda call, m, degs:
-                                 [m] * len(degs) if call < forged else degs)
             reps.clear()
+            log = _spy_estimates(mp, lambda call, m, degs:
+                                 [m] * len(degs) if call < forged else degs,
+                                 certificates=reps)
             if forged < cfg.max_retries:
                 cert = nullspace_rank(S, cfg)
                 assert (cert.rank, cert.stats.retries) == (4, 1)
