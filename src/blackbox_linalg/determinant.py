@@ -64,7 +64,7 @@ def block_generator(alpha, m: int, p: int,
     tau = 2 * m
     alpha_t = alpha.transpose(0, 2, 1)
     # W: the row polynomials of the basis, transposed side
-    [(W, degs, _)] = _pade_basis(alpha_t, s, p, tau + 1, tau)
+    [(W, degs)] = _pade_basis(alpha_t, s, p, tau + 1, tau)
     if expected_degree_sum is not None and sum(degs) != expected_degree_sum:
         raise DegenerateSequence(
             f"generator degrees {degs} sum to {sum(degs)}, need {expected_degree_sum}")

@@ -30,12 +30,12 @@ Conventions, fixed and verified against dense oracles:
 The families are computed by the quadratic M-Basis: an order basis of the
 stacked series [A; -I] with initial row degrees (0,...,0, 1,...,1), raised
 one order at a time by constant-term elimination (pivot = minimal current
-row degree, ties by lowest row index).  Each order step eliminates on the
-constant term alone and records its row operations in one constant
-rows x rows transform T, which is then applied by one limb product to
-the live window of the basis (coefficients up to its largest row degree,
-at most k after k steps) and of the residual (coefficients k..; the lower
-ones are zero) before the pivot rows are shifted by x.  The q-runs use
+row degree, ties by lowest row index).  Order step k forms the one
+residual coefficient it eliminates on, E_k, by one limb product of the
+live window of the basis (coefficients up to its largest row degree, at
+most k after k steps) with the series, records its row operations in one
+constant rows x rows transform T, and applies T by one limb product to
+that window before the pivot rows are shifted by x.  The q-runs use
 order 2m-2 and the v-runs order 2m.  Row selection takes the s rows of
 smallest degree.
 
@@ -49,6 +49,7 @@ on its own, so they come out bit-identical to the full basis's.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,12 @@ import numpy as np
 from .dense import dense_inverse
 from .errors import DimensionError, HankelSingular, Singular
 from .field import (PANEL_ELEMENTS, left_limbs, limb_product, reduce_mod,
-                    right_limbs)
+                    right_limbs, thread_buffers)
 from .operators import BlackBoxOperator
 from .polymat import polymat_mul
 from .projection import BlockProjection, u_contract
+
+_window_buffers = threading.local()  # right limbs of the M-Basis windows, per thread
 
 
 @dataclass
@@ -127,13 +130,13 @@ def _transform_window(L: np.ndarray, pivots, W: np.ndarray, p: int) -> None:
     so T W = Tp W[pivots] + (W with its pivot rows zeroed): one limb product
     with the pivot count as inner dimension, accumulated into the zeroed
     panel and reduced once.  ``L`` is ``left_limbs(Tp)``; the panels are cut
-    as ``matmul_mod`` cuts its own."""
+    as ``matmul_mod`` cuts its own, their limbs in per-thread scratch."""
     rows, k = W.shape[0], len(pivots)
     width = max(1, PANEL_ELEMENTS // (2 * k + 4 * rows + 1))
-    R = np.empty((2 * k, min(width, W.shape[1])))
+    (R,) = thread_buffers(_window_buffers, 2 * k * min(width, W.shape[1]), (np.float64,))
     for lo in range(0, W.shape[1], width):
         panel = W[:, lo:lo + width]
-        limbs = right_limbs(panel[pivots], R[:, :panel.shape[1]])
+        limbs = right_limbs(panel[pivots], R[:2 * k * panel.shape[1]].reshape(2 * k, -1))
         panel[pivots] = 0
         limb_product(L, limbs, p, panel, accumulate=True)
 
@@ -142,68 +145,93 @@ def _mbasis(F: np.ndarray, sigma: int, shifts, p: int, snapshot_at: int | None =
             keep: int | None = None):
     """Iterative order basis on F (rows x cols x ncoeff int64 array).
 
-    Returns (M, degrees, E, snapshot): M is the first ``keep`` columns
-    (default all ``rows``) of the basis, as (rows x keep x sigma+1), E the
-    updated residual series (basis)*F (useful one coefficient past the order
-    for residues).  ``snapshot_at`` (below ``sigma``) captures copies of M,
-    the degrees and E's coefficient ``snapshot_at`` (rows x cols, the one
-    coefficient a caller reads there) after that many order steps, letting
-    one run serve two orders.
+    Returns (M, degrees, snapshot): M is the first ``keep`` columns
+    (default all ``rows``) of the basis, as (rows x keep x sigma+1).
+    ``snapshot_at`` (below ``sigma``) captures M, the degrees and the
+    residual's coefficient ``snapshot_at`` (rows x cols, the one a caller
+    reads there) after that many order steps: one run serves two orders.
 
-    Order step k eliminates on the constant term delta = E_k alone and
-    records its row operations in a rows x rows transform T, then applies T
-    by one limb product each to M's coefficients 0..d and to E's
-    coefficients k.. (the lower ones are zero once order k is reached).
-    Row operations act on each column on its own, and E is updated from its
-    own coefficients, so the kept columns come out the same whatever
-    ``keep`` is: the Pade front end keeps only the s columns it reads.
-    Row i of M has degree at most deg_i - min(shifts) (row operations only
-    add rows that come earlier in pivot order, of no larger degree), and at
-    most k, so d = min(k, max(deg) - min(shifts)).  M and E are held
-    coefficient-major (row x coeff x col), so each window is a strided 2-D
-    view updated in place; they are returned as (row x col x coeff) views.
+    Step k reads only the residual's coefficient k, formed from the basis
+    (Beckermann and Labahn, SIAM J. Matrix Anal. Appl. 1994) as
+    E_k = sum_{j<=d} M_j F_{k-j}[:keep] + Q_k: one limb product of M's live
+    window, in panels, with F's limbs made once.  The rows of F past
+    ``keep`` must be constant (else ValueError): the basis has degree at
+    most k after k steps, so in its untracked columns only coefficient k
+    meets them.  Q_k is that coefficient times F[keep:, :, 0], carried as
+    one more column block of the window and kept on the pivot rows, the
+    only rows with a coefficient k+1 after the shift.  Row operations act
+    on each column on its own, so the kept columns do not depend on
+    ``keep``: the Pade front end keeps only the s columns it reads.
+
+    The step eliminates on E_k in pivot order (least degree, ties by lowest
+    row) on a contiguous copy of [E_k | T], T the row operations in that
+    order, applies T to the window by one limb product and shifts the pivot
+    rows by x.  Row i of M has degree at most deg_i - min(shifts) (row
+    operations only add rows earlier in pivot order, of no larger degree)
+    and at most k, so d = min(k, max(deg) - min(shifts)).  M is held
+    coefficient-major (row x coeff x col), each window a strided 2-D view
+    updated in place, and returned as a (row x col x coeff) view.
     """
     rows, cols, ncoeff = F.shape
     keep = rows if keep is None else keep
-    E = np.ascontiguousarray(F.transpose(0, 2, 1)) % p
-    M = np.zeros((rows, sigma + 1, keep), dtype=np.int64)
+    if (F[keep:, :, 1:] % p).any():
+        raise ValueError(f"rows of F past keep={keep} must be constant")
+    # F[:keep]^T, coefficient-reversed (F_{ncoeff-1}, ..., F_0 side by side)
+    LF = np.remainder(F[:keep, :, ::-1].transpose(1, 2, 0), p,
+                      out=np.empty((cols, ncoeff, keep), dtype=np.int64))
+    LF = left_limbs(LF.reshape(cols, -1), p)
+    X = np.zeros((rows, cols + (sigma + 1) * keep), dtype=np.int64)
+    Q = X[:, :cols]  # the window is [Q_k | M_0 | ... | M_d]
+    Q[keep:] = F[keep:, :, 0] % p
+    M = X[:, cols:].reshape(rows, sigma + 1, keep)
     M[:keep, 0, :] = np.eye(keep, dtype=np.int64)
     deg = list(shifts)
     low = min(deg, default=0)
+    span = max(1, PANEL_ELEMENTS // (2 * keep * rows))
     snapshot = None
     for k in range(sigma):
+        d = min(k, max(deg) - low)
+        Et, u = Q.T.copy(), 2 * (ncoeff - 1 - k) * keep  # E_k^T; F_k's limbs from column u
+        for j0 in range(0, d + 1, span):
+            j1 = min(j0 + span, d + 1)
+            size = 2 * (j1 - j0) * keep * rows
+            (R,) = thread_buffers(_window_buffers, size, (np.float64,))
+            limbs = right_limbs(M[:, j0:j1].transpose(1, 2, 0), R[:size].reshape(-1, rows))
+            limb_product(LF[:, u + 2 * j0 * keep:u + 2 * j1 * keep], limbs, p, Et,
+                         accumulate=True)
         if k == snapshot_at:
-            snapshot = (M.transpose(0, 2, 1).copy(), list(deg), E[:, k, :].copy())
-        # [delta | T]: the constant term and the row operations done on it
-        DT = np.zeros((rows, cols + rows), dtype=np.int64)
-        DT[:, :cols] = E[:, k, :]
-        DT[:, cols:] = np.eye(rows, dtype=np.int64)
-        order = np.array(sorted(range(rows), key=lambda r: (deg[r], r)))
-        pivots = []
-        for pos, i in enumerate(order):
-            nz = DT[i, :cols].nonzero()[0]
+            snapshot = (M[:, :d + 1].copy(), list(deg), Et.T.copy())
+        # row pos of T has entries only up to column pos, and row pos of
+        # E_k none before its pivot: each update is one narrowed row slice
+        order = np.argsort(deg, kind="stable")
+        DT = np.concatenate([Et.T[order], np.eye(rows, dtype=np.int64)], axis=1)
+        found = []
+        for pos in range(rows):
+            nz = DT[pos, :cols].nonzero()[0]
             if len(nz) == 0:
                 continue
-            pivots.append(i)
+            found.append(pos)
             c = nz[0]
-            later = order[pos + 1:]
-            later = later[DT[later, c] != 0]
-            if len(later):
-                f = DT[later, c] * pow(int(DT[i, c]), -1, p) % p
-                DT[later] = (DT[later] - f[:, None] * DT[i]) % p
-        if not pivots:
-            continue
-        L = left_limbs(DT[:, cols:][:, pivots], p)
-        d = min(k, max(deg) - low)
-        _transform_window(L, pivots, M[:, :d + 1, :].reshape(rows, -1), p)
-        _transform_window(L, pivots, E[:, k:, :].reshape(rows, -1), p)
-        M[pivots, 1:d + 2] = M[pivots, :d + 1]
-        M[pivots, 0] = 0
-        E[pivots, k + 1:] = E[pivots, k:-1]
-        E[pivots, k] = 0
+            f = DT[pos + 1:, c] * pow(int(DT[pos, c]), -1, p) % p
+            below = DT[pos + 1:, c:cols + pos + 1]
+            below -= f[:, None] * DT[pos, c:cols + pos + 1]
+            below %= p
+            if len(found) == cols:
+                break  # the later rows of E_k are all zero now
+        pivots = order[found]
+        if found:
+            Tp = DT[np.argsort(order)][:, cols + np.array(found)]  # T[:, pivots]
+            _transform_window(left_limbs(Tp, p), pivots, X[:, :cols + (d + 1) * keep], p)
+            M[pivots, 1:d + 2] = M[pivots, :d + 1]
+            M[pivots, 0] = 0
+        Q[np.delete(order, found)] = 0  # no coefficient k+1 off the pivot rows
         for i in pivots:
             deg[i] += 1
-    return M.transpose(0, 2, 1), deg, E.transpose(0, 2, 1), snapshot
+    del LF  # the snapshot kept its window alone: pad it now the limbs are freed
+    if snapshot:
+        pad = [(0, 0), (0, sigma + 1 - snapshot[0].shape[1]), (0, 0)]
+        snapshot = (np.pad(snapshot[0], pad).transpose(0, 2, 1), *snapshot[1:])
+    return M.transpose(0, 2, 1), deg, snapshot
 
 
 @dataclass
@@ -239,16 +267,18 @@ def _pade_basis(alpha, s: int, p: int, ncoeff: int, sigma: int,
     coefficients) to order ``sigma`` with shifts (0,...,0, 1,...,1),
     tracking the s basis columns both read.
 
-    Returns (M, degrees, E) of the s basis rows of least degree (ties by
-    lowest index): M as (s x s x sigma+1), E as (s x s x ncoeff).  With
-    ``snapshot_at`` a second triple follows, the same rows picked at that
-    order, with E's coefficient ``snapshot_at`` alone (s x s)."""
+    Returns [(M, degrees)] of the s basis rows of least degree (ties by
+    lowest index), M as (s x s x sigma+1); with ``snapshot_at`` a triple
+    follows, the rows picked at that order and the residual's coefficient
+    ``snapshot_at`` (s x s).  The -I rows are constant, as ``_mbasis``
+    needs to track s columns: at step k, of the untracked columns only
+    coefficient k (the basis has degree at most k) meets them."""
     F = _stacked_series(alpha, s, p, ncoeff)
-    M, deg, E, snap = _mbasis(F, sigma, [0] * s + [1] * s, p, snapshot_at, keep=s)
+    M, deg, snap = _mbasis(F, sigma, [0] * s + [1] * s, p, snapshot_at, keep=s)
     picked = []
-    for basis, degs, resid in [(M, deg, E)] + ([snap] if snap else []):
+    for basis, degs, *resid in [(M, deg)] + ([snap] if snap else []):
         sel = sorted(range(2 * s), key=lambda i: (degs[i], i))[:s]
-        picked.append((basis[sel], [degs[i] for i in sel], resid[sel]))
+        picked.append((basis[sel], [degs[i] for i in sel], *[r[sel] for r in resid]))
     return picked
 
 
@@ -269,7 +299,7 @@ def _pade_side(alpha, s: int, m: int, p: int):
     """Both families of one side from one order-basis run (the q-state is
     the v-run's prefix): the v-run's row degrees and ``families()``, which
     gives (q, v) or raises HankelSingular, the signature of a singular H."""
-    (Mv, degv, _), (Mq, degq, Eq) = _pade_basis(alpha, s, p, 2 * m, 2 * m,
+    (Mv, degv), (Mq, degq, Eq) = _pade_basis(alpha, s, p, 2 * m, 2 * m,
                                                 snapshot_at=2 * m - 2)
 
     def families():

@@ -194,7 +194,7 @@ def sigma_basis(F, sigma, p, shifts=None):
     ncoeff, rows, cols = F.shape
     Farr = np.zeros((rows, cols, max(ncoeff, sigma + 1)), dtype=np.int64)
     Farr[:, :, :ncoeff] = np.moveaxis(F, 0, 2)
-    M, deg, _, _ = _mbasis(Farr, sigma, shifts or [0] * rows, p)
+    M, deg, _ = _mbasis(Farr, sigma, shifts or [0] * rows, p)
     return SimpleNamespace(basis=np.moveaxis(M, 2, 0), row_degrees=deg)
 
 

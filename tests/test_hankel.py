@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from blackbox_linalg import (BlockHankel, BlockProjection, DenseOperator,
 from blackbox_linalg.errors import HankelSingular
 
 from _oracles import (IdentityOperator, dense_rank, hankel_to_dense,
-                      krylov_sequence, mbasis_reference, sigma_basis)
+                      krylov_sequence, mbasis_reference,
+                      naive_polymat_convolution, sigma_basis)
 
 F = PrimeField(10007)
 P = F.p
@@ -115,14 +118,28 @@ def test_sigma_basis_minimal_degrees_sum():
     assert sum(res.row_degrees) == sigma * s
 
 
+PADE_KINDS = ("pade", "pade-zero-a0", "pade-repeated", "pade-sparse")
+
+
 def _order_basis_series(rng, p, kind):
     """A (rows x cols x ncoeff) series with initial row degrees: random,
     of low rank, partly zero (zero coefficients and zero rows), or the
-    stacked [A; -I] of a Pade run with shifts (0,...,0, 1,...,1)."""
-    if kind == "pade":
+    stacked [A; -I] of a Pade run with shifts (0,...,0, 1,...,1), with
+    random blocks or degenerate ones: A_0 = 0 (rows pivot at every step),
+    each block repeating the one before with probability 1/2, or 60% of
+    the entries zero."""
+    if kind in PADE_KINDS:
         s, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
         alpha = [rng.integers(0, p, size=(s, s), dtype=np.int64)
                  for _ in range(2 * m - 1)]
+        if kind == "pade-zero-a0":
+            alpha[0][:] = 0
+        elif kind == "pade-repeated":
+            for k in range(1, len(alpha)):
+                alpha[k] = alpha[k - 1] if rng.random() < 0.5 else alpha[k]
+        elif kind == "pade-sparse":
+            for a in alpha:
+                a[rng.random((s, s)) < 0.6] = 0
         F = hankel._stacked_series(alpha, s, p, 2 * m)
         return F, 2 * m, [0] * s + [1] * s
     rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 6))
@@ -139,52 +156,126 @@ def _order_basis_series(rng, p, kind):
     return F, sigma, [int(d) for d in rng.integers(0, 3, size=rows)]
 
 
-@pytest.mark.parametrize("p", [3, 65537, 2147483629])
+def _residual(M, F, p):
+    """The residual series (basis) * F to F's length, from the naive
+    convolution of the (rows x rows x sigma+1) basis with F."""
+    conv = naive_polymat_convolution([M[:, :, j] for j in range(M.shape[2])],
+                                     [F[:, :, t] for t in range(F.shape[2])], p)
+    return np.stack(conv[:F.shape[2]], axis=2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 65537, 2147483629])
 def test_mbasis_matches_reference(p):
-    # one transform per order step on the live windows gives the per-pivot
-    # reference's basis, degrees, residual and snapshot bit for bit (the
-    # snapshot keeps the residual's coefficient ``snap`` alone)
+    # the step that forms only the residual's coefficient k from the basis
+    # gives the per-pivot reference's basis, degrees and snapshot bit for
+    # bit (the snapshot keeps the residual's coefficient ``snap`` alone).
+    # Pade series run tracking s and 2s columns; with every column tracked
+    # the basis times F is the reference's residual
     rng = np.random.default_rng(p % 1009)
-    for trial in range(40):
-        kind = ("random", "low-rank", "partly-zero", "pade")[trial % 4]
+    kinds = ("random", "low-rank", "partly-zero") + PADE_KINDS
+    for trial in range(42):
+        kind = kinds[trial % len(kinds)]
         F, sigma, shifts = _order_basis_series(rng, p, kind)
+        rows = F.shape[0]
+        keeps = (rows // 2, rows) if kind in PADE_KINDS else (rows,)
         for snap in (None, int(rng.integers(0, sigma))):
-            M, deg, E, snapshot = hankel._mbasis(F, sigma, shifts, p, snap)
             M0, deg0, E0, snapshot0 = mbasis_reference(F, sigma, shifts, p, snap)
-            assert deg == deg0, (kind, trial)
-            assert M.shape == M0.shape and np.array_equal(M, M0), (kind, trial)
-            assert E.shape == E0.shape and np.array_equal(E, E0), (kind, trial)
-            assert (snapshot is None) == (snap is None)
-            if snap is not None:
-                assert snapshot[1] == snapshot0[1]
-                assert np.array_equal(snapshot[0], snapshot0[0])
-                assert snapshot[2].shape == snapshot0[2].shape[:2]
-                assert np.array_equal(snapshot[2], snapshot0[2][:, :, snap])
+            for keep in keeps:
+                M, deg, snapshot = hankel._mbasis(F, sigma, shifts, p, snap, keep)
+                assert deg == deg0, (kind, trial)
+                assert M.shape == (rows, keep, sigma + 1), (kind, trial, keep)
+                assert np.array_equal(M, M0[:, :keep]), (kind, trial, keep)
+                assert (snapshot is None) == (snap is None)
+                if snap is not None:
+                    assert snapshot[1] == snapshot0[1]
+                    assert np.array_equal(snapshot[0], snapshot0[0][:, :keep])
+                    assert snapshot[2].shape == snapshot0[2].shape[:2]
+                    assert np.array_equal(snapshot[2], snapshot0[2][:, :, snap])
+                if keep == rows:
+                    assert np.array_equal(_residual(M, F, p), E0), (kind, trial)
 
 
 @pytest.mark.parametrize("p", [3, 65537, 2147483629])
 def test_restricted_mbasis_matches_reference_columns(p):
-    # tracking only the first c basis columns gives the reference's first c
-    # columns, and its degrees, residual and snapshot, bit for bit; a small
-    # panel budget cuts every window transform into several panels
+    # tracking only the first c basis columns of a series whose rows past c
+    # are constant gives the reference's first c columns, and its degrees
+    # and snapshot, bit for bit; a small panel budget cuts every residual
+    # product and window transform into several panels
     rng = np.random.default_rng(p % 1013)
-    for trial in range(40):
-        kind = ("random", "low-rank", "partly-zero", "pade")[trial % 4]
+    kinds = ("random", "low-rank", "partly-zero") + PADE_KINDS
+    for trial in range(42):
+        kind = kinds[trial % len(kinds)]
         F, sigma, shifts = _order_basis_series(rng, p, kind)
         rows, cols = F.shape[:2]
         snap = int(rng.integers(0, sigma))
-        M0, deg0, E0, snapshot0 = mbasis_reference(F, sigma, shifts, p, snap)
         for c in sorted({1, min(cols, rows), rows}):
+            Fc = F.copy()
+            Fc[c:, :, 1:] = 0
+            M0, deg0, _, snapshot0 = mbasis_reference(Fc, sigma, shifts, p, snap)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(hankel, "PANEL_ELEMENTS", int(rng.integers(1, 120)))
-                M, deg, E, snapshot = hankel._mbasis(F, sigma, shifts, p, snap, keep=c)
+                M, deg, snapshot = hankel._mbasis(Fc, sigma, shifts, p, snap, keep=c)
             assert deg == deg0, (kind, trial, c)
             assert M.shape == (rows, c, sigma + 1), (kind, trial, c)
             assert np.array_equal(M, M0[:, :c]), (kind, trial, c)
-            assert np.array_equal(E, E0), (kind, trial, c)
             assert snapshot[1] == snapshot0[1]
             assert np.array_equal(snapshot[0], snapshot0[0][:, :c])
             assert np.array_equal(snapshot[2], snapshot0[2][:, :, snap])
+
+
+def test_mbasis_rejects_untracked_rows_that_are_not_constant():
+    # the step reads only coefficient k of the untracked columns, which is
+    # exact only while the rows of F past ``keep`` are constant
+    rng = np.random.default_rng(66)
+    F = rng.integers(1, P, size=(4, 2, 5), dtype=np.int64)
+    F[2:, :, 1:] = 0
+    hankel._mbasis(F, 4, [0, 0, 1, 1], P, keep=2)
+    F[3, 1, 4] = 1
+    with pytest.raises(ValueError, match="constant"):
+        hankel._mbasis(F, 4, [0, 0, 1, 1], P, keep=2)
+    hankel._mbasis(F, 4, [0, 0, 1, 1], P)  # tracking every column is exact
+
+
+def test_restricted_mbasis_takes_any_shifts_of_constant_rows():
+    # constant untracked rows suffice, whatever their shifts: the basis has
+    # degree at most k after k steps, so only its coefficient k in those
+    # columns meets them.  Rows past ``keep`` of smaller shift than the
+    # kept ones (pivots before them) give the reference's columns too
+    rng = np.random.default_rng(67)
+    for trial in range(60):
+        p = (3, 5, 65537)[trial % 3]
+        rows, cols = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+        keep, sigma = int(rng.integers(1, rows)), int(rng.integers(1, 10))
+        F = rng.integers(0, p, size=(rows, cols, sigma + 1), dtype=np.int64)
+        F[keep:, :, 1:] = 0
+        shifts = [2] * keep + [0] * (rows - keep)
+        snap = int(rng.integers(0, sigma))
+        M0, deg0, _, snapshot0 = mbasis_reference(F, sigma, shifts, p, snap)
+        M, deg, snapshot = hankel._mbasis(F, sigma, shifts, p, snap, keep=keep)
+        assert deg == deg0 and np.array_equal(M, M0[:, :keep]), trial
+        assert snapshot[1] == snapshot0[1]
+        assert np.array_equal(snapshot[0], snapshot0[0][:, :keep])
+        assert np.array_equal(snapshot[2], snapshot0[2][:, :, snap])
+
+
+@pytest.mark.parametrize("s, m, bound", [(32, 32, 5848056), (10, 103, 1825848)])
+def test_pade_side_memory_within_whole_residual_mbasis(s, m, bound):
+    # the traced peak of one side's run and families, after a warm-up, is
+    # at most the peak (in bytes) of the M-Basis that transformed the whole
+    # residual window every step, measured on these inputs: the series'
+    # limbs replace its residual, and the snapshot copies only the live
+    # window of the basis
+    rng = np.random.default_rng(7)
+    p = 2147483629
+    alpha = [rng.integers(0, p, size=(s, s), dtype=np.int64) for _ in range(2 * m)]
+    hankel._pade_side(alpha, s, m, p)[1]()
+    tracemalloc.start()
+    try:
+        hankel._pade_side(alpha, s, m, p)[1]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_rep_m1_single_block():
