@@ -4,15 +4,14 @@ Computes the dense inverse, a certified nullspace basis and rank, and the
 determinant of an n x n matrix given only matrix-vector products (and
 transposed products), using structured block projections, block-Krylov
 factorization of the inverse, and block-Hankel inversion via order bases.
-All randomized algorithms are Las Vegas except the determinant, which is
-Monte Carlo with optional confirmation runs.
+All randomized algorithms are Las Vegas: they may retry, but an answer
+they return is certified.
 """
 from .dense import dense_det, dense_inverse
-from .determinant import (GeneratorResult, block_generator, det_integer_crt,
-                          det_mod_p, word_size_primes)
-from .errors import (BlackboxLinalgError, DegenerateSequence, DimensionError,
-                     FieldTooSmall, HankelSingular, IndexOutOfRange,
-                     InsufficientPrimes, MalformedHeader, MatrixMarketError,
+from .determinant import det_integer_crt, det_mod_p, word_size_primes
+from .errors import (BlackboxLinalgError, DimensionError, FieldTooSmall,
+                     HankelSingular, IndexOutOfRange, InsufficientPrimes,
+                     MalformedHeader, MatrixMarketError,
                      NonSquareWhereSquareRequired, NotInvertible,
                      RetriesExhausted, Singular, SingularMatrix)
 from .field import PrimeField, is_probable_prime, matmul_mod

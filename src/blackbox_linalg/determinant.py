@@ -1,105 +1,44 @@
-"""Determinant of a black-box matrix modulo a word-size prime via the
-baby-steps/giant-steps block minimal matrix generator, plus Chinese-
-remainder assembly of integer determinants over several primes.
+"""Determinant of a black-box matrix modulo a word-size prime by block
+Wiedemann, plus Chinese-remainder assembly of integer determinants over
+several primes.
 
 Per prime: precondition B = D1 (U A) D2 (butterfly U has determinant 1 by
-construction), project the power sequence alpha_i = u^T B^i v, i <= 2m,
-with the stacked-identity u on the left and a dense random n x s block v
-on the right (one ``krylov_apply_left`` sweep, 2m applications of B to v),
-compute the minimal right matrix generator by the order-basis algorithm,
-and read
+construction; A padded with an identity to order n = m s), project
+alpha_k = u^T B^{k+1} v, k < 2m, with the stacked-identity u on the left
+and a dense random n x s block v on the right (2m applications of B to v),
+and run one order basis on the transposed blocks (``hankel._block_wiedemann``).
+When its Pade families pass the Hankel certificate, B is nonsingular and
 
-    det B = (-1)^n det F(0) / lead(det F)
+    det B = (-1)^n det v_m
 
-(the generator is row-reduced, so lead(det F) is the determinant of the
-constant coefficients of the un-reversed basis rows).  The diagonal
-determinants divide back out exactly.  Retries and the singularity
-certificate are ``inverse.run_attempts``, the policy of every pipeline.
+holds exactly for the degree-m coefficient v_m of the v-family.  The
+diagonal determinants divide back out exactly.  Retries and the
+singularity certificate are ``inverse.run_attempts``, the policy of every
+pipeline.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dense import dense_det
-from .errors import (DegenerateSequence, DimensionError, FieldTooSmall,
-                     InsufficientPrimes, SingularMatrix)
-from .field import PrimeField, is_probable_prime, reduce_mod
-from .hankel import _pade_basis
+from .errors import DimensionError, InsufficientPrimes, SingularMatrix
+from .field import PrimeField, is_probable_prime
+from .hankel import _block_wiedemann
 from .inverse import InversionConfig, run_attempts
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, EmbeddedOperator, SparseOperator)
-from .polymat import polymat_mul
-from .projection import BlockProjection, krylov_apply_left
-
-
-@dataclass
-class GeneratorResult:
-    """Minimal right matrix generator of a block sequence.
-
-    ``F`` is its (degree + 1, s, s) coefficient array; it right-annihilates
-    the sampled sequence: for every column c with degree d_c,
-    sum_j alpha_{i+j} F_j e_c = 0 for 0 <= i < samples - d_c.
-    """
-    F: np.ndarray
-    degree: int
-    det_at_zero: int
-    col_degrees: list
-    det_lead: int
-
-
-def block_generator(alpha, m: int, p: int,
-                    expected_degree_sum: int | None = None) -> GeneratorResult:
-    """Minimal right matrix generator from >= 2m sequence blocks.
-
-    Raises DegenerateSequence when the degree profile falls short of
-    ``expected_degree_sum`` (callers pass n = m s) or a normalizer is
-    singular; callers retry with fresh projections."""
-    alpha = reduce_mod(np.stack(alpha), p)
-    s = alpha.shape[1]
-    if len(alpha) < 2 * m:
-        raise ValueError(f"need at least {2 * m} sequence blocks, got {len(alpha)}")
-    tau = 2 * m
-    alpha_t = alpha.transpose(0, 2, 1)
-    # W: the row polynomials of the basis, transposed side
-    [(W, degs)] = _pade_basis(alpha_t, s, p, tau + 1, tau)
-    if expected_degree_sum is not None and sum(degs) != expected_degree_sum:
-        raise DegenerateSequence(
-            f"generator degrees {degs} sum to {sum(degs)}, need {expected_degree_sum}")
-    det_lead = dense_det(W[:, :, 0], p)      # constant coefficients
-    if det_lead == 0:
-        raise DegenerateSequence("generator normalizer (constant term) singular")
-    # Per-row reversal, transposed back: column c of coefficient F_k is
-    # row c of W at position degs[c] - k.
-    dmax = max(degs)
-    gen = np.zeros((dmax + 1, s, s), dtype=np.int64)
-    for c, d in enumerate(degs):
-        gen[:d + 1, :, c] = W[c, :, d::-1].T
-    # annihilation check over the sampled window, all windows i at once:
-    # coefficient dmax + i of F_rev^T(x) alpha^T(x) is the transpose of
-    # sum_k alpha_{i+k} F_k, so its row c is column c of that sum.  Column c
-    # must vanish on windows i < len(alpha) - d_c (past them it reads
-    # coefficients above d_c, which are zero in that column).
-    windows = max(len(alpha) - min(degs), 0)
-    acc = polymat_mul(gen[::-1].transpose(0, 2, 1), alpha_t, p, dmax, dmax + windows)
-    for c, d in enumerate(degs):
-        if acc[:max(len(alpha) - d, 0), c].any():
-            raise DegenerateSequence("generator fails annihilation on the sample")
-    return GeneratorResult(F=gen, degree=dmax, det_at_zero=dense_det(gen[0], p),
-                           col_degrees=degs, det_lead=det_lead)
 
 
 def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
-    """Determinant of A modulo the operator's prime (Monte Carlo: verified
-    only by the degree checks; run twice with different seeds to confirm).
+    """Determinant of A modulo the operator's prime (Las Vegas: never wrong).
 
     Each attempt draws a fresh preconditioner and projection under
-    ``run_attempts``: the first degenerate sequence runs the singularity
-    certificate, and a certified rank < n returns 0, as does its FieldTooSmall
-    once every attempt has degenerated (the Monte Carlo answer).  Otherwise
-    running out of attempts raises RetriesExhausted."""
+    ``run_attempts``; a nonzero determinant is accepted only with the Hankel
+    certificate of its run.  The first failed certificate runs the
+    singularity certificate, and a certified kernel vector returns 0.
+    Otherwise running out of attempts raises RetriesExhausted."""
     cfg = cfg or InversionConfig()
     field = A.field
     p = field.p
@@ -108,26 +47,21 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
     m = (n0 + s - 1) // s
     n = m * s
     work = EmbeddedOperator(A, n) if n != n0 else A
-    P = BlockProjection(n, s)
 
     def attempt(rng):
         D1 = DiagonalOperator.random(n, field, rng)
         D2 = DiagonalOperator.random(n, field, rng)
         U = ButterflyOperator(n, field, rng)
-        B = ComposedOperator([D1, U, work, D2])
         v = rng.integers(0, p, size=(n, s), dtype=np.int64)
-        alpha = krylov_apply_left(B, P, v, terms=2 * m + 1).reshape(2 * m + 1, s, s)
-        gen = block_generator(alpha, m, p, expected_degree_sum=n)
-        det_B = gen.det_at_zero * field.inv(gen.det_lead) % p
-        if n % 2:
-            det_B = (-det_B) % p
+        _, certified, _ = _block_wiedemann(ComposedOperator([D1, U, work, D2]), v)
+        det_B = dense_det(certified()[1][m], p) * (-1) ** n % p
         # det U = 1 by construction; padding contributes det 1
         scale = D1.determinant() * D2.determinant() % p
         return det_B * field.inv(scale) % p
 
     try:
         return run_attempts(A, cfg, attempt, certify=True, s=s, m=m)[0]
-    except (SingularMatrix, FieldTooSmall):
+    except SingularMatrix:
         return 0
 
 

@@ -51,10 +51,6 @@ class RetriesExhausted(BlackboxLinalgError):
     """All randomized attempts failed without a definite verdict."""
 
 
-class DegenerateSequence(BlackboxLinalgError):
-    """Projected sequence admits no full-degree minimal generator."""
-
-
 class InsufficientPrimes(BlackboxLinalgError):
     """Product of the supplied primes does not cover the result bound."""
 

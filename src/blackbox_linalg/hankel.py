@@ -39,13 +39,33 @@ that window before the pivot rows are shifted by x.  The q-runs use
 order 2m-2 and the v-runs order 2m.  Row selection takes the s rows of
 smallest degree.
 
-The Pade families and the determinant's block generator share one front end
-(``_pade_basis``): the stacked series, the M-Basis run and the row
-selection.  Each side of the families is one run (``_pade_side``), and the
-rank takes its estimate and its certificate from the plain side's, the
-block generator's basis.  All read only the first s columns of the 2s x
-2s basis, so the run tracks only those; row operations act on each column
-on its own, so they come out bit-identical to the full basis's.
+Each side of the families is one run (``_pade_side``): the stacked
+series, the M-Basis run and the row selection.  It reads only the first s
+columns of the 2s x 2s basis, so the run tracks only those; row operations
+act on each column on its own, so they come out bit-identical to the full
+basis's.
+
+Block Wiedemann (Coppersmith, Math. Comp. 1994; Kaltofen, Math. Comp. 1995)
+is one such run on the transposed blocks of alpha_k = u^T B^{k+1} v,
+k < 2m, for B of order N = m s and a dense random N x s block v
+(``_block_wiedemann``).  It serves the determinant, the rank and the
+singularity certificate:
+
+  * its v-run's row degree sum, the degree of the minimal right generator
+    F of the alpha_k, is the dimension of the projected Krylov space of
+    B v: the rank estimate;
+  * ``_hankel_certificate``: if its q- and v-families solve H Q = E_m, the
+    last s columns of I_N, and H V = -h = -[alpha_m; ...; alpha_{2m-1}]
+    exactly for H = K_u^T B K_v, then H is nonsingular.  A y with y H = 0
+    has y E_m = 0 (its last block vanishes) and y h = 0, so y shifted down
+    one block is in the left kernel too; after m shifts y = 0.  So B is
+    nonsingular, with no field-size bound.  Then K_u^T B is injective, and
+    the v-family's relation sum_j alpha_{i-j} v_j = 0 (m <= i < 2m) lifts
+    to sum_j B^{m-j} v v_j = 0: B K_v = K_v C for the block companion C of
+    v, so det B = (-1)^N det v_m;
+  * where F also generates the unprojected B^{k+1} v, each of its columns
+    gives a kernel vector w = sum_j B^j v F_j e_c of B, which one
+    application checks.
 """
 from __future__ import annotations
 
@@ -58,9 +78,10 @@ from .dense import dense_inverse
 from .errors import DimensionError, HankelSingular, Singular
 from .field import (PANEL_ELEMENTS, left_limbs, limb_product, reduce_mod,
                     right_limbs, thread_buffers)
-from .operators import BlackBoxOperator
+from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
+                        DiagonalOperator, EmbeddedOperator)
 from .polymat import polymat_mul
-from .projection import BlockProjection, u_contract
+from .projection import BlockProjection, krylov_apply_left, u_contract
 
 _window_buffers = threading.local()  # right limbs of the M-Basis windows, per thread
 
@@ -260,28 +281,6 @@ def _stacked_series(alpha, s: int, p: int, ncoeff: int) -> np.ndarray:
     return F
 
 
-def _pade_basis(alpha, s: int, p: int, ncoeff: int, sigma: int,
-                snapshot_at: int | None = None):
-    """The order-basis front end of the Pade families and the block
-    generator: the M-Basis of the stacked series [A; -I] (``ncoeff``
-    coefficients) to order ``sigma`` with shifts (0,...,0, 1,...,1),
-    tracking the s basis columns both read.
-
-    Returns [(M, degrees)] of the s basis rows of least degree (ties by
-    lowest index), M as (s x s x sigma+1); with ``snapshot_at`` a triple
-    follows, the rows picked at that order and the residual's coefficient
-    ``snapshot_at`` (s x s).  The -I rows are constant, as ``_mbasis``
-    needs to track s columns: at step k, of the untracked columns only
-    coefficient k (the basis has degree at most k) meets them."""
-    F = _stacked_series(alpha, s, p, ncoeff)
-    M, deg, snap = _mbasis(F, sigma, [0] * s + [1] * s, p, snapshot_at, keep=s)
-    picked = []
-    for basis, degs, *resid in [(M, deg)] + ([snap] if snap else []):
-        sel = sorted(range(2 * s), key=lambda i: (degs[i], i))[:s]
-        picked.append((basis[sel], [degs[i] for i in sel], *[r[sel] for r in resid]))
-    return picked
-
-
 def _family(M, deg, top: int, normalizer, p: int, run: str):
     """Coefficients 0..top of the basis rows M times ``normalizer^{-1}``;
     HankelSingular when a row has degree above ``top`` or the normalizer is
@@ -296,18 +295,30 @@ def _family(M, deg, top: int, normalizer, p: int, run: str):
 
 
 def _pade_side(alpha, s: int, m: int, p: int):
-    """Both families of one side from one order-basis run (the q-state is
-    the v-run's prefix): the v-run's row degrees and ``families()``, which
-    gives (q, v) or raises HankelSingular, the signature of a singular H."""
-    (Mv, degv), (Mq, degq, Eq) = _pade_basis(alpha, s, p, 2 * m, 2 * m,
-                                                snapshot_at=2 * m - 2)
+    """Both families of one side from one order-basis run: the M-Basis of
+    the stacked series [A; -I] to order 2m with shifts (0,...,0, 1,...,1),
+    whose state at order 2m-2 is the q-run's.  The -I rows are constant, as
+    ``_mbasis`` needs to track only the s columns the families read: at
+    step k, of the untracked columns only coefficient k (the basis has
+    degree at most k) meets them.  Each run takes its s basis rows of least
+    degree (ties by lowest index).
+
+    Returns the v-run's row degrees, ``families()``, which gives (q, v) or
+    raises HankelSingular, the signature of a singular H, and the v-run's
+    rows (s x s x 2m+1)."""
+    def pick(basis, degs, *resid):
+        sel = sorted(range(2 * s), key=lambda i: (degs[i], i))[:s]
+        return (basis[sel], [degs[i] for i in sel], *[r[sel] for r in resid])
+    F = _stacked_series(alpha, s, p, 2 * m)
+    M, deg, snapshot = _mbasis(F, 2 * m, [0] * s + [1] * s, p, 2 * m - 2, keep=s)
+    (Mv, degv), (Mq, degq, Eq) = pick(M, deg), pick(*snapshot)
 
     def families():
         # q-family: order 2m-2, degree <= m-1, normalized by the residue
         # at x^{2m-2}; v-family: order 2m, degree <= m, by the constant term
         return (_family(Mq, degq, m - 1, Eq, p, "q"),
                 _family(Mv, degv, m, Mv[:, :, 0], p, "v"))
-    return degv, families
+    return degv, families, Mv
 
 
 def _pade_families(alpha, s: int, m: int, p: int):
@@ -315,6 +326,63 @@ def _pade_families(alpha, s: int, m: int, p: int):
     q_star, v_star = _pade_side(alpha, s, m, p)[1]()
     q_t, v_t = _pade_side([a.T for a in alpha], s, m, p)[1]()
     return q_t.transpose(0, 2, 1), q_star, v_t.transpose(0, 2, 1), v_star
+
+
+def _hankel_certificate(alpha, q_t, v_t, p: int) -> None:
+    """HankelSingular unless q_t, v_t (families of alpha^T) solve both Hankel systems."""
+    m, s = len(q_t), len(alpha[0])
+    QV = np.concatenate([q_t[::-1], v_t[:0:-1]], axis=1).transpose(0, 2, 1)
+    HQV = BlockHankel(s, m, alpha, p).apply(QV.reshape(m * s, 2 * s))
+    want = np.concatenate([np.eye(m * s, s, s - m * s, dtype=np.int64),
+                           (-np.concatenate(alpha[m:])) % p], axis=1)
+    if not np.array_equal(HQV, want):
+        raise HankelSingular("Pade families fail H Q = E_m, H V = -h")
+
+
+def _rank_preconditioner(A: BlackBoxOperator, s: int, rng):
+    """The rank's draws, in this order: A~ = U A V^T D (butterflies U and
+    V, a random diagonal D) and a dense random N x s block v, N the
+    multiple of s that n pads to.
+
+    Returns (B, V^T, D, v) with B = diag(A~, I) of order N.  The right
+    butterfly enters transposed: a forward network there loses the generic
+    rank profile on inputs with structured dead columns."""
+    n, field = A.n, A.field
+    U = ButterflyOperator(n, field, rng)
+    Vt = ButterflyOperator(n, field, rng).transpose()
+    D = DiagonalOperator.random(n, field, rng)
+    A_tilde = ComposedOperator([U, A, Vt, D])
+    N = -(-n // s) * s
+    v = rng.integers(0, field.p, size=(N, s), dtype=np.int64)
+    return EmbeddedOperator(A_tilde, N) if N != n else A_tilde, Vt, D, v
+
+
+def _block_wiedemann(B: BlackBoxOperator, v: np.ndarray):
+    """One block Wiedemann run: the sweep alpha_k = u^T B^{k+1} v, k < 2m
+    (2N applications for B of order N = m s, v of N x s), and one
+    order-basis run on its transposed blocks.
+
+    Returns the row degrees of the minimal right generator F of the
+    alpha_k, ``certified()``, which gives the families (q, v) of alpha^T
+    once ``_hankel_certificate`` has proved B nonsingular (else raises
+    HankelSingular), and F as a (max degree + 1, s, s) array: column c has
+    degree degrees[c], and sum_j alpha_{i+j} F_j e_c = 0 for
+    0 <= i < 2m - degrees[c]."""
+    p, (N, s) = B.field.p, v.shape
+    m = N // s
+    alpha = krylov_apply_left(B, BlockProjection(N, s), v, terms=2 * m + 1)[s:]
+    alpha = alpha.reshape(2 * m, s, s)
+    degrees, families, rows = _pade_side([a.T for a in alpha], s, m, p)
+
+    def certified():
+        q_t, v_t = families()
+        _hankel_certificate(alpha, q_t, v_t, p)
+        return q_t, v_t
+    # column c of F_k is row c of the basis at position degrees[c] - k
+    F = np.zeros((max(degrees) + 1, s, s), dtype=np.int64)
+    for c, d in enumerate(degrees):
+        F[:d + 1, :, c] = rows[c, :, d::-1].T
+    return degrees, certified, F
 
 
 def hankel_inverse_rep(H: BlockHankel, rng) -> HankelInverseRep:

@@ -40,10 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSequence, DimensionError, FieldTooSmall,
-                     HankelSingular, RetriesExhausted, SingularMatrix)
-from .field import PANEL_ELEMENTS, as_int64, reduce_in_place, reduce_mod
-from .hankel import build_hankel, hankel_inverse_apply, hankel_inverse_rep
+from .errors import (DimensionError, FieldTooSmall, HankelSingular,
+                     RetriesExhausted, SingularMatrix)
+from .field import (PANEL_ELEMENTS, as_int64, matmul_mod, reduce_in_place,
+                    reduce_mod)
+from .hankel import (_block_wiedemann, _rank_preconditioner, build_hankel,
+                     hankel_inverse_apply, hankel_inverse_rep)
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, EmbeddedOperator)
 from .projection import BlockProjection, krylov_apply_left, krylov_apply_right
@@ -208,28 +210,27 @@ def run_attempts(A: BlackBoxOperator, cfg: InversionConfig, attempt,
 
     Up to ``cfg.max_retries`` calls ``attempt(rng)`` draw from one generator
     seeded with ``cfg.seed``.  An attempt returns its answer, returns None
-    to retry, or raises HankelSingular or DegenerateSequence on a degenerate
-    projection.  That most often means that A itself is singular, when every
-    further attempt is doomed too; so with ``certify`` the first one runs
-    ``_singular_certificate`` at once, and a certified rank deficiency
+    to retry, or raises HankelSingular on a degenerate projection.  That
+    most often means that A itself is singular, when every further attempt
+    is doomed too; so with ``certify`` the first one runs
+    ``_singular_certificate`` at once, and a certified kernel vector
     propagates as SingularMatrix.  On a nonsingular A (an unlucky draw) the
-    certificate is cheap when its first estimate succeeds: one block sweep
-    of 2N applications (N is n rounded up to a multiple of s = sqrt(n))
-    and one order basis, whose families are the Hankel certificate, and the
+    certificate is cheap when its first run succeeds: one block sweep of 2N
+    applications (N is n rounded up to a multiple of s = sqrt(n)) and one
+    order basis, whose families are the Hankel certificate, and the
     attempts go on; it never runs twice, and runs after the last attempt
-    when no projection degenerated.  When the attempts run out, its
-    FieldTooSmall is raised, else RetriesExhausted.  The stats count the
-    applications of A and report s and m as given."""
+    when no projection degenerated.  When the attempts run out,
+    RetriesExhausted is raised.  The stats count the applications of A and
+    report s and m as given."""
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     base_count = A.total_applications
-    failure = None  # a FieldTooSmall of the certificate
     for retry in range(cfg.max_retries):
         attempt_base = A.total_applications
         degenerate = False
         try:
             answer = attempt(rng)
-        except (HankelSingular, DegenerateSequence):
+        except HankelSingular:
             answer, degenerate = None, True
         if answer is not None:
             return answer, RunStats(
@@ -238,25 +239,43 @@ def run_attempts(A: BlackBoxOperator, cfg: InversionConfig, attempt,
                 bb_applies_last_attempt=A.total_applications - attempt_base)
         if certify and (degenerate or retry + 1 == cfg.max_retries):
             certify = False  # at most once
-            try:
-                _singular_certificate(A, cfg)
-            except FieldTooSmall as exc:
-                failure = exc
-    raise failure or RetriesExhausted(
+            _singular_certificate(A, cfg)
+    raise RetriesExhausted(
         f"{cfg.max_retries} attempts failed without a certified answer")
 
 
 def _singular_certificate(A: BlackBoxOperator, cfg: InversionConfig) -> None:
-    """Try to prove A singular with ``nullspace_rank`` on a seed derived
-    from ``cfg.seed``, its draws independent of the caller's: a certified
-    rank < n raises SingularMatrix with a kernel vector, and a FieldTooSmall
-    of its minor solve propagates; any other outcome returns."""
-    from .nullrank import nullspace_rank  # local import; nullrank uses inverse
+    """Try to prove A singular by a kernel vector, in up to
+    ``cfg.max_retries`` block Wiedemann runs of the rank's shape and
+    automatic s on a seed derived from ``cfg.seed`` (its draws independent
+    of the caller's).
 
-    try:
-        cert = nullspace_rank(A, InversionConfig(
-            seed=cfg.seed + 0x9E3779B9, max_retries=cfg.max_retries))
-    except RetriesExhausted:
-        return
-    if cert.rank < A.n:
-        raise SingularMatrix(cert.nullspace[:, 0].copy())
+    A run whose rank estimate is n returns once its Hankel certificate
+    proves A nonsingular.  Otherwise each column F e_c of the run's
+    generator gives w = sum_j B^j v F_j e_c (one Horner sweep of the
+    N x s block, at most deg F applications), with B w = 0 where F also
+    generates the unprojected B^{k+1} v.  A column with zero padding rows
+    and a nonzero k = V^T D w[:n] with A k = 0 (one application) raises
+    SingularMatrix(k).  No step needs a field-size bound; any other outcome
+    retries, and returns when the runs are used up."""
+    n, p = A.n, A.field.p
+    own = InversionConfig(seed=cfg.seed + 0x9E3779B9, max_retries=cfg.max_retries)
+    rng = np.random.default_rng(own.seed)
+    for _ in range(own.max_retries):
+        B, Vt, D, v = _rank_preconditioner(A, own.block_size(n), rng)
+        degrees, certified, F = _block_wiedemann(B, v)
+        if sum(degrees) - (B.n - n) >= n:
+            try:
+                certified()
+                return
+            except HankelSingular:
+                continue
+        W = matmul_mod(v, F[-1], p)
+        for Fj in F[-2::-1]:
+            W = reduce_in_place(B.apply_matrix(W) + matmul_mod(v, Fj, p), p)
+        for w in W.T:
+            if w[n:].any() or not w[:n].any():
+                continue
+            k = Vt.apply(D.apply(w[:n]))
+            if not A.apply(k).any():
+                raise SingularMatrix(k)

@@ -9,7 +9,8 @@ of one transform per order step, gather/scatter butterfly stages
 (``butterfly_reference``) instead of the row plan.  Two exceptions:
 ``sigma_basis``, a test-facing wrapper that exposes the library's internal
 order-basis routine for property checks, and ``dense_solve``, which
-multiplies by the library's dense inverse.  The dense rank, solve and nullspace routines, the identity
+multiplies by the library's dense inverse.  ``annihilates`` checks a
+matrix generator on its sample by plain big-int sums.  The dense rank, solve and nullspace routines, the identity
 operator, the materializations of operators (``materialize``, and entry by
 entry for sparse and block-Hankel ones) and the stage view of a butterfly's
 row plan serve only the suite, so they live here and not in the library.
@@ -196,6 +197,20 @@ def sigma_basis(F, sigma, p, shifts=None):
     Farr[:, :, :ncoeff] = np.moveaxis(F, 0, 2)
     M, deg, _ = _mbasis(Farr, sigma, shifts or [0] * rows, p)
     return SimpleNamespace(basis=np.moveaxis(M, 2, 0), row_degrees=deg)
+
+
+def annihilates(alpha, F, degrees, p: int) -> bool:
+    """True iff the right matrix generator F, a (coefficient, s, s) array
+    whose column c has degree degrees[c], annihilates the sampled sequence
+    column by column: sum_k alpha_{i+k} F_k e_c = 0 mod p for every window
+    0 <= i < len(alpha) - degrees[c]."""
+    for c, d in enumerate(degrees):
+        for i in range(len(alpha) - d):
+            acc = sum(np.asarray(alpha[i + k], dtype=object)
+                      @ np.asarray(F[k, :, c], dtype=object) for k in range(d + 1))
+            if any(x % p for x in acc):
+                return False
+    return True
 
 
 def mbasis_reference(F, sigma, shifts, p, snapshot_at=None):

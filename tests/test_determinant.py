@@ -3,85 +3,75 @@ import math
 import numpy as np
 import pytest
 
+import blackbox_linalg.hankel as hankel
 from blackbox_linalg import (DenseOperator, InversionConfig, PrimeField,
-                             SparseOperator, block_generator, dense_det,
-                             det_integer_crt, det_mod_p, matmul_mod)
+                             SparseOperator, dense_det, det_integer_crt,
+                             det_mod_p, matmul_mod)
 from blackbox_linalg.determinant import crt_combine, hadamard_bound, word_size_primes
-from blackbox_linalg.errors import (DegenerateSequence, DimensionError,
+from blackbox_linalg.errors import (DimensionError, HankelSingular,
                                    InsufficientPrimes)
+from blackbox_linalg.hankel import _block_wiedemann
 
-from _oracles import IdentityOperator, bareiss_det
+from _oracles import IdentityOperator, annihilates, bareiss_det
 
 BIG = PrimeField(2147483629)
 P = BIG.p
 
 
 def test_generator_scalar_geometric():
+    # c I of order 4 with s = 1: alpha_k = 4 c^{k+1}, whose minimal
+    # generator is proportional to x - c
     p = 10007
     c = 123
-    alpha = [np.array([[pow(c, i, p)]], dtype=np.int64) for i in range(9)]
-    gen = block_generator(alpha, 4, p)
-    # minimal generator is proportional to x - c; normalize by the leading block
-    assert gen.degree == 1
-    lead = int(gen.F[1, 0, 0])
-    monic0 = int(gen.F[0, 0, 0]) * pow(lead, p - 2, p) % p
+    B = DenseOperator(c * np.eye(4, dtype=np.int64), PrimeField(p))
+    degrees, _, F = _block_wiedemann(B, np.ones((4, 1), dtype=np.int64))
+    assert degrees == [1]
+    monic0 = int(F[0, 0, 0]) * pow(int(F[1, 0, 0]), p - 2, p) % p
     assert monic0 == (-c) % p
 
 
 def test_generator_zero_sequence_degenerate():
     p = 10007
-    alpha = [np.zeros((2, 2), dtype=np.int64) for _ in range(8)]
-    with pytest.raises(DegenerateSequence):
-        block_generator(alpha, 4, p, expected_degree_sum=8)
+    B = SparseOperator(8, [], PrimeField(p))  # the zero matrix
+    v = np.random.default_rng(89).integers(0, p, size=(8, 2), dtype=np.int64)
+    degrees, certified, _ = _block_wiedemann(B, v)
+    assert sum(degrees) == 0
+    with pytest.raises(HankelSingular):
+        certified()
 
 
 def test_generator_diagonal_block_det():
-    # diag(d1..d4) with distinct entries, s = 2, m = 2: the extraction
-    # formula reproduces prod(d_i)
+    # diag(d1..d4) with distinct entries, s = 2, m = 2: the certified
+    # v-family gives det B = (-1)^n det v_m = prod(d_i)
     rng = np.random.default_rng(90)
     p = 10007
-    field = PrimeField(p)
     d = np.array([3, 7, 11, 19], dtype=np.int64)
-    B = DenseOperator(np.diag(d), field)
-    s, m, n = 2, 2, 4
-    u = np.tile(np.eye(s, dtype=np.int64), (m, 1))
-    v = rng.integers(0, p, size=(n, s), dtype=np.int64)
-    alpha = []
-    w = v
-    for i in range(2 * m + 1):
-        alpha.append(matmul_mod(u.T, w, p))
-        w = B.apply_matrix(w)
-    gen = block_generator(alpha, m, p, expected_degree_sum=n)
-    det = gen.det_at_zero * pow(gen.det_lead, p - 2, p) % p
-    if n % 2:
-        det = (-det) % p
-    assert det == int(np.prod(d)) % p
+    B = DenseOperator(np.diag(d), PrimeField(p))
+    v = rng.integers(0, p, size=(4, 2), dtype=np.int64)
+    degrees, certified, _ = _block_wiedemann(B, v)
+    assert degrees == [2, 2]
+    assert dense_det(certified()[1][2], p) == int(np.prod(d)) % p
 
 
 def test_generator_annihilation_invariant():
     rng = np.random.default_rng(91)
     p = 10007
-    field = PrimeField(p)
     n, s = 12, 3
     m = n // s
-    M = rng.integers(0, p, size=(n, n), dtype=np.int64)
-    B = DenseOperator(M, field)
-    u = np.tile(np.eye(s, dtype=np.int64), (m, 1))
+    B = DenseOperator(rng.integers(0, p, size=(n, n), dtype=np.int64), PrimeField(p))
     v = rng.integers(0, p, size=(n, s), dtype=np.int64)
-    alpha = []
-    w = v
-    for i in range(2 * m + 1):
-        alpha.append(matmul_mod(u.T, w, p))
+    degrees, _, F = _block_wiedemann(B, v)
+    # alpha_k = u^T B^{k+1} v, k < 2m, by plain repeated application
+    u = np.tile(np.eye(s, dtype=np.int64), (m, 1))
+    alpha, w = [], v
+    for _ in range(2 * m):
         w = B.apply_matrix(w)
-    gen = block_generator(alpha, m, p)
-    # recurrence holds on the sampled window, column by column
-    for c, d in enumerate(gen.col_degrees):
-        for i in range(len(alpha) - d):
-            acc = np.zeros(s, dtype=np.int64)
-            for k in range(d + 1):
-                acc = (acc + matmul_mod(alpha[i + k],
-                                        gen.F[k, :, c:c + 1], p).ravel()) % p
-            assert not acc.any()
+        alpha.append(matmul_mod(u.T, w, p))
+    assert sum(degrees) == n
+    assert annihilates(alpha, F, degrees, p)
+    # the check rejects a generator perturbed in one entry
+    F[0, 0, 0] = (F[0, 0, 0] + 1) % p
+    assert not annihilates(alpha, F, degrees, p)
 
 
 def test_det_identity():
@@ -177,9 +167,8 @@ def test_det_diagonal_inputs_when_n_exceeds_the_field(n):
 
 @pytest.mark.parametrize("n", [30, 31])
 def test_det_sparse_inputs_small_field(n):
-    # 3 random off-diagonal entries per row, p = 101: most are singular, and
-    # the singularity certificate's minor solve needs a larger field
-    # (FieldTooSmall); det is Monte Carlo and returns 0 for them all
+    # 3 random off-diagonal entries per row, p = 101: most are singular,
+    # and the singularity certificate proves them so in this small field
     field = PrimeField(101)
     singular = 0
     for seed in range(200):
@@ -274,18 +263,51 @@ def test_det_integer_crt_rejects_entries_outside_the_matrix(entry):
 
 
 def test_det_singular_certified_after_first_degenerate_sequence(monkeypatch):
-    # the parent of this change ran all 8 generator attempts first
+    # the first failed Hankel certificate runs the singularity certificate,
+    # whose kernel vector returns 0 at once
     import blackbox_linalg.determinant as determinant
     rng = np.random.default_rng(95)
     a = rng.integers(0, P, size=(12, 4), dtype=np.int64)
     b = rng.integers(0, P, size=(4, 12), dtype=np.int64)
     A = DenseOperator(matmul_mod(a, b, P), BIG)
     calls = []
-    inner = determinant.block_generator
+    inner = determinant._block_wiedemann
 
     def counting(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
-    monkeypatch.setattr(determinant, "block_generator", counting)
+    monkeypatch.setattr(determinant, "_block_wiedemann", counting)
     assert det_mod_p(A, InversionConfig(seed=0)) == 0
     assert len(calls) == 1
+
+
+def test_det_is_las_vegas_a_corrupted_family_retries(monkeypatch):
+    # one entry of the first run's v-family corrupted: det v_m changes, the
+    # Hankel certificate rejects the families, and det retries to the true
+    # value.  The singularity certificate runs in between and finds rank n
+    rng = np.random.default_rng(99)
+    n = 12
+    M = rng.integers(0, P, size=(n, n), dtype=np.int64)
+    runs, corrupted = [], []
+    inner = hankel._pade_side
+
+    def spy(alpha, s, m, p):
+        degrees, families, rows = inner(alpha, s, m, p)
+        runs.append(m)
+
+        def forged():
+            q_t, v_t = families()
+            if len(runs) == 1:
+                good = dense_det(v_t[m], p)
+                v_t[m, 0, 0] = (v_t[m, 0, 0] + 1) % p
+                corrupted.append(dense_det(v_t[m], p) != good)
+            return q_t, v_t
+        return degrees, forged, rows
+    monkeypatch.setattr(hankel, "_pade_side", spy)
+    A = DenseOperator(M, BIG)
+    assert det_mod_p(A, InversionConfig(seed=0)) == dense_det(M, P)
+    assert corrupted == [True]
+    # det's runs (s = 2, m = 6) around the certificate's (s = 3, m = 4)
+    assert runs == [6, 4, 6]
+
+

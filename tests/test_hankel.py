@@ -278,6 +278,23 @@ def test_pade_side_memory_within_whole_residual_mbasis(s, m, bound):
     assert peak <= bound
 
 
+def test_hankel_certificate_rejects_a_perturbed_family():
+    # the plain side's families of a nonsingular H pass the exact check; one
+    # entry off in a coefficient of either family fails it (v_0 = I is not
+    # read), since H is injective
+    rng = np.random.default_rng(60)
+    s, m = 3, 4
+    H = random_nonsingular_hankel(rng, s, m)
+    alpha = H.alpha + [rng.integers(0, P, size=(s, s), dtype=np.int64)]
+    q_t, v_t = hankel._pade_side([a.T for a in alpha], s, m, P)[1]()
+    hankel._hankel_certificate(alpha, q_t, v_t, P)
+    for family, k in [(q_t, 0), (q_t, m - 1), (v_t, 1), (v_t, m)]:
+        family[k, 1, 2] = (family[k, 1, 2] + 1) % P
+        with pytest.raises(HankelSingular):
+            hankel._hankel_certificate(alpha, q_t, v_t, P)
+        family[k, 1, 2] = (family[k, 1, 2] - 1) % P
+
+
 def test_rep_m1_single_block():
     # m = 1 runs the Pade path too: q_0 = q*_0 = alpha_0^{-1}, no T3 T4 term
     rng = np.random.default_rng(55)

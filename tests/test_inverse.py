@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 import blackbox_linalg.determinant as determinant
+import blackbox_linalg.hankel as hankel
 import blackbox_linalg.inverse as inverse
-import blackbox_linalg.nullrank as nullrank
 from blackbox_linalg import (DenseOperator, DiagonalOperator, InversionConfig,
                              PrimeField, blackbox_inverse,
                              blackbox_inverse_apply, dense_inverse, det_mod_p,
                              matmul_mod, nullspace_rank, precondition,
                              verify_inverse)
 from blackbox_linalg.cli import random_sparse_operator
-from blackbox_linalg.errors import (DegenerateSequence, DimensionError,
-                                   FieldTooSmall, HankelSingular,
-                                   RetriesExhausted, SingularMatrix)
+from blackbox_linalg.errors import (DimensionError, FieldTooSmall,
+                                   HankelSingular, RetriesExhausted,
+                                   SingularMatrix)
 from blackbox_linalg.hankel import (build_hankel, hankel_inverse_apply,
                                     hankel_inverse_rep)
 from blackbox_linalg.projection import BlockProjection, krylov_apply_right
@@ -409,12 +409,68 @@ def test_all_attempts_fail_certificate_runs_once(monkeypatch, failure):
     assert len(certs) == 1
 
 
+def singular_family(name, n, p, rng):
+    """A singular n x n matrix over GF(p) of one structured family."""
+    nonzero = lambda size: rng.integers(1, p, size=size)
+    M = np.zeros((n, n), dtype=np.int64)
+    if name == "sparse":  # 3 entries a row; the last row is the sum of two
+        for i in range(n):
+            M[i, rng.choice(n, size=min(3, n), replace=False)] = nonzero(min(3, n))
+        M[-1] = M[:2].sum(axis=0) % p if n > 2 else M[0]
+    elif name == "rank 1":
+        M = np.outer(nonzero(n), nonzero(n)) % p
+    elif name == "duplicated row":
+        M = rng.integers(0, p, size=(n, n), dtype=np.int64)
+        M[-1] = M[0]
+    elif name == "nilpotent shift":
+        M = np.eye(n, k=1, dtype=np.int64)
+    elif name == "2 x 2 blocks":
+        for i in range(0, n - 1, 2):
+            M[i:i + 2, i:i + 2] = [[1, 2], [2, 4]]
+        if n % 2:
+            M[-1, -1] = 1
+    elif name == "diagonal with a zero":
+        M = np.diag(nonzero(n))
+        M[rng.integers(n)] = 0
+    return M  # "zero" stays the zero matrix
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_small_field_singular_inputs_are_certified(monkeypatch, p):
+    # the singularity certificate needs no field-size bound: on every input
+    # of these families it finds a kernel vector k with A k = 0 (det's first
+    # attempt fails its Hankel certificate and runs it), and det returns
+    # that certified 0
+    kernels = []
+    inner = inverse._singular_certificate
+
+    def certificate(A, cfg):
+        try:
+            inner(A, cfg)
+        except SingularMatrix as exc:
+            kernels.append(exc.kernel_vector)
+            raise
+        kernels.append(None)
+    monkeypatch.setattr(inverse, "_singular_certificate", certificate)
+    field = PrimeField(p)
+    families = ("sparse", "rank 1", "duplicated row", "zero", "nilpotent shift",
+                "2 x 2 blocks", "diagonal with a zero")
+    for f, name in enumerate(families):
+        for n in range(2, 31):
+            M = singular_family(name, n, p, np.random.default_rng([p, f, n]))
+            kernels.clear()
+            where = (name, n)
+            assert det_mod_p(DenseOperator(M, field), InversionConfig(seed=n)) == 0, where
+            [k] = kernels
+            assert k is not None and k.any(), where
+            assert not matmul_mod(M, k.reshape(n, 1), p).any(), where
+
+
 @pytest.mark.parametrize("pipeline", ["inverse", "det"])
-def test_certificate_field_too_small_is_raised_once_attempts_run_out(
-        monkeypatch, pipeline):
-    # every projection degenerates and the certificate raises FieldTooSmall:
-    # both pipelines run it once and make every attempt; then the inverse
-    # raises its error and det, Monte Carlo, returns 0
+def test_certificate_runs_once_when_every_attempt_degenerates(monkeypatch, pipeline):
+    # every projection degenerates and the certificate finds nothing: both
+    # pipelines run it once, make every attempt and raise RetriesExhausted
+    # (det, Las Vegas, returns no uncertified 0)
     A = nonsingular_sparse(np.random.default_rng(86), 12, BIG)
     tries, certs = [], []
     if pipeline == "inverse":
@@ -422,31 +478,25 @@ def test_certificate_field_too_small_is_raised_once_attempts_run_out(
                   fail=lambda call: True)
         run = blackbox_inverse
     else:
-        _counting(monkeypatch, determinant, "block_generator", tries,
-                  fail=lambda call: True, error=DegenerateSequence)
+        _counting(monkeypatch, determinant, "_block_wiedemann", tries,
+                  fail=lambda call: True)
         run = det_mod_p
 
     def certificate(B, cfg):
         certs.append(B.n)
-        raise FieldTooSmall(BIG.p, 2 * BIG.p)
     monkeypatch.setattr(inverse, "_singular_certificate", certificate)
-    cfg = InversionConfig(seed=0, max_retries=3)
-    if pipeline == "inverse":
-        with pytest.raises(FieldTooSmall):
-            run(A, cfg)
-    else:
-        assert run(A, cfg) == 0
+    with pytest.raises(RetriesExhausted):
+        run(A, InversionConfig(seed=0, max_retries=3))
     assert certs == [12]
     assert len(tries) == 3
 
 
 def test_rank_retries_a_degenerate_attempt_without_certificate(monkeypatch):
-    # nullspace_rank is the certificate, so it never runs one; its stats
-    # count the 2N applications of the failed attempt's sweep and the
-    # accepted one's (n = N = 12, s = 3, m = 4)
+    # nullspace_rank runs no singularity certificate; its stats count the
+    # 2N applications of the failed attempt's sweep and the accepted one's
+    # (n = N = 12, s = 3, m = 4)
     A = nonsingular_sparse(np.random.default_rng(87), 12, BIG)
-    _counting(monkeypatch, nullrank, "_pade_side", [],
-              fail=lambda call: call == 1, error=DegenerateSequence)
+    _counting(monkeypatch, hankel, "_pade_side", [], fail=lambda call: call == 1)
 
     def certificate(*args):
         raise AssertionError("nullspace_rank ran the certificate")

@@ -7,8 +7,7 @@ from blackbox_linalg import (BlockHankel, DenseOperator, InversionConfig,
                              PrimeField, SparseOperator, matmul_mod,
                              nullspace_rank)
 from blackbox_linalg.errors import HankelSingular, RetriesExhausted
-from blackbox_linalg.hankel import _pade_families, _pade_side
-from blackbox_linalg.nullrank import _hankel_certificate
+from blackbox_linalg.hankel import _hankel_certificate, _pade_families, _pade_side
 
 from _oracles import IdentityOperator, dense_rank, hankel_to_dense
 
@@ -30,25 +29,25 @@ def _low_rank(rng, n, r):
 
 def _spy_estimates(monkeypatch, degrees=None, certificates=None):
     """Record the order N = m s and the row degree sum of each rank
-    estimate's order-basis run (``nullrank._pade_side``);
+    estimate's block Wiedemann run (``nullrank._block_wiedemann``);
     ``degrees(call, m, degrees)``, when given, replaces the run's row
     degrees (a forged estimate), and ``certificates``, when given, gets N
-    each time the run's families are asked for (a rank-n certificate)."""
+    each time the run's certificate is asked for (a rank-n certificate)."""
     import blackbox_linalg.nullrank as nullrank
-    inner = nullrank._pade_side
+    inner = nullrank._block_wiedemann
     log = []
 
-    def spy(alpha, s, m, p):
-        degs, families = inner(alpha, s, m, p)
+    def spy(B, v):
+        degs, certified, F = inner(B, v)
         if degrees is not None:
-            degs = degrees(len(log), m, degs)
-        log.append((m * s, sum(degs)))
+            degs = degrees(len(log), B.n // v.shape[1], degs)
+        log.append((B.n, sum(degs)))
 
-        def certified():
-            certificates.append(m * s)
-            return families()
-        return degs, families if certificates is None else certified
-    monkeypatch.setattr(nullrank, "_pade_side", spy)
+        def counted():
+            certificates.append(B.n)
+            return certified()
+        return degs, certified if certificates is None else counted, F
+    monkeypatch.setattr(nullrank, "_block_wiedemann", spy)
     return log
 
 

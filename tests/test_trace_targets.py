@@ -24,9 +24,11 @@ def _tracing():
 
 
 # functions the harness still traces although the library deleted them
-# (the scalar rank estimate gave way to the block sweep); a traced run
+# (the scalar rank estimate gave way to the block sweep, the determinant's
+# block generator to the block Wiedemann run in hankel); a traced run
 # reports them as not traced
-DELETED_FUNCTIONS = ("nullrank.wiedemann_minpoly", "nullrank.berlekamp_massey")
+DELETED_FUNCTIONS = ("nullrank.wiedemann_minpoly", "nullrank.berlekamp_massey",
+                     "determinant.block_generator")
 
 
 def test_traced_functions_resolve_in_their_modules():
