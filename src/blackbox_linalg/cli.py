@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crt", action="store_true",
                    help="exact integer determinant via Chinese remaindering")
     p.add_argument("--confirm", type=int, default=0, metavar="K",
-                   help="require K extra independent agreeing runs (det is Monte Carlo)")
+                   help="re-check the certified determinant with K extra independent runs")
     p = sub.add_parser("bench", help="operation-count sweep over a size grid")
     p.add_argument("what", choices=["invert"])
     p.add_argument("--sizes", type=_size_list, default="64,128,256,512")

@@ -12,9 +12,10 @@ When its Pade families pass the Hankel certificate, B is nonsingular and
     det B = (-1)^n det v_m
 
 holds exactly for the degree-m coefficient v_m of the v-family.  The
-diagonal determinants divide back out exactly.  Retries and the
-singularity certificate are ``inverse.run_attempts``, the policy of every
-pipeline.
+diagonal determinants divide back out exactly.  A run that fails the
+certificate reads a kernel vector of A off its own minimal generator
+(``inverse._kernel_certificate``), which proves det A = 0; otherwise it
+retries under ``inverse.run_attempts``, the policy of every pipeline.
 """
 from __future__ import annotations
 
@@ -23,10 +24,11 @@ import math
 import numpy as np
 
 from .dense import dense_det
-from .errors import DimensionError, InsufficientPrimes, SingularMatrix
+from .errors import (DimensionError, HankelSingular, InsufficientPrimes,
+                     SingularMatrix)
 from .field import PrimeField, is_probable_prime
 from .hankel import _block_wiedemann
-from .inverse import InversionConfig, run_attempts
+from .inverse import InversionConfig, _kernel_certificate, run_attempts
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, EmbeddedOperator, SparseOperator)
 
@@ -36,9 +38,10 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
 
     Each attempt draws a fresh preconditioner and projection under
     ``run_attempts``; a nonzero determinant is accepted only with the Hankel
-    certificate of its run.  The first failed certificate runs the
-    singularity certificate, and a certified kernel vector returns 0.
-    Otherwise running out of attempts raises RetriesExhausted."""
+    certificate of its run.  An attempt whose certificate fails reads a
+    kernel vector off the generator of the same run, and a certified one
+    returns 0; otherwise it retries, and running out of attempts raises
+    RetriesExhausted."""
     cfg = cfg or InversionConfig()
     field = A.field
     p = field.p
@@ -53,14 +56,20 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
         D2 = DiagonalOperator.random(n, field, rng)
         U = ButterflyOperator(n, field, rng)
         v = rng.integers(0, p, size=(n, s), dtype=np.int64)
-        _, certified, _ = _block_wiedemann(ComposedOperator([D1, U, work, D2]), v)
-        det_B = dense_det(certified()[1][m], p) * (-1) ** n % p
+        B = ComposedOperator([D1, U, work, D2])
+        _, certified, F = _block_wiedemann(B, v)
+        try:
+            v_t = certified()[1]
+        except HankelSingular:
+            _kernel_certificate(A, B, v, F, D2)
+            raise
+        det_B = dense_det(v_t[m], p) * (-1) ** n % p
         # det U = 1 by construction; padding contributes det 1
         scale = D1.determinant() * D2.determinant() % p
         return det_B * field.inv(scale) % p
 
     try:
-        return run_attempts(A, cfg, attempt, certify=True, s=s, m=m)[0]
+        return run_attempts(A, cfg, attempt, s=s, m=m)[0]
     except SingularMatrix:
         return 0
 

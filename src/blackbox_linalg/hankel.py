@@ -48,8 +48,9 @@ basis's.
 Block Wiedemann (Coppersmith, Math. Comp. 1994; Kaltofen, Math. Comp. 1995)
 is one such run on the transposed blocks of alpha_k = u^T B^{k+1} v,
 k < 2m, for B of order N = m s and a dense random N x s block v
-(``_block_wiedemann``).  It serves the determinant, the rank and the
-singularity certificate:
+(``_block_wiedemann``; its order-basis run, ``_generator``, is the
+transposed side of ``hankel_inverse_rep`` too).  It serves the
+determinant, the rank and the inverse:
 
   * its v-run's row degree sum, the degree of the minimal right generator
     F of the alpha_k, is the dimension of the projected Krylov space of
@@ -65,7 +66,8 @@ singularity certificate:
     v, so det B = (-1)^N det v_m;
   * where F also generates the unprojected B^{k+1} v, each of its columns
     gives a kernel vector w = sum_j B^j v F_j e_c of B, which one
-    application checks.
+    application checks: a failed run of a singular B reads its kernel
+    vector off its own F (``inverse._kernel_certificate``).
 """
 from __future__ import annotations
 
@@ -78,8 +80,7 @@ from .dense import dense_inverse
 from .errors import DimensionError, HankelSingular, Singular
 from .field import (PANEL_ELEMENTS, left_limbs, limb_product, reduce_mod,
                     right_limbs, thread_buffers)
-from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
-                        DiagonalOperator, EmbeddedOperator)
+from .operators import BlackBoxOperator
 from .polymat import polymat_mul
 from .projection import BlockProjection, krylov_apply_left, u_contract
 
@@ -321,13 +322,6 @@ def _pade_side(alpha, s: int, m: int, p: int):
     return degv, families, Mv
 
 
-def _pade_families(alpha, s: int, m: int, p: int):
-    """The four families as (coefficient, s, s) arrays, star side first."""
-    q_star, v_star = _pade_side(alpha, s, m, p)[1]()
-    q_t, v_t = _pade_side([a.T for a in alpha], s, m, p)[1]()
-    return q_t.transpose(0, 2, 1), q_star, v_t.transpose(0, 2, 1), v_star
-
-
 def _hankel_certificate(alpha, q_t, v_t, p: int) -> None:
     """HankelSingular unless q_t, v_t (families of alpha^T) solve both Hankel systems."""
     m, s = len(q_t), len(alpha[0])
@@ -339,67 +333,66 @@ def _hankel_certificate(alpha, q_t, v_t, p: int) -> None:
         raise HankelSingular("Pade families fail H Q = E_m, H V = -h")
 
 
-def _rank_preconditioner(A: BlackBoxOperator, s: int, rng):
-    """The rank's draws, in this order: A~ = U A V^T D (butterflies U and
-    V, a random diagonal D) and a dense random N x s block v, N the
-    multiple of s that n pads to.
-
-    Returns (B, V^T, D, v) with B = diag(A~, I) of order N.  The right
-    butterfly enters transposed: a forward network there loses the generic
-    rank profile on inputs with structured dead columns."""
-    n, field = A.n, A.field
-    U = ButterflyOperator(n, field, rng)
-    Vt = ButterflyOperator(n, field, rng).transpose()
-    D = DiagonalOperator.random(n, field, rng)
-    A_tilde = ComposedOperator([U, A, Vt, D])
-    N = -(-n // s) * s
-    v = rng.integers(0, field.p, size=(N, s), dtype=np.int64)
-    return EmbeddedOperator(A_tilde, N) if N != n else A_tilde, Vt, D, v
+def _generator(alpha, s: int, m: int, p: int):
+    """``_pade_side`` on the transposed blocks of alpha: its v-run's row
+    degrees, ``families()`` (q, v of alpha^T, or HankelSingular) and the
+    minimal right generator F of the alpha_k, a (max degree + 1, s, s)
+    array: column c has degree degrees[c], and sum_j alpha_{i+j} F_j e_c = 0
+    for 0 <= i < 2m - degrees[c] (absent blocks read as zero)."""
+    degrees, families, rows = _pade_side([a.T for a in alpha], s, m, p)
+    # column c of F_k is row c of the basis at position degrees[c] - k
+    F = np.zeros((max(degrees) + 1, s, s), dtype=np.int64)
+    for c, d in enumerate(degrees):
+        F[:d + 1, :, c] = rows[c, :, d::-1].T
+    return degrees, families, F
 
 
 def _block_wiedemann(B: BlackBoxOperator, v: np.ndarray):
     """One block Wiedemann run: the sweep alpha_k = u^T B^{k+1} v, k < 2m
     (2N applications for B of order N = m s, v of N x s), and one
-    order-basis run on its transposed blocks.
+    order-basis run on its transposed blocks (``_generator``).
 
     Returns the row degrees of the minimal right generator F of the
     alpha_k, ``certified()``, which gives the families (q, v) of alpha^T
     once ``_hankel_certificate`` has proved B nonsingular (else raises
-    HankelSingular), and F as a (max degree + 1, s, s) array: column c has
-    degree degrees[c], and sum_j alpha_{i+j} F_j e_c = 0 for
-    0 <= i < 2m - degrees[c]."""
+    HankelSingular), and F."""
     p, (N, s) = B.field.p, v.shape
     m = N // s
     alpha = krylov_apply_left(B, BlockProjection(N, s), v, terms=2 * m + 1)[s:]
     alpha = alpha.reshape(2 * m, s, s)
-    degrees, families, rows = _pade_side([a.T for a in alpha], s, m, p)
+    degrees, families, F = _generator(alpha, s, m, p)
 
     def certified():
         q_t, v_t = families()
         _hankel_certificate(alpha, q_t, v_t, p)
         return q_t, v_t
-    # column c of F_k is row c of the basis at position degrees[c] - k
-    F = np.zeros((max(degrees) + 1, s, s), dtype=np.int64)
-    for c, d in enumerate(degrees):
-        F[:d + 1, :, c] = rows[c, :, d::-1].T
     return degrees, certified, F
 
 
 def hankel_inverse_rep(H: BlockHankel, rng) -> HankelInverseRep:
     """The four coefficient families of the inversion formula, from one
-    order-basis run per side.
+    order-basis run per side, the transposed side (``_generator``) first.
 
     The families are determined by H, so there is nothing to retry here: a
     degenerate degree profile or normalizer, or a representation that fails
     the check on one random vector drawn from ``rng``, raises HankelSingular,
-    the signature of a singular H."""
+    the signature of a singular H, with the transposed side's generator F
+    as its ``generator``; the star side runs only once that side passes."""
     s, m, p = H.s, H.m, H.p
-    q, q_star, v, v_star = _pade_families(H.alpha, s, m, p)
-    rep = HankelInverseRep(s=s, m=m, p=p, q=q, q_star=q_star, v=v, v_star=v_star)
-    # Las Vegas check: rep applied to H r must give back r
-    r = rng.integers(0, p, size=(H.n, 1), dtype=np.int64)
-    if not np.array_equal(hankel_inverse_apply(rep, H.apply(r)), r):
-        raise HankelSingular("inverse representation failed verification")
+    _, families, F = _generator(H.alpha, s, m, p)
+    try:
+        q_t, v_t = families()
+        del families  # frees the transposed side's basis before the star side runs
+        q_star, v_star = _pade_side(H.alpha, s, m, p)[1]()
+        rep = HankelInverseRep(s=s, m=m, p=p, q=q_t.transpose(0, 2, 1), q_star=q_star,
+                               v=v_t.transpose(0, 2, 1), v_star=v_star)
+        # Las Vegas check: rep applied to H r must give back r
+        r = rng.integers(0, p, size=(H.n, 1), dtype=np.int64)
+        if not np.array_equal(hankel_inverse_apply(rep, H.apply(r)), r):
+            raise HankelSingular("inverse representation failed verification")
+    except HankelSingular as exc:
+        exc.generator = F
+        raise
     return rep
 
 

@@ -28,9 +28,11 @@ answer nor the draws nor the application counts; the only n x k array of
 either, besides M, is the answer itself, plus panel-sized scratch.
 
 Any internal degeneracy or a failed verification retries with completely
-fresh randomness; accepted answers are always exact.  ``run_attempts`` holds
-this Las Vegas policy for the determinant and the rank as well, with the
-singularity certificate that a singular A needs.
+fresh randomness; accepted answers are always exact.  A degenerate H first
+reads a kernel vector off the generator its own order basis made
+(``_kernel_certificate``, as the determinant does), which certifies a
+singular A.  ``run_attempts`` holds this Las Vegas policy for the
+determinant and the rank as well.
 """
 from __future__ import annotations
 
@@ -44,8 +46,7 @@ from .errors import (DimensionError, FieldTooSmall, HankelSingular,
                      RetriesExhausted, SingularMatrix)
 from .field import (PANEL_ELEMENTS, as_int64, matmul_mod, reduce_in_place,
                     reduce_mod)
-from .hankel import (_block_wiedemann, _rank_preconditioner, build_hankel,
-                     hankel_inverse_apply, hankel_inverse_rep)
+from .hankel import build_hankel, hankel_inverse_apply, hankel_inverse_rep
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, EmbeddedOperator)
 from .projection import BlockProjection, krylov_apply_left, krylov_apply_right
@@ -184,7 +185,11 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg):
     def attempt(rng):
         B, D, U, unwrap = precondition(work, s, rng)
         H, Kl = build_hankel(B, P, keep_left=M is None)
-        rep = hankel_inverse_rep(H, rng)
+        try:
+            rep = hankel_inverse_rep(H, rng)
+        except HankelSingular as exc:
+            _kernel_certificate(A, B, P.u_matrix(), exc.generator, D)
+            raise
         if M is None:
             # K_l D U in place: (K_l D) U = (U.T (K_l D).T).T
             Kl *= D.d
@@ -200,82 +205,53 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg):
         X = unwrap(Z)[:n, :k]
         return X if not cfg.verify or verify_inverse(A, X, M) else None
 
-    X, stats = run_attempts(A, cfg, attempt, certify=True, s=s, m=P.m)
+    X, stats = run_attempts(A, cfg, attempt, s=s, m=P.m)
     return InversionResult(matrix=X, stats=stats)
 
 
 def run_attempts(A: BlackBoxOperator, cfg: InversionConfig, attempt,
-                 certify: bool, s: int = 0, m: int = 0):
+                 s: int = 0, m: int = 0):
     """The Las Vegas policy of every pipeline; returns (answer, RunStats).
 
     Up to ``cfg.max_retries`` calls ``attempt(rng)`` draw from one generator
     seeded with ``cfg.seed``.  An attempt returns its answer, returns None
-    to retry, or raises HankelSingular on a degenerate projection.  That
-    most often means that A itself is singular, when every further attempt
-    is doomed too; so with ``certify`` the first one runs
-    ``_singular_certificate`` at once, and a certified kernel vector
-    propagates as SingularMatrix.  On a nonsingular A (an unlucky draw) the
-    certificate is cheap when its first run succeeds: one block sweep of 2N
-    applications (N is n rounded up to a multiple of s = sqrt(n)) and one
-    order basis, whose families are the Hankel certificate, and the
-    attempts go on; it never runs twice, and runs after the last attempt
-    when no projection degenerated.  When the attempts run out,
-    RetriesExhausted is raised.  The stats count the applications of A and
-    report s and m as given."""
+    or raises HankelSingular to retry, or raises SingularMatrix, which
+    propagates (an attempt certifies a singular A from its own run, by
+    ``_kernel_certificate``).  When the attempts run out, RetriesExhausted
+    is raised.  The stats count the applications of A and report s and m
+    as given."""
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     base_count = A.total_applications
     for retry in range(cfg.max_retries):
         attempt_base = A.total_applications
-        degenerate = False
         try:
             answer = attempt(rng)
         except HankelSingular:
-            answer, degenerate = None, True
+            continue
         if answer is not None:
             return answer, RunStats(
                 bb_apply_count=A.total_applications - base_count,
                 wall_time=time.perf_counter() - t0, retries=retry, s=s, m=m,
                 bb_applies_last_attempt=A.total_applications - attempt_base)
-        if certify and (degenerate or retry + 1 == cfg.max_retries):
-            certify = False  # at most once
-            _singular_certificate(A, cfg)
     raise RetriesExhausted(
         f"{cfg.max_retries} attempts failed without a certified answer")
 
 
-def _singular_certificate(A: BlackBoxOperator, cfg: InversionConfig) -> None:
-    """Try to prove A singular by a kernel vector, in up to
-    ``cfg.max_retries`` block Wiedemann runs of the rank's shape and
-    automatic s on a seed derived from ``cfg.seed`` (its draws independent
-    of the caller's).
-
-    A run whose rank estimate is n returns once its Hankel certificate
-    proves A nonsingular.  Otherwise each column F e_c of the run's
-    generator gives w = sum_j B^j v F_j e_c (one Horner sweep of the
-    N x s block, at most deg F applications), with B w = 0 where F also
-    generates the unprojected B^{k+1} v.  A column with zero padding rows
-    and a nonzero k = V^T D w[:n] with A k = 0 (one application) raises
-    SingularMatrix(k).  No step needs a field-size bound; any other outcome
-    retries, and returns when the runs are used up."""
+def _kernel_certificate(A: BlackBoxOperator, B: BlackBoxOperator, v: np.ndarray,
+                        F: np.ndarray, D: DiagonalOperator) -> None:
+    """SingularMatrix(k) for a kernel vector k of A read off the generator
+    F of a failed attempt's alpha_k = u^T B^{k+1} v (B = ... A D, A padded
+    to B's order N, v of N x s): one Horner sweep of deg F applications
+    forms W = sum_j B^j v F_j, with B W = 0 where F also generates the
+    unprojected B^{k+1} v.  A column w with D w zero on the padding rows,
+    k = (D w)[:n] nonzero and A k = 0 (one application) is the certificate;
+    it needs no field-size bound.  Otherwise returns, and the attempt retries."""
     n, p = A.n, A.field.p
-    own = InversionConfig(seed=cfg.seed + 0x9E3779B9, max_retries=cfg.max_retries)
-    rng = np.random.default_rng(own.seed)
-    for _ in range(own.max_retries):
-        B, Vt, D, v = _rank_preconditioner(A, own.block_size(n), rng)
-        degrees, certified, F = _block_wiedemann(B, v)
-        if sum(degrees) - (B.n - n) >= n:
-            try:
-                certified()
-                return
-            except HankelSingular:
-                continue
-        W = matmul_mod(v, F[-1], p)
-        for Fj in F[-2::-1]:
-            W = reduce_in_place(B.apply_matrix(W) + matmul_mod(v, Fj, p), p)
-        for w in W.T:
-            if w[n:].any() or not w[:n].any():
-                continue
-            k = Vt.apply(D.apply(w[:n]))
-            if not A.apply(k).any():
-                raise SingularMatrix(k)
+    W = matmul_mod(v, F[-1], p)
+    for Fj in F[-2::-1]:
+        W = reduce_in_place(B.apply_matrix(W) + matmul_mod(v, Fj, p), p)
+    for w in D.apply_matrix(W).T:
+        k = w[:n].copy()
+        if not w[n:].any() and k.any() and not A.apply(k).any():
+            raise SingularMatrix(k)

@@ -27,8 +27,7 @@ unconditional:
     so by the same argument A0 is nonsingular, and rank A >= r.
 
 A wrong estimate fails its certificate and retries with fresh randomness
-(``inverse.run_attempts``, without the singularity certificate, which
-reads the kernel vector off the same kind of run on a derived seed).
+(``inverse.run_attempts``).
 """
 from __future__ import annotations
 
@@ -37,10 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldTooSmall, RetriesExhausted, SingularMatrix
-from .hankel import _block_wiedemann, _rank_preconditioner
+from .hankel import _block_wiedemann
 from .inverse import (InversionConfig, RunStats, blackbox_inverse_apply,
                       run_attempts)
-from .operators import BlackBoxOperator, LeadingMinorOperator
+from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
+                        DiagonalOperator, EmbeddedOperator, LeadingMinorOperator)
 
 
 @dataclass
@@ -50,6 +50,24 @@ class RankCertificate:
     rank: int
     nullspace: np.ndarray
     stats: RunStats
+
+
+def _rank_preconditioner(A: BlackBoxOperator, s: int, rng):
+    """The rank's draws, in this order: A~ = U A V^T D (butterflies U and
+    V, a random diagonal D) and a dense random N x s block v, N the
+    multiple of s that n pads to.
+
+    Returns (B, V^T, D, v) with B = diag(A~, I) of order N.  The right
+    butterfly enters transposed: a forward network there loses the generic
+    rank profile on inputs with structured dead columns."""
+    n, field = A.n, A.field
+    U = ButterflyOperator(n, field, rng)
+    Vt = ButterflyOperator(n, field, rng).transpose()
+    D = DiagonalOperator.random(n, field, rng)
+    A_tilde = ComposedOperator([U, A, Vt, D])
+    N = -(-n // s) * s
+    v = rng.integers(0, field.p, size=(N, s), dtype=np.int64)
+    return EmbeddedOperator(A_tilde, N) if N != n else A_tilde, Vt, D, v
 
 
 def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> RankCertificate:
@@ -98,7 +116,7 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
         return None if np.any(A.apply_matrix(N)) else (r, N)
 
     try:
-        (r, N), stats = run_attempts(A, cfg, attempt, certify=False, s=s, m=m)
+        (r, N), stats = run_attempts(A, cfg, attempt, s=s, m=m)
     except RetriesExhausted:
         if too_small:
             raise too_small[0] from None

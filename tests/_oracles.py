@@ -7,8 +7,9 @@ plain repeated application instead of the Horner Krylov products, one
 row operation at a time on the whole series (``mbasis_reference``) instead
 of one transform per order step, gather/scatter butterfly stages
 (``butterfly_reference``) instead of the row plan.  Two exceptions:
-``sigma_basis``, a test-facing wrapper that exposes the library's internal
-order-basis routine for property checks, and ``dense_solve``, which
+``sigma_basis`` and ``pade_families``, test-facing wrappers that expose
+the library's internal order-basis routine for property checks, and
+``dense_solve``, which
 multiplies by the library's dense inverse.  ``annihilates`` checks a
 matrix generator on its sample by plain big-int sums.  The dense rank, solve and nullspace routines, the identity
 operator, the materializations of operators (``materialize``, and entry by
@@ -20,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from blackbox_linalg import BlackBoxOperator, dense_inverse, matmul_mod
-from blackbox_linalg.hankel import _mbasis
+from blackbox_linalg.hankel import _mbasis, _pade_side
 
 
 def ext_euclid_inverse(a: int, p: int) -> int:
@@ -197,6 +198,15 @@ def sigma_basis(F, sigma, p, shifts=None):
     Farr[:, :, :ncoeff] = np.moveaxis(F, 0, 2)
     M, deg, _ = _mbasis(Farr, sigma, shifts or [0] * rows, p)
     return SimpleNamespace(basis=np.moveaxis(M, 2, 0), row_degrees=deg)
+
+
+def pade_families(alpha, s: int, m: int, p: int):
+    """The four families of the inversion formula as (coefficient, s, s)
+    arrays, (q, q_star, v, v_star), one ``_pade_side`` run per side, star
+    side first; HankelSingular when either side degenerates."""
+    q_star, v_star = _pade_side(alpha, s, m, p)[1]()
+    q_t, v_t = _pade_side([a.T for a in alpha], s, m, p)[1]()
+    return q_t.transpose(0, 2, 1), q_star, v_t.transpose(0, 2, 1), v_star
 
 
 def annihilates(alpha, F, degrees, p: int) -> bool:

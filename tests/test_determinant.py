@@ -168,7 +168,8 @@ def test_det_diagonal_inputs_when_n_exceeds_the_field(n):
 @pytest.mark.parametrize("n", [30, 31])
 def test_det_sparse_inputs_small_field(n):
     # 3 random off-diagonal entries per row, p = 101: most are singular,
-    # and the singularity certificate proves them so in this small field
+    # and det's own runs read kernel vectors that prove them so in this
+    # small field
     field = PrimeField(101)
     singular = 0
     for seed in range(200):
@@ -263,28 +264,35 @@ def test_det_integer_crt_rejects_entries_outside_the_matrix(entry):
 
 
 def test_det_singular_certified_after_first_degenerate_sequence(monkeypatch):
-    # the first failed Hankel certificate runs the singularity certificate,
-    # whose kernel vector returns 0 at once
+    # the first failed Hankel certificate reads a kernel vector off the
+    # generator of the same run, which returns 0 at once: one block
+    # Wiedemann run and its one sweep, no other
     import blackbox_linalg.determinant as determinant
     rng = np.random.default_rng(95)
     a = rng.integers(0, P, size=(12, 4), dtype=np.int64)
     b = rng.integers(0, P, size=(4, 12), dtype=np.int64)
     A = DenseOperator(matmul_mod(a, b, P), BIG)
-    calls = []
-    inner = determinant._block_wiedemann
+    calls, sweeps = [], []
+    inner, inner_sweep = determinant._block_wiedemann, hankel.krylov_apply_left
 
     def counting(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
+
+    def sweep(*args, **kwargs):
+        sweeps.append(args)
+        return inner_sweep(*args, **kwargs)
     monkeypatch.setattr(determinant, "_block_wiedemann", counting)
+    monkeypatch.setattr(hankel, "krylov_apply_left", sweep)
     assert det_mod_p(A, InversionConfig(seed=0)) == 0
     assert len(calls) == 1
+    assert len(sweeps) == 1
 
 
 def test_det_is_las_vegas_a_corrupted_family_retries(monkeypatch):
     # one entry of the first run's v-family corrupted: det v_m changes, the
     # Hankel certificate rejects the families, and det retries to the true
-    # value.  The singularity certificate runs in between and finds rank n
+    # value.  The failed run's kernel read finds nothing (A is nonsingular)
     rng = np.random.default_rng(99)
     n = 12
     M = rng.integers(0, P, size=(n, n), dtype=np.int64)
@@ -307,7 +315,7 @@ def test_det_is_las_vegas_a_corrupted_family_retries(monkeypatch):
     A = DenseOperator(M, BIG)
     assert det_mod_p(A, InversionConfig(seed=0)) == dense_det(M, P)
     assert corrupted == [True]
-    # det's runs (s = 2, m = 6) around the certificate's (s = 3, m = 4)
-    assert runs == [6, 4, 6]
+    # det's two runs (s = 2, m = 6), and no other
+    assert runs == [6, 6]
 
 

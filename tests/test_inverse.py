@@ -7,7 +7,7 @@ import blackbox_linalg.determinant as determinant
 import blackbox_linalg.hankel as hankel
 import blackbox_linalg.inverse as inverse
 from blackbox_linalg import (DenseOperator, DiagonalOperator, InversionConfig,
-                             PrimeField, blackbox_inverse,
+                             PrimeField, SparseOperator, blackbox_inverse,
                              blackbox_inverse_apply, dense_inverse, det_mod_p,
                              matmul_mod, nullspace_rank, precondition,
                              verify_inverse)
@@ -48,6 +48,11 @@ def test_precondition_field_bound():
     A = IdentityOperator(16, small)
     with pytest.raises(FieldTooSmall):
         precondition(A, 4, rng)
+    # the bound comes before any application, also for a singular input
+    S = DenseOperator(np.array([[1, 2, 0], [2, 4, 0], [0, 0, 3]]), PrimeField(5))
+    with pytest.raises(FieldTooSmall):
+        blackbox_inverse(S)
+    assert S.total_applications == 0
 
 
 def test_butterfly_leading_minor_property():
@@ -351,62 +356,78 @@ def _counting(monkeypatch, module, name, log, fail=lambda call: False,
     monkeypatch.setattr(module, name, wrapper)
 
 
+def _kernel_reads(monkeypatch, module):
+    """Replace ``module._kernel_certificate`` by a wrapper that appends, per
+    call, the kernel vector it certified, or None when it found none."""
+    log = []
+    inner = inverse._kernel_certificate
+
+    def reading(*args):
+        try:
+            inner(*args)
+        except SingularMatrix as exc:
+            log.append(exc.kernel_vector)
+            raise
+        log.append(None)
+    monkeypatch.setattr(module, "_kernel_certificate", reading)
+    return log
+
+
 def test_singular_input_certified_after_first_failed_attempt(monkeypatch):
-    # the parent of this change made all 8 attempts before the certificate
+    # the first attempt's Hankel inverse fails, and the kernel vector is
+    # read off the generator of that same run: no second attempt
     rng = np.random.default_rng(83)
     p = BIG.p
     a = rng.integers(0, p, size=(12, 5), dtype=np.int64)
     b = rng.integers(0, p, size=(5, 12), dtype=np.int64)
     A = DenseOperator(matmul_mod(a, b, p), BIG)
-    reps, certs, reps_before_cert = [], [], []
+    reps = []
     _counting(monkeypatch, inverse, "hankel_inverse_rep", reps)
-    inner_cert = inverse._singular_certificate
-
-    def certificate(*args):
-        certs.append(args)
-        reps_before_cert.append(len(reps))
-        return inner_cert(*args)
-    monkeypatch.setattr(inverse, "_singular_certificate", certificate)
+    kernels = _kernel_reads(monkeypatch, inverse)
     with pytest.raises(SingularMatrix) as exc:
         blackbox_inverse(A, InversionConfig(seed=0))
-    assert len(certs) == 1
-    assert reps_before_cert == [1]  # the rest ran inside the certificate
+    assert len(reps) == 1
     kv = exc.value.kernel_vector
+    assert len(kernels) == 1 and kernels[0] is kv
     assert kv.any()
     assert not A.apply(kv).any()
 
 
 def test_unlucky_draw_certifies_once_then_inverts(monkeypatch):
-    # a nonsingular A whose first Hankel inverse is forced to fail: the
-    # certificate finds rank n, and the next attempt is accepted
+    # a nonsingular A whose first Hankel inverse fails (its first family
+    # forced degenerate): that attempt's kernel read finds nothing, and the
+    # next attempt is accepted
     rng = np.random.default_rng(84)
     A = nonsingular_sparse(rng, 12, BIG)
-    reps, certs = [], []
-    _counting(monkeypatch, inverse, "hankel_inverse_rep", reps,
-              fail=lambda call: call == 1)
-    _counting(monkeypatch, inverse, "_singular_certificate", certs)
+    _counting(monkeypatch, hankel, "_family", [], fail=lambda call: call == 1)
+    kernels = _kernel_reads(monkeypatch, inverse)
     res = blackbox_inverse(A, InversionConfig(seed=0))
-    assert len(certs) == 1
+    assert kernels == [None]
     assert res.stats.retries == 1
     assert np.array_equal(res.matrix, dense_inverse(sparse_to_dense(A), BIG.p))
 
 
 @pytest.mark.parametrize("failure", ["hankel", "verify"])
 def test_all_attempts_fail_certificate_runs_once(monkeypatch, failure):
-    # every Hankel inverse (the certificate runs after the first failure)
-    # or every verification (it runs after the last attempt) fails
+    # every Hankel inverse fails its random check (each attempt reads its
+    # own generator once and finds nothing) or every verification fails
+    # (no kernel read runs): all 8 attempts, then RetriesExhausted
     rng = np.random.default_rng(85)
     A = nonsingular_sparse(rng, 12, BIG)
-    reps, certs = [], []
+    reps = []
+    _counting(monkeypatch, inverse, "hankel_inverse_rep", reps)
     if failure == "hankel":
-        _counting(monkeypatch, inverse, "hankel_inverse_rep", reps,
-                  fail=lambda call: True)
+        # the check fails after both sides of the families have succeeded
+        inner = hankel.hankel_inverse_apply
+        monkeypatch.setattr(hankel, "hankel_inverse_apply",
+                            lambda rep, M: (inner(rep, M) + 1) % rep.p)
     else:
         monkeypatch.setattr(inverse, "verify_inverse", lambda *args: False)
-    _counting(monkeypatch, inverse, "_singular_certificate", certs)
+    kernels = _kernel_reads(monkeypatch, inverse)
     with pytest.raises(RetriesExhausted):
         blackbox_inverse(A, InversionConfig(seed=0))
-    assert len(certs) == 1
+    assert len(reps) == 8
+    assert kernels == ([None] * 8 if failure == "hankel" else [])
 
 
 def singular_family(name, n, p, rng):
@@ -435,73 +456,97 @@ def singular_family(name, n, p, rng):
     return M  # "zero" stays the zero matrix
 
 
+SINGULAR_FAMILIES = ("sparse", "rank 1", "duplicated row", "zero",
+                     "nilpotent shift", "2 x 2 blocks", "diagonal with a zero")
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
 def test_small_field_singular_inputs_are_certified(monkeypatch, p):
-    # the singularity certificate needs no field-size bound: on every input
-    # of these families it finds a kernel vector k with A k = 0 (det's first
-    # attempt fails its Hankel certificate and runs it), and det returns
-    # that certified 0
-    kernels = []
-    inner = inverse._singular_certificate
-
-    def certificate(A, cfg):
-        try:
-            inner(A, cfg)
-        except SingularMatrix as exc:
-            kernels.append(exc.kernel_vector)
-            raise
-        kernels.append(None)
-    monkeypatch.setattr(inverse, "_singular_certificate", certificate)
+    # a kernel read needs no field-size bound: on every input of these
+    # families det's own run (its Hankel certificate failed) yields a kernel
+    # vector k with A k = 0 within the attempts, and det returns that
+    # certified 0
+    kernels = _kernel_reads(monkeypatch, determinant)
     field = PrimeField(p)
-    families = ("sparse", "rank 1", "duplicated row", "zero", "nilpotent shift",
-                "2 x 2 blocks", "diagonal with a zero")
-    for f, name in enumerate(families):
+    for f, name in enumerate(SINGULAR_FAMILIES):
         for n in range(2, 31):
             M = singular_family(name, n, p, np.random.default_rng([p, f, n]))
             kernels.clear()
             where = (name, n)
             assert det_mod_p(DenseOperator(M, field), InversionConfig(seed=n)) == 0, where
-            [k] = kernels
+            *misses, k = kernels
+            assert misses == [None] * len(misses), where
             assert k is not None and k.any(), where
             assert not matmul_mod(M, k.reshape(n, 1), p).any(), where
 
 
+def test_singular_families_certified_by_their_own_run(monkeypatch):
+    # the inverse's first attempt reads the kernel vector off the generator
+    # its own order basis made: one Hankel inverse, no block Wiedemann sweep
+    p = 65521
+    field = PrimeField(p)
+    reps = []
+    _counting(monkeypatch, inverse, "hankel_inverse_rep", reps)
+    sweeps = []  # the block Wiedemann run's, not the inverse's own
+    _counting(monkeypatch, hankel, "krylov_apply_left", sweeps)
+    for f, name in enumerate(SINGULAR_FAMILIES):
+        for n in range(2, 31):
+            M = singular_family(name, n, p, np.random.default_rng([p, f, n]))
+            reps.clear()
+            where = (name, n)
+            with pytest.raises(SingularMatrix) as exc:
+                blackbox_inverse(DenseOperator(M, field), InversionConfig(seed=n))
+            k = exc.value.kernel_vector
+            assert k.any() and not matmul_mod(M, k.reshape(n, 1), p).any(), where
+            assert len(reps) == 1, where
+    assert sweeps == []
+
+
+def test_singular_rank_mix_input_costs_one_run():
+    # n = 256 (s = m = 16) with 8 rows of a 5-per-row sparse matrix
+    # emptied: the failed attempt's sweep of (2m-1) s = 496 applications,
+    # a Horner sweep of at most N = 256 and the kernel checks; a second
+    # block Wiedemann run would add 2N = 512 more
+    rng = np.random.default_rng(97)
+    n = 256
+    M = sparse_to_dense(random_sparse_operator(n, 5, BIG, rng))
+    M[rng.choice(n, size=8, replace=False)] = 0
+    rows, cols = M.nonzero()
+    A = SparseOperator(n, list(zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist())), BIG)
+    with pytest.raises(SingularMatrix) as exc:
+        blackbox_inverse(A, InversionConfig(seed=0))
+    k = exc.value.kernel_vector
+    assert k.any() and not matmul_mod(M, k.reshape(n, 1), BIG.p).any()
+    assert A.total_applications <= 800
+
+
 @pytest.mark.parametrize("pipeline", ["inverse", "det"])
 def test_certificate_runs_once_when_every_attempt_degenerates(monkeypatch, pipeline):
-    # every projection degenerates and the certificate finds nothing: both
-    # pipelines run it once, make every attempt and raise RetriesExhausted
-    # (det, Las Vegas, returns no uncertified 0)
+    # every projection degenerates (each run's first family forced) and no
+    # kernel read finds a vector: both pipelines read once per attempt, make
+    # every attempt and raise RetriesExhausted (det, Las Vegas, returns no
+    # uncertified 0)
     A = nonsingular_sparse(np.random.default_rng(86), 12, BIG)
-    tries, certs = [], []
-    if pipeline == "inverse":
-        _counting(monkeypatch, inverse, "hankel_inverse_rep", tries,
-                  fail=lambda call: True)
-        run = blackbox_inverse
-    else:
-        _counting(monkeypatch, determinant, "_block_wiedemann", tries,
-                  fail=lambda call: True)
-        run = det_mod_p
-
-    def certificate(B, cfg):
-        certs.append(B.n)
-    monkeypatch.setattr(inverse, "_singular_certificate", certificate)
+    tries = []
+    _counting(monkeypatch, hankel, "_generator", tries)
+    _counting(monkeypatch, hankel, "_family", [], fail=lambda call: True)
+    kernels = _kernel_reads(monkeypatch, inverse if pipeline == "inverse" else determinant)
+    run = blackbox_inverse if pipeline == "inverse" else det_mod_p
     with pytest.raises(RetriesExhausted):
         run(A, InversionConfig(seed=0, max_retries=3))
-    assert certs == [12]
+    assert kernels == [None] * 3
     assert len(tries) == 3
 
 
 def test_rank_retries_a_degenerate_attempt_without_certificate(monkeypatch):
-    # nullspace_rank runs no singularity certificate; its stats count the
-    # 2N applications of the failed attempt's sweep and the accepted one's
+    # nullspace_rank reads no kernel vector; its stats count the 2N
+    # applications of the failed attempt's sweep and the accepted one's
     # (n = N = 12, s = 3, m = 4)
     A = nonsingular_sparse(np.random.default_rng(87), 12, BIG)
     _counting(monkeypatch, hankel, "_pade_side", [], fail=lambda call: call == 1)
-
-    def certificate(*args):
-        raise AssertionError("nullspace_rank ran the certificate")
-    monkeypatch.setattr(inverse, "_singular_certificate", certificate)
+    kernels = _kernel_reads(monkeypatch, inverse)
     cert = nullspace_rank(A, InversionConfig(seed=0))
+    assert kernels == []
     assert cert.rank == 12
     stats = cert.stats
     assert (stats.retries, stats.bb_applies_last_attempt,

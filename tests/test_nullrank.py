@@ -7,9 +7,9 @@ from blackbox_linalg import (BlockHankel, DenseOperator, InversionConfig,
                              PrimeField, SparseOperator, matmul_mod,
                              nullspace_rank)
 from blackbox_linalg.errors import HankelSingular, RetriesExhausted
-from blackbox_linalg.hankel import _hankel_certificate, _pade_families, _pade_side
+from blackbox_linalg.hankel import _hankel_certificate, _pade_side
 
-from _oracles import IdentityOperator, dense_rank, hankel_to_dense
+from _oracles import IdentityOperator, dense_rank, hankel_to_dense, pade_families
 
 BIG = PrimeField(2147483629)
 P = BIG.p
@@ -53,7 +53,7 @@ def _spy_estimates(monkeypatch, degrees=None, certificates=None):
 
 def _pade_succeeds(alpha, s, m, p):
     try:
-        _pade_families(alpha, s, m, p)
+        pade_families(alpha, s, m, p)
     except HankelSingular:
         return False
     return True
@@ -258,33 +258,35 @@ def test_forged_estimates_fail_their_certificates(monkeypatch):
 
 
 def test_minor_failures_recover(monkeypatch):
+    import blackbox_linalg.hankel as hankel
     import blackbox_linalg.inverse as inverse
     import blackbox_linalg.nullrank as nullrank
-    from blackbox_linalg.errors import HankelSingular, SingularMatrix
+    from blackbox_linalg.errors import SingularMatrix
     n, r = 20, 13
     M = _low_rank(np.random.default_rng(8), n, r)
     A = DenseOperator(M, BIG)
 
-    # a failed first Hankel inverse in the minor solve runs one nested
-    # certificate on the r x r minor, which finds it nonsingular; the
-    # solve's next attempt succeeds within the same outer attempt
-    reps, certs = [], []
-    inner_rep = inverse.hankel_inverse_rep
-    inner_cert = inverse._singular_certificate
+    # a failed first Hankel inverse in the minor solve (its random check
+    # forced to fail) reads a kernel vector of the r x r minor off its own
+    # generator and finds none, as the minor is nonsingular; the solve's
+    # next attempt succeeds within the same outer attempt
+    checks, reads = [], []
+    inner_check = hankel.hankel_inverse_apply
+    inner_read = inverse._kernel_certificate
 
-    def rep(*args):
-        reps.append(args)
-        if len(reps) == 1:
-            raise HankelSingular("forced")
-        return inner_rep(*args)
+    def check(rep, X):
+        checks.append(rep)
+        Y = inner_check(rep, X)
+        return (Y + 1) % rep.p if len(checks) == 1 else Y
 
-    def cert_spy(B, cfg):
-        certs.append(B.n)
-        return inner_cert(B, cfg)
-    monkeypatch.setattr(inverse, "hankel_inverse_rep", rep)
-    monkeypatch.setattr(inverse, "_singular_certificate", cert_spy)
+    def read(A0, *args):
+        reads.append(A0.n)
+        return inner_read(A0, *args)
+    monkeypatch.setattr(hankel, "hankel_inverse_apply", check)
+    monkeypatch.setattr(inverse, "_kernel_certificate", read)
     cert = nullspace_rank(A, InversionConfig(seed=0))
-    assert certs == [r]
+    assert reads == [r]
+    assert len(checks) == 2
     assert (cert.rank, cert.stats.retries) == (r, 0)
     assert not matmul_mod(M, cert.nullspace, P).any()
     assert dense_rank(cert.nullspace, P) == n - r
