@@ -14,7 +14,8 @@ When its Pade families pass the Hankel certificate, B is nonsingular and
 holds exactly for the degree-m coefficient v_m of the v-family.  The
 diagonal determinants divide back out exactly.  A run that fails the
 certificate reads a kernel vector of A off its own minimal generator
-(``inverse._kernel_certificate``), which proves det A = 0; otherwise it
+(``inverse._kernel_certificate``: it forms only the generator columns that
+one random probe does not rule out), which proves det A = 0; otherwise it
 retries under ``inverse.run_attempts``, the policy of every pipeline.
 """
 from __future__ import annotations
@@ -61,7 +62,7 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
         try:
             v_t = certified()[1]
         except HankelSingular:
-            _kernel_certificate(A, B, v, F, D2)
+            _kernel_certificate(A, B, v, F, D2, rng)
             raise
         det_B = dense_det(v_t[m], p) * (-1) ** n % p
         # det U = 1 by construction; padding contributes det 1

@@ -65,9 +65,13 @@ determinant, the rank and the inverse:
     to sum_j B^{m-j} v v_j = 0: B K_v = K_v C for the block companion C of
     v, so det B = (-1)^N det v_m;
   * where F also generates the unprojected B^{k+1} v, each of its columns
-    gives a kernel vector w = sum_j B^j v F_j e_c of B, which one
-    application checks: a failed run of a singular B reads its kernel
-    vector off its own F (``inverse._kernel_certificate``).
+    gives w_c = sum_j B^j v F_j e_c with B w_c = 0, a kernel vector of B
+    unless it is zero, which one application checks: a failed run of a
+    singular B reads its kernel vector off its own F
+    (``inverse._kernel_certificate``).  A column with
+    y^T B w_c = sum_j (y^T B^{j+1} v) F_j e_c != 0 cannot give one, so a
+    random probe y (deg F + 1 transposed applications of one vector)
+    spares the read forming such columns.
 """
 from __future__ import annotations
 

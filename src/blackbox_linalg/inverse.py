@@ -31,8 +31,10 @@ Any internal degeneracy or a failed verification retries with completely
 fresh randomness; accepted answers are always exact.  A degenerate H first
 reads a kernel vector off the generator its own order basis made
 (``_kernel_certificate``, as the determinant does), which certifies a
-singular A.  ``run_attempts`` holds this Las Vegas policy for the
-determinant and the rank as well.
+singular A: one random probe of deg F + 1 transposed applications of a
+vector rules out the generator columns that cannot certify, and only the
+rest are formed, one column at a time.  ``run_attempts`` holds this Las
+Vegas policy for the determinant and the rank as well.
 """
 from __future__ import annotations
 
@@ -188,7 +190,7 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg):
         try:
             rep = hankel_inverse_rep(H, rng)
         except HankelSingular as exc:
-            _kernel_certificate(A, B, P.u_matrix(), exc.generator, D)
+            _kernel_certificate(A, B, P.u_matrix(), exc.generator, D, rng)
             raise
         if M is None:
             # K_l D U in place: (K_l D) U = (U.T (K_l D).T).T
@@ -239,19 +241,47 @@ def run_attempts(A: BlackBoxOperator, cfg: InversionConfig, attempt,
 
 
 def _kernel_certificate(A: BlackBoxOperator, B: BlackBoxOperator, v: np.ndarray,
-                        F: np.ndarray, D: DiagonalOperator) -> None:
+                        F: np.ndarray, D: DiagonalOperator, rng) -> None:
     """SingularMatrix(k) for a kernel vector k of A read off the generator
     F of a failed attempt's alpha_k = u^T B^{k+1} v (B = ... A D, A padded
-    to B's order N, v of N x s): one Horner sweep of deg F applications
-    forms W = sum_j B^j v F_j, with B W = 0 where F also generates the
-    unprojected B^{k+1} v.  A column w with D w zero on the padding rows,
-    k = (D w)[:n] nonzero and A k = 0 (one application) is the certificate;
-    it needs no field-size bound.  Otherwise returns, and the attempt retries."""
-    n, p = A.n, A.field.p
-    W = matmul_mod(v, F[-1], p)
-    for Fj in F[-2::-1]:
-        W = reduce_in_place(B.apply_matrix(W) + matmul_mod(v, Fj, p), p)
-    for w in D.apply_matrix(W).T:
+    to B's order N by diag(A, I), v of N x s).  Column c of F, of degree
+    d_c, gives w_c = sum_j B^j v F_j e_c, with B w_c = 0 where F also
+    generates the unprojected B^{k+1} v.  A column with D w_c zero on the
+    padding rows, k = (D w_c)[:n] nonzero and A k = 0 (one application) is
+    the certificate; it needs no field-size bound.  Otherwise returns, and
+    the attempt retries.
+
+    B's factors besides diag(A, I) are invertible, so that test holds
+    exactly when B w_c = 0 and w_c != 0: B w_c = 0 says diag(A, I) D w_c = 0,
+    that is A k = 0 with zero padding rows.  A column with y^T B w_c != 0
+    for some y therefore cannot certify.  The probe draws one random y from
+    ``rng``, after the attempt's own draws, and spends deg F + 1 transposed
+    applications of one vector on y^T B^{j+1} v; t = sum_j (y^T B^{j+1} v) F_j
+    rules out every column with t_c != 0.  The rest are formed in column
+    order, each by a Horner sweep of d_c applications of one vector, and
+    checked as above.  So the first column that certifies, and its kernel
+    vector, are those of forming all s columns by one Horner sweep of
+    deg F applications of the N x s block, whatever y is.  The probe runs
+    only when the columns it could rule out, all but the last, cost more
+    than it does; a column that cannot certify passes it with probability
+    at most 1/p."""
+    n, p, s = A.n, A.field.p, v.shape[1]
+    degrees = [np.flatnonzero(F[:, :, c].any(axis=1))[-1] for c in range(s)]
+    t = np.zeros(s, dtype=np.int64)
+    if sum(degrees[:-1]) > len(F):
+        y = rng.integers(0, p, size=(B.n, 1), dtype=np.int64)
+        probes = np.empty((len(F), s), dtype=np.int64)
+        for j in range(len(F)):
+            y = B.apply_transpose_matrix(y)
+            probes[j] = matmul_mod(y.T, v, p)
+        t = matmul_mod(probes.reshape(1, -1), F.reshape(-1, s), p)[0]
+    for c in np.flatnonzero(t == 0):
+        d = degrees[c]
+        G = matmul_mod(v, F[d::-1, :, c].T, p)  # column i is v F_{d-i} e_c
+        w = G[:, :1]
+        for i in range(1, d + 1):
+            w = reduce_in_place(B.apply_matrix(w) + G[:, i:i + 1], p)
+        w = D.apply_matrix(w)[:, 0]
         k = w[:n].copy()
         if not w[n:].any() and k.any() and not A.apply(k).any():
             raise SingularMatrix(k)

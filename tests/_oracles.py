@@ -15,12 +15,16 @@ matrix generator on its sample by plain big-int sums.  The dense rank, solve and
 operator, the materializations of operators (``materialize``, and entry by
 entry for sparse and block-Hankel ones) and the stage view of a butterfly's
 row plan serve only the suite, so they live here and not in the library.
+``kernel_certificate_reference`` is the kernel read that forms all s
+generator columns by one Horner sweep of the block, through the library's
+operators and ``matmul_mod``: the read that the probe must agree with.
 """
 from types import SimpleNamespace
 
 import numpy as np
 
 from blackbox_linalg import BlackBoxOperator, dense_inverse, matmul_mod
+from blackbox_linalg.field import reduce_in_place
 from blackbox_linalg.hankel import _mbasis, _pade_side
 
 
@@ -186,6 +190,24 @@ def krylov_sequence(B, P, count, side="right"):
     axis = 1 if side == "right" else 0
     return SimpleNamespace(blocks=blocks,
                            assemble=lambda: np.concatenate(blocks, axis=axis))
+
+
+def kernel_certificate_reference(A, B, v, F, D):
+    """The kernel read of a failed attempt from all s generator columns at
+    once: one Horner sweep of the N x s block, W = sum_j B^j v F_j
+    (deg F applications of s columns), then the first column w of D W, in
+    column order, with zero padding rows, k = w[:n] nonzero and A k = 0
+    (one application per column that gets that far).  Returns that k, or
+    None."""
+    n, p = A.n, A.field.p
+    W = matmul_mod(v, F[-1], p)
+    for Fj in F[-2::-1]:
+        W = reduce_in_place(B.apply_matrix(W) + matmul_mod(v, Fj, p), p)
+    for w in D.apply_matrix(W).T:
+        k = w[:n].copy()
+        if not w[n:].any() and k.any() and not A.apply(k).any():
+            return k
+    return None
 
 
 def sigma_basis(F, sigma, p, shifts=None):

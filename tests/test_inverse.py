@@ -19,7 +19,8 @@ from blackbox_linalg.hankel import (build_hankel, hankel_inverse_apply,
                                     hankel_inverse_rep)
 from blackbox_linalg.projection import BlockProjection, krylov_apply_right
 
-from _oracles import IdentityOperator, dense_rank, materialize, sparse_to_dense
+from _oracles import (IdentityOperator, dense_rank, kernel_certificate_reference,
+                      materialize, sparse_to_dense)
 
 BIG = PrimeField(2147483629)
 
@@ -362,9 +363,9 @@ def _kernel_reads(monkeypatch, module):
     log = []
     inner = inverse._kernel_certificate
 
-    def reading(*args):
+    def reading(A, B, v, F, D, rng):
         try:
-            inner(*args)
+            inner(A, B, v, F, D, rng)
         except SingularMatrix as exc:
             log.append(exc.kernel_vector)
             raise
@@ -502,22 +503,101 @@ def test_singular_families_certified_by_their_own_run(monkeypatch):
     assert sweeps == []
 
 
-def test_singular_rank_mix_input_costs_one_run():
-    # n = 256 (s = m = 16) with 8 rows of a 5-per-row sparse matrix
-    # emptied: the failed attempt's sweep of (2m-1) s = 496 applications,
-    # a Horner sweep of at most N = 256 and the kernel checks; a second
-    # block Wiedemann run would add 2N = 512 more
+def rank_mix_singular():
+    """n = 256 (s = m = 16): a 5-per-row sparse matrix with 8 rows emptied,
+    as a dense array and as a SparseOperator."""
     rng = np.random.default_rng(97)
     n = 256
     M = sparse_to_dense(random_sparse_operator(n, 5, BIG, rng))
     M[rng.choice(n, size=8, replace=False)] = 0
     rows, cols = M.nonzero()
     A = SparseOperator(n, list(zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist())), BIG)
+    return M, A
+
+
+def test_singular_rank_mix_input_costs_one_run():
+    # the failed attempt's sweep of (2m-1) s = 496 applications, the probe
+    # of at most m + 1 transposed ones, the Horner sweep of at most m for
+    # the one column that passes it, and its kernel check; forming all s
+    # columns at once takes up to s m = 256 in place of the probe and the
+    # column, and a second block Wiedemann run would add 2N = 512
+    M, A = rank_mix_singular()
     with pytest.raises(SingularMatrix) as exc:
         blackbox_inverse(A, InversionConfig(seed=0))
     k = exc.value.kernel_vector
-    assert k.any() and not matmul_mod(M, k.reshape(n, 1), BIG.p).any()
-    assert A.total_applications <= 800
+    assert k.any() and not matmul_mod(M, k.reshape(-1, 1), BIG.p).any()
+    assert A.total_applications <= 560
+
+
+def _read(read, A, *args):
+    """(kernel vector or None, applications of A) of one kernel read."""
+    base = A.total_applications
+    try:
+        k = read(A, *args)
+    except SingularMatrix as exc:
+        k = exc.kernel_vector
+    return (None if k is None else k.tobytes()), A.total_applications - base
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 65521])
+def test_kernel_read_matches_the_full_block_reference(monkeypatch, p):
+    # every kernel read of det and the inverse on these families certifies
+    # the vector that forming all s generator columns at once certifies (or
+    # none where it finds none).  It costs at most the probe's deg F + 1
+    # more; with nothing to form (deg F = 0) both spend only the checks,
+    # and at p >= 101, where a column that cannot certify rarely passes the
+    # probe, strictly fewer whenever s >= 2
+    reads = []
+    inner = inverse._kernel_certificate
+
+    def read(A, B, v, F, D, rng):
+        want, ref = _read(kernel_certificate_reference, A, B, v, F, D)
+        got, cost = _read(inner, A, B, v, F, D, rng)
+        reads.append((want, ref, got, cost, len(F) - 1, v.shape[1]))
+        if got is not None:
+            raise SingularMatrix(np.frombuffer(got, dtype=np.int64).copy())
+    monkeypatch.setattr(inverse, "_kernel_certificate", read)
+    monkeypatch.setattr(determinant, "_kernel_certificate", read)
+    field = PrimeField(p)
+    for f, name in enumerate(SINGULAR_FAMILIES):
+        for n in range(2, 31):
+            M = singular_family(name, n, p, np.random.default_rng([p, f, n]))
+            reads.clear()
+            assert det_mod_p(DenseOperator(M, field), InversionConfig(seed=n)) == 0
+            with pytest.raises((SingularMatrix, FieldTooSmall)):
+                blackbox_inverse(DenseOperator(M, field), InversionConfig(seed=n))
+            for want, ref, got, cost, deg, s in reads:
+                where = (name, n, deg, s, ref, cost)
+                assert got == want, where
+                assert cost <= ref + deg + 1, where
+                if deg == 0:
+                    assert cost == ref, where
+                elif p >= 101 and s >= 2:
+                    assert cost < ref, where
+
+
+def test_kernel_read_probe_only_skips_work(monkeypatch):
+    # with a zero probe vector no column is ruled out: every column is
+    # formed in turn until one certifies, which costs more and still gives
+    # the vector of forming all s columns at once
+    class ZeroDraws:
+        def integers(self, low, high, size, dtype):
+            return np.zeros(size, dtype=dtype)
+    reads = []
+    inner = inverse._kernel_certificate
+
+    def read(*args):
+        reads.append(args)
+        inner(*args)
+    monkeypatch.setattr(inverse, "_kernel_certificate", read)
+    with pytest.raises(SingularMatrix):
+        blackbox_inverse(rank_mix_singular()[1], InversionConfig(seed=0))
+    [(A, B, v, F, D, rng)] = reads
+    want, ref = _read(kernel_certificate_reference, A, B, v, F, D)
+    zero, zero_cost = _read(inner, A, B, v, F, D, ZeroDraws())
+    got, cost = _read(inner, A, B, v, F, D, rng)
+    assert want is not None and zero == want and got == want
+    assert cost < zero_cost < ref
 
 
 @pytest.mark.parametrize("pipeline", ["inverse", "det"])
