@@ -30,7 +30,7 @@ from .nullrank import nullspace_rank
 from .operators import SparseOperator
 
 DEFAULT_PRIME = 2147483629  # word-size prime just below 2**31
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -40,7 +40,7 @@ class RunReport:
     prime: int
     seed: int
     outcome: str
-    stats: RunStats | None  # None when the run ended without a result
+    stats: RunStats | None  # None only when the run applied A zero times
     schema_version: int = SCHEMA_VERSION
     extra: dict = dc_field(default_factory=dict)
 
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bbla", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, block=True, out=False, verify=False):
+    def common(p, block=True, out=False):
         p.add_argument("input", help="Matrix Market file")
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
         if block:
@@ -76,17 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="blocking factor s (0 = auto)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--retries", type=int, default=8)
-        if verify:
-            p.add_argument("--no-verify", action="store_true")
         if out:
             p.add_argument("--out", help="write the result matrix here")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="print the run report as JSON")
 
     common(sub.add_parser("invert", help="dense inverse of a black-box matrix"),
-           out=True, verify=True)
+           out=True)
     p = sub.add_parser("apply-inverse", help="A^-1 M without materializing A^-1")
-    common(p, out=True, verify=True)
+    common(p, out=True)
     p.add_argument("rhs", help="Matrix Market file for M")
     common(sub.add_parser("nullspace", help="certified nullspace basis and rank"),
            block=False, out=True)
@@ -95,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--crt", action="store_true",
                    help="exact integer determinant via Chinese remaindering")
-    p.add_argument("--confirm", type=int, default=0, metavar="K",
-                   help="re-check the certified determinant with K extra independent runs")
     p = sub.add_parser("bench", help="operation-count sweep over a size grid")
     p.add_argument("what", choices=["invert"])
     p.add_argument("--sizes", type=_size_list, default="64,128,256,512")
@@ -114,15 +110,12 @@ def _settings(args):
     if args.command == "bench" and not 1 <= args.density <= min(args.sizes):
         raise _UsageError(f"--density must be in 1..{min(args.sizes)} "
                           "(at most the smallest size)")
-    if args.command == "det" and args.confirm < 0:
-        raise _UsageError("--confirm must be >= 0")
-    if args.command == "det" and args.crt and (args.block_size or args.confirm):
-        raise _UsageError("det --crt reads neither --block-size nor --confirm")
+    if args.command == "det" and args.crt and args.block_size:
+        raise _UsageError("det --crt does not read --block-size")
     try:
         field = PrimeField(args.prime)
         cfg = InversionConfig(s=getattr(args, "block_size", 0), seed=args.seed,
-                              max_retries=args.retries,
-                              verify=not getattr(args, "no_verify", False))
+                              max_retries=args.retries)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     return field, cfg
@@ -200,9 +193,9 @@ def _cmd_bench(args, field, cfg):
     return 0, report
 
 
-def _outcome(args, command, digest, code, outcome, message=None):
+def _outcome(args, command, digest, code, outcome, message=None, stats=None):
     """Exit code and report of a run that ended without a result."""
-    report = _report(args, command, digest, outcome)
+    report = _report(args, command, digest, outcome, stats)
     if args.as_json:
         print(report.to_json())
     else:
@@ -238,8 +231,7 @@ def run_command(argv):
         if args.command == "invert":
             res = blackbox_inverse(A, cfg)
             _write_matrix(res.matrix, args.out)
-            report = _report(args, "invert", digest, "ok", res.stats,
-                             {"verified": not args.no_verify})
+            report = _report(args, "invert", digest, "ok", res.stats)
         elif args.command == "apply-inverse":
             rhs = read_matrix_market(args.rhs)
             if rhs.rows != data.rows:
@@ -248,8 +240,7 @@ def run_command(argv):
             M = to_dense_residues(rhs, field)
             res = blackbox_inverse_apply(A, M, cfg)
             _write_matrix(res.matrix, args.out)
-            report = _report(args, "apply-inverse", digest, "ok", res.stats,
-                             {"verified": not args.no_verify})
+            report = _report(args, "apply-inverse", digest, "ok", res.stats)
         elif args.command in ("nullspace", "rank"):
             cert = nullspace_rank(A, cfg)
             if args.command == "nullspace":
@@ -261,11 +252,12 @@ def run_command(argv):
         if args.as_json:
             print(report.to_json())
         return 0, report
-    except SingularMatrix:
+    except SingularMatrix as exc:
         return _outcome(args, args.command, digest, 1, "singular",
-                        "matrix is singular (certified)")
+                        "matrix is singular (certified)", exc.stats)
     except (RetriesExhausted, FieldTooSmall) as exc:
-        return _outcome(args, args.command, digest, 2, f"failed: {exc}")
+        return _outcome(args, args.command, digest, 2, f"failed: {exc}",
+                        stats=exc.stats)
     except MatrixMarketError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3, None
@@ -286,15 +278,12 @@ def _cmd_det(args, data, field, cfg, digest):
                 break
         value = det_integer_crt(data.rows, data.triples, primes,
                                 seed=args.seed, max_retries=args.retries)
-        extra = {"det": str(value), "crt_primes": primes, "monte_carlo": True}
+        extra = {"det": str(value), "crt_primes": primes}
         applies = 0  # the operators of each prime are made inside det_integer_crt
     else:
         A = to_sparse_operator(data, field)
         value = det_mod_p(A, cfg)
-        for k in range(args.confirm):
-            if det_mod_p(A, replace(cfg, seed=args.seed + 7919 * (k + 1))) != value:
-                raise RetriesExhausted("independent determinant runs disagree")
-        extra = {"det": str(value), "monte_carlo": True, "confirm": args.confirm}
+        extra = {"det": str(value)}
         applies = A.total_applications
     if not args.as_json:
         print(value)

@@ -2,7 +2,10 @@
 
 
 class BlackboxLinalgError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  ``stats`` is the RunStats of the
+    run that raised it, where ``inverse.run_attempts`` attached them."""
+
+    stats = None
 
 
 class DimensionError(BlackboxLinalgError):

@@ -20,8 +20,7 @@ stacked-identity projection u.  Per attempt:
      columns at a time: H^{-1}, then the Horner sweep for K_r ((m-1) k
      applications in all), the result written back over the panel,
   5. the one final map of both, in place: D Z, then its leading n x k block,
-  6. verification A X = M (k applications) unless disabled, one column
-     panel at a time.
+  6. verification A X = M (k applications), one column panel at a time.
 
 Every step treats columns independently, so the panels change neither the
 answer nor the draws nor the application counts; the only n x k array of
@@ -31,10 +30,11 @@ Any internal degeneracy or a failed verification retries with completely
 fresh randomness; accepted answers are always exact.  A degenerate H first
 reads a kernel vector off the generator its own order basis made
 (``_kernel_certificate``, as the determinant does), which certifies a
-singular A: one random probe of deg F + 1 transposed applications of a
-vector rules out the generator columns that cannot certify, and only the
-rest are formed, one column at a time.  ``run_attempts`` holds this Las
-Vegas policy for the determinant and the rank as well.
+singular A: a random probe of deg F + 1 transposed applications of a
+vector (of a block of a few in a small field) rules out the generator
+columns that cannot certify, and only the rest are formed, one column at a
+time.  ``run_attempts`` holds this Las Vegas policy for the determinant and
+the rank as well.
 """
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ class InversionConfig:
     s: int = 0
     seed: int = 0
     max_retries: int = 8
-    verify: bool = True
 
     def __post_init__(self):
         if self.s < 0:
@@ -80,7 +79,9 @@ class RunStats:
     all attempts and in the accepted one, the failed attempts before it,
     wall time in seconds, and the blocking factor s and block count m of
     its block Krylov sweeps (inverse, det, rank and nullspace; both 0 when
-    not given)."""
+    not given).  A run that raises counts the attempt that certified a
+    singular A, or the last one when every attempt failed (then retries is
+    the number of attempts), as its last."""
     bb_apply_count: int
     wall_time: float
     retries: int = 0
@@ -205,7 +206,7 @@ def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg):
             panel = Z[:, lo:lo + width]
             panel[...] = krylov_apply_right(B, P, hankel_inverse_apply(rep, left(panel)))
         X = unwrap(Z)[:n, :k]
-        return X if not cfg.verify or verify_inverse(A, X, M) else None
+        return X if verify_inverse(A, X, M) else None
 
     X, stats = run_attempts(A, cfg, attempt, s=s, m=P.m)
     return InversionResult(matrix=X, stats=stats)
@@ -221,23 +222,33 @@ def run_attempts(A: BlackBoxOperator, cfg: InversionConfig, attempt,
     propagates (an attempt certifies a singular A from its own run, by
     ``_kernel_certificate``).  When the attempts run out, RetriesExhausted
     is raised.  The stats count the applications of A and report s and m
-    as given."""
+    as given; the SingularMatrix and RetriesExhausted that leave carry the
+    run's stats as ``.stats``."""
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
-    base_count = A.total_applications
+    base_count = attempt_base = A.total_applications
+
+    def stats(retries):
+        return RunStats(
+            bb_apply_count=A.total_applications - base_count,
+            wall_time=time.perf_counter() - t0, retries=retries, s=s, m=m,
+            bb_applies_last_attempt=A.total_applications - attempt_base)
+
     for retry in range(cfg.max_retries):
         attempt_base = A.total_applications
         try:
             answer = attempt(rng)
         except HankelSingular:
             continue
+        except SingularMatrix as exc:
+            exc.stats = stats(retry)
+            raise
         if answer is not None:
-            return answer, RunStats(
-                bb_apply_count=A.total_applications - base_count,
-                wall_time=time.perf_counter() - t0, retries=retry, s=s, m=m,
-                bb_applies_last_attempt=A.total_applications - attempt_base)
-    raise RetriesExhausted(
+            return answer, stats(retry)
+    exc = RetriesExhausted(
         f"{cfg.max_retries} attempts failed without a certified answer")
+    exc.stats = stats(cfg.max_retries)
+    raise exc
 
 
 def _kernel_certificate(A: BlackBoxOperator, B: BlackBoxOperator, v: np.ndarray,
@@ -254,28 +265,35 @@ def _kernel_certificate(A: BlackBoxOperator, B: BlackBoxOperator, v: np.ndarray,
     B's factors besides diag(A, I) are invertible, so that test holds
     exactly when B w_c = 0 and w_c != 0: B w_c = 0 says diag(A, I) D w_c = 0,
     that is A k = 0 with zero padding rows.  A column with y^T B w_c != 0
-    for some y therefore cannot certify.  The probe draws one random y from
-    ``rng``, after the attempt's own draws, and spends deg F + 1 transposed
-    applications of one vector on y^T B^{j+1} v; t = sum_j (y^T B^{j+1} v) F_j
-    rules out every column with t_c != 0.  The rest are formed in column
-    order, each by a Horner sweep of d_c applications of one vector, and
-    checked as above.  So the first column that certifies, and its kernel
-    vector, are those of forming all s columns by one Horner sweep of
-    deg F applications of the N x s block, whatever y is.  The probe runs
-    only when the columns it could rule out, all but the last, cost more
-    than it does; a column that cannot certify passes it with probability
-    at most 1/p."""
+    for some y therefore cannot certify.  The probe draws a random N x b
+    block y from ``rng``, after the attempt's own draws, and spends
+    b (deg F + 1) transposed applications on y^T B^{j+1} v;
+    t = sum_j (y^T B^{j+1} v) F_j rules out every column with a nonzero in
+    t e_c.  The rest are formed in column order, each by a Horner sweep of
+    d_c applications of one vector, and checked as above.  So the first
+    column that certifies, and its kernel vector, are those of forming all
+    s columns by one Horner sweep of deg F applications of the N x s block,
+    whatever y is.  A column that cannot certify passes the probe with
+    probability at most p^-b, and b is the least with p^b above the
+    applications the probe can save, sum_{c < s-1} d_c (all but the last
+    column), so false passes waste less than one application on average;
+    b = 1 whenever p exceeds that sum.  The probe runs only when it costs
+    less than those columns."""
     n, p, s = A.n, A.field.p, v.shape[1]
     degrees = [np.flatnonzero(F[:, :, c].any(axis=1))[-1] for c in range(s)]
-    t = np.zeros(s, dtype=np.int64)
-    if sum(degrees[:-1]) > len(F):
-        y = rng.integers(0, p, size=(B.n, 1), dtype=np.int64)
-        probes = np.empty((len(F), s), dtype=np.int64)
+    saved = int(sum(degrees[:-1]))
+    b = 1
+    while p ** b <= saved:
+        b += 1
+    t = np.zeros((b, s), dtype=np.int64)
+    if saved > b * len(F):
+        y = rng.integers(0, p, size=(B.n, b), dtype=np.int64)
+        probes = np.empty((b, len(F), s), dtype=np.int64)
         for j in range(len(F)):
             y = B.apply_transpose_matrix(y)
-            probes[j] = matmul_mod(y.T, v, p)
-        t = matmul_mod(probes.reshape(1, -1), F.reshape(-1, s), p)[0]
-    for c in np.flatnonzero(t == 0):
+            probes[:, j] = matmul_mod(y.T, v, p)
+        t = matmul_mod(probes.reshape(b, -1), F.reshape(-1, s), p)
+    for c in np.flatnonzero(~t.any(axis=0)):
         d = degrees[c]
         G = matmul_mod(v, F[d::-1, :, c].T, p)  # column i is v F_{d-i} e_c
         w = G[:, :1]

@@ -78,7 +78,8 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
     the bound of its minor solve: below it the attempt retries, and when
     every attempt fails the minor solve's FieldTooSmall is raised.  Never
     returns an uncertified answer; raises RetriesExhausted when the rank
-    estimate or the random conditioning keeps failing."""
+    estimate or the random conditioning keeps failing.  Either error
+    carries the run's stats as ``.stats``."""
     cfg = cfg or InversionConfig()
     field = A.field
     p = field.p
@@ -117,8 +118,9 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
 
     try:
         (r, N), stats = run_attempts(A, cfg, attempt, s=s, m=m)
-    except RetriesExhausted:
+    except RetriesExhausted as exc:
         if too_small:
+            too_small[0].stats = exc.stats
             raise too_small[0] from None
         raise
     return RankCertificate(rank=r, nullspace=N, stats=stats)

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from blackbox_linalg import (RunStats, read_matrix_market, to_dense_residues,
                              to_sparse_operator, PrimeField)
-from blackbox_linalg import cli
+from blackbox_linalg import cli, hankel
 from blackbox_linalg.cli import run_command
-from blackbox_linalg.errors import SingularMatrix
+from blackbox_linalg.errors import HankelSingular, SingularMatrix
 
 from _oracles import bareiss_det
 
@@ -103,8 +103,9 @@ def test_nullspace_command(tmp_path):
 
 
 def test_rank_below_field_bound(tmp_path):
-    # rank n is certified by the minimal polynomial alone, with no field
-    # bound; a rank deficiency still needs the bound for its minor solve
+    # rank n is certified by the Hankel certificate of the rank estimate's
+    # own run, with no field bound; a rank deficiency still needs the bound
+    # for its minor solve
     full = [(0, 0, 1), (1, 1, 2), (2, 2, 3), (0, 2, 1)]
     src = write_coordinate(tmp_path / "f5.mtx", 3, full)
     for argv in (["rank"], ["nullspace", "--out", str(tmp_path / "n5.mtx")]):
@@ -149,21 +150,6 @@ def test_det_crt_takes_as_many_primes_as_large_entries_need(tmp_path):
     assert len(report.extra["crt_primes"]) > 64
 
 
-def test_det_confirm(tmp_path):
-    src = write_coordinate(tmp_path / "d2.mtx", 4,
-                           [(i, i, 2) for i in range(4)])
-    code, report = run_command(["det", src, "--confirm", "2", "--json"])
-    assert code == 0
-    assert report.extra["det"] == "16"
-    assert report.extra["confirm"] == 2
-
-
-def test_det_negative_confirm_is_usage_error(tmp_path):
-    src = write_coordinate(tmp_path / "d3.mtx", 2, [(0, 0, 2), (1, 1, 3)])
-    code, report = run_command(["det", src, "--confirm", "-3"])
-    assert (code, report) == (3, None)
-
-
 def test_singular_exit_code(tmp_path):
     src = write_coordinate(tmp_path / "s.mtx", 3,
                            [(0, 0, 1), (1, 0, 1)])  # rank 1
@@ -192,13 +178,6 @@ def test_symmetric_nonsquare_rhs_exits_3(tmp_path):
                    "3 1\n1\n2\n3\n4\n5\n6\n")
     code, report = run_command(["apply-inverse", src, str(rhs)])
     assert (code, report) == (3, None)
-
-
-def test_no_verify_echoed(tmp_path, identity_fixture):
-    code, report = run_command(["invert", identity_fixture, "--no-verify",
-                                "--out", str(tmp_path / "o.mtx")])
-    assert code == 0
-    assert report.extra["verified"] is False
 
 
 def test_bench_small_grid():
@@ -296,12 +275,16 @@ def test_empty_matrix_exits_3(tmp_path, command):
                                   ["rank", "--block-size", "2"],
                                   ["nullspace", "--block-size", "2"],
                                   ["det", "--crt", "--block-size", "2"],
-                                  ["det", "--crt", "--confirm", "1"]])
+                                  ["det", "--crt", "--confirm", "1"],
+                                  ["invert", "--no-verify"],
+                                  ["apply-inverse", "diag.mtx", "--no-verify"],
+                                  ["det", "--confirm", "1"],
+                                  ["invert", "--confirm", "1"]])
 def test_flags_are_accepted_only_where_read(tmp_path, monkeypatch, argv):
-    # --out is read by invert, apply-inverse and nullspace, --no-verify by
-    # invert and apply-inverse, --block-size by invert, apply-inverse and
-    # det without --crt, --confirm by det without --crt; anywhere else they
-    # are usage errors
+    # --out is read by invert, apply-inverse and nullspace, --block-size by
+    # invert, apply-inverse and det without --crt; anywhere else they are
+    # usage errors, as are the flags of schema 2 that no command reads any
+    # more, --no-verify and --confirm
     monkeypatch.chdir(tmp_path)
     src = write_coordinate(tmp_path / "diag.mtx", 3, [(i, i, i + 2) for i in range(3)])
     code, report = run_command(argv[:1] + [src] + argv[1:])
@@ -309,7 +292,7 @@ def test_flags_are_accepted_only_where_read(tmp_path, monkeypatch, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["diag.mtx"]
 
 
-def test_json_reports_carry_schema_2_and_run_stats(tmp_path, monkeypatch, capsys):
+def test_json_reports_carry_schema_3_and_run_stats(tmp_path, monkeypatch, capsys):
     # every command reports one RunStats; the counts are those of the
     # operators the command made (det --crt makes its own, so it reports 0)
     n = 6
@@ -328,17 +311,21 @@ def test_json_reports_carry_schema_2_and_run_stats(tmp_path, monkeypatch, capsys
             "apply-inverse": ["apply-inverse", src, rhs, "--out", out],
             "nullspace": ["nullspace", src, "--out", out],
             "rank": ["rank", src],
-            "det": ["det", src, "--confirm", "1"],
+            "det": ["det", src],
             "det --crt": ["det", src, "--crt"]}
     # s = round(sqrt(6)) = 2 and m = 3 for the inverse and for the block
     # sweep of rank and nullspace; det reports no attempts, so no blocking
     blocking = {name: (2, 3) for name in ("invert", "apply-inverse", "nullspace", "rank")}
+    extras = {"invert": [], "apply-inverse": [], "nullspace": ["nullity", "rank"],
+              "rank": ["nullity", "rank"], "det": ["det"],
+              "det --crt": ["crt_primes", "det"]}
     for name, argv in runs.items():
         made.clear()
         code, report = run_command(argv + ["--json"])
         assert code == 0, name
         printed = json.loads(capsys.readouterr().out.splitlines()[-1])
-        assert printed["schema_version"] == report.schema_version == 2
+        assert printed["schema_version"] == report.schema_version == 3
+        assert sorted(printed["extra"]) == extras[name], name
         stats = report.stats
         assert isinstance(stats, RunStats)
         assert printed["stats"] == dataclasses.asdict(stats)
@@ -354,6 +341,55 @@ def test_json_reports_carry_schema_2_and_run_stats(tmp_path, monkeypatch, capsys
         assert stats.bb_applies_last_attempt == last, name
         assert stats.wall_time > 0
     assert made == []  # det --crt built no operator through the CLI
+
+
+def test_failed_runs_report_their_stats(tmp_path, monkeypatch, capsys):
+    # a run that applied A reports what it spent, whatever its exit code:
+    # a certified singular input (1), and a rank deficiency below the field
+    # bound or attempts that all degenerate (2); stats are null only where
+    # A was never applied, the inverse's up-front field bound and bench
+    n = 6
+    triples = [(i, i, i + 2) for i in range(n)] + [(0, n - 1, 5)]
+    src = write_coordinate(tmp_path / "a.mtx", n, triples)
+    singular = write_coordinate(tmp_path / "s.mtx", n,
+                                [t for t in triples if t[0] != 2])
+    rhs = write_array(tmp_path / "m.mtx", np.arange(2 * n).reshape(n, 2))
+    made = []
+
+    def counted_operator(data, field):
+        made.append(to_sparse_operator(data, field))
+        return made[-1]
+
+    def degenerate(*args):
+        raise HankelSingular("forced")
+
+    monkeypatch.setattr(cli, "to_sparse_operator", counted_operator)
+    too_small = "failed: field size 5"
+    # (argv, exit code, outcome, whether A is applied)
+    runs = [(["invert", singular], 1, "singular", True),
+            (["apply-inverse", singular, rhs], 1, "singular", True),
+            (["nullspace", singular, "--prime", "5"], 2, too_small, True),
+            (["rank", singular, "--prime", "5"], 2, too_small, True),
+            (["det", src, "--retries", "2"], 2, "failed: 2 attempts", True),
+            (["invert", src, "--prime", "5"], 2, too_small, False),
+            (["bench", "invert", "--sizes", "16", "--prime", "5"], 2, too_small, False)]
+    for argv, want_code, want_outcome, applies in runs:
+        made.clear()
+        with monkeypatch.context() as m:
+            if argv[0] == "det":  # every projection degenerates
+                m.setattr(hankel, "_family", degenerate)
+            code, report = run_command(argv + ["--json"])
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert (code, report.outcome) == (want_code, printed["outcome"]), argv
+        assert report.outcome.startswith(want_outcome), argv
+        applied = sum(op.total_applications for op in made)
+        assert (applied > 0) == applies, argv
+        if not applies:
+            assert report.stats is None and printed["stats"] is None, argv
+        else:
+            assert report.stats.bb_apply_count == applied, argv
+            assert 0 < report.stats.bb_applies_last_attempt <= applied, argv
+            assert printed["stats"]["bb_apply_count"] == applied, argv
 
 
 BANNER_WORDS = ("%%MatrixMarket", "%MatrixMarket", "matrix", "vector",
@@ -412,5 +448,9 @@ def test_mutated_matrix_market_keeps_exit_codes_and_report(case):
                 assert report is None
                 continue
             printed = json.loads(stdout.getvalue().splitlines()[-1])
-            assert printed["schema_version"] == 2, argv
-            assert (printed["stats"] is None) == (code != 0), argv
+            assert printed["schema_version"] == 3, argv
+            # the default prime meets every field bound, so every run that
+            # gets this far applies A and reports its stats, failed or not
+            stats = printed["stats"]
+            assert stats is not None, argv
+            assert code == 0 or stats["bb_apply_count"] > 0, argv

@@ -576,6 +576,34 @@ def test_kernel_read_matches_the_full_block_reference(monkeypatch, p):
                     assert cost < ref, where
 
 
+@pytest.mark.parametrize("name,n", [("nilpotent shift", 18),
+                                    ("diagonal with a zero", 17),
+                                    ("diagonal with a zero", 21)])
+def test_small_field_kernel_read_costs_no_more_than_the_full_block(monkeypatch, name, n):
+    # det at p = 5 with s = 3: a probe of one vector let each column that
+    # cannot certify through with probability 1/5, and these reads cost 25,
+    # 25 and 29 applications against the full block's 19, 19 and 22.  A
+    # probe block with p^b above what the probe can save (b = 2 here) costs
+    # more than those columns, so the read forms them one at a time
+    p = 5
+    reads = []
+    inner = inverse._kernel_certificate
+
+    def read(A, B, v, F, D, rng):
+        want, ref = _read(kernel_certificate_reference, A, B, v, F, D)
+        got, cost = _read(inner, A, B, v, F, D, rng)
+        reads.append((want, ref, got, cost))
+        if got is not None:
+            raise SingularMatrix(np.frombuffer(got, dtype=np.int64).copy())
+    monkeypatch.setattr(determinant, "_kernel_certificate", read)
+    f = SINGULAR_FAMILIES.index(name)
+    M = singular_family(name, n, p, np.random.default_rng([p, f, n]))
+    assert det_mod_p(DenseOperator(M, PrimeField(p)), InversionConfig(seed=n)) == 0
+    assert reads
+    for want, ref, got, cost in reads:
+        assert got == want and cost <= ref, (ref, cost)
+
+
 def test_kernel_read_probe_only_skips_work(monkeypatch):
     # with a zero probe vector no column is ruled out: every column is
     # formed in turn until one certifies, which costs more and still gives
