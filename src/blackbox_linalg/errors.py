@@ -39,8 +39,8 @@ class FieldTooSmall(BlackboxLinalgError):
 
 class HankelSingular(BlackboxLinalgError):
     """The block-Hankel inversion degenerated: a degree profile, a singular
-    residue or normalizer, or a failed verification; H is singular.  From
-    ``hankel_inverse_rep`` it carries a generator of H's sequence."""
+    residue or normalizer, or a failed Hankel certificate; H is singular.
+    From ``hankel_inverse_rep`` it carries a generator of H's sequence."""
 
 
 class SingularMatrix(BlackboxLinalgError):

@@ -60,7 +60,8 @@ determinant, the rank and the inverse:
     exactly for H = K_u^T B K_v, then H is nonsingular.  A y with y H = 0
     has y E_m = 0 (its last block vanishes) and y h = 0, so y shifted down
     one block is in the left kernel too; after m shifts y = 0.  So B is
-    nonsingular, with no field-size bound.  Then K_u^T B is injective, and
+    nonsingular, with no field-size bound (``hankel_inverse_rep`` proves
+    its own H nonsingular so, before its star side runs).  Then K_u^T B is injective, and
     the v-family's relation sum_j alpha_{i-j} v_j = 0 (m <= i < 2m) lifts
     to sum_j B^{m-j} v v_j = 0: B K_v = K_v C for the block companion C of
     v, so det B = (-1)^N det v_m;
@@ -373,31 +374,30 @@ def _block_wiedemann(B: BlackBoxOperator, v: np.ndarray):
     return degrees, certified, F
 
 
-def hankel_inverse_rep(H: BlockHankel, rng) -> HankelInverseRep:
+def hankel_inverse_rep(H: BlockHankel) -> HankelInverseRep:
     """The four coefficient families of the inversion formula, from one
     order-basis run per side, the transposed side (``_generator``) first.
 
-    The families are determined by H, so there is nothing to retry here: a
-    degenerate degree profile or normalizer, or a representation that fails
-    the check on one random vector drawn from ``rng``, raises HankelSingular,
-    the signature of a singular H, with the transposed side's generator F
-    as its ``generator``; the star side runs only once that side passes."""
+    The families are determined by H, so there is nothing to retry here.
+    The transposed side's families must pass ``_hankel_certificate``, which
+    proves H nonsingular at any p, before the star side runs (alpha_{2m-1}
+    is the given block, else zero, as its v-run read it).  A degenerate
+    degree profile or normalizer, or a failed certificate, raises
+    HankelSingular, the signature of a singular H, with the transposed
+    side's generator F as its ``generator``."""
     s, m, p = H.s, H.m, H.p
-    _, families, F = _generator(H.alpha, s, m, p)
+    alpha = (H.alpha + [np.zeros((s, s), dtype=np.int64)])[:2 * m]
+    _, families, F = _generator(alpha, s, m, p)
     try:
         q_t, v_t = families()
         del families  # frees the transposed side's basis before the star side runs
-        q_star, v_star = _pade_side(H.alpha, s, m, p)[1]()
-        rep = HankelInverseRep(s=s, m=m, p=p, q=q_t.transpose(0, 2, 1), q_star=q_star,
-                               v=v_t.transpose(0, 2, 1), v_star=v_star)
-        # Las Vegas check: rep applied to H r must give back r
-        r = rng.integers(0, p, size=(H.n, 1), dtype=np.int64)
-        if not np.array_equal(hankel_inverse_apply(rep, H.apply(r)), r):
-            raise HankelSingular("inverse representation failed verification")
+        _hankel_certificate(alpha, q_t, v_t, p)
+        q_star, v_star = _pade_side(alpha, s, m, p)[1]()
     except HankelSingular as exc:
         exc.generator = F
         raise
-    return rep
+    return HankelInverseRep(s=s, m=m, p=p, q=q_t.transpose(0, 2, 1), q_star=q_star,
+                            v=v_t.transpose(0, 2, 1), v_star=v_star)
 
 
 def hankel_inverse_apply(rep: HankelInverseRep, M: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ stacked-identity projection u.  Per attempt:
 
   1. one transposed sweep of (2m-1) s applications gives the Hankel blocks
      of H (and, for the inverse, K_l itself),
-  2. the order-basis representation of H^{-1} (no applications),
+  2. the order-basis representation of H^{-1}, proved by the exact Hankel
+     certificate (no applications),
   3. the left block, the one step where the two differ: for A^{-1}, K_l D U
      made in place from the sweep's K_l (a column scaling and a butterfly
      from the right); for A^{-1} M, the answer buffer starts as M padded to
@@ -105,17 +106,13 @@ def precondition(A: BlackBoxOperator, s: int, rng):
     """B = D (U A) D, its factors D and U, and the final map of both entry
     points: ``unwrap(Z)`` overwrites the n x k residue block
     Z = K_r H^{-1} K_l D U M with D Z = A^{-1} M and returns it (one row
-    scaling in place; the left block carries D U already).
-
-    Raises FieldTooSmall when p is below the 2 (m+1) n ceil(log2 n) bound."""
+    scaling in place; the left block carries D U already).  Checks no
+    field-size bound: ``_solve`` does, once, before any attempt."""
     n = A.n
     field = A.field
     if n % s:
         raise ValueError("blocking factor must divide n (pad first)")
     m = n // s
-    bound = field_size_bound(n, m)
-    if field.p <= bound:
-        raise FieldTooSmall(field.p, bound)
     U = ButterflyOperator(n, field, rng)
     D = DiagonalOperator.block_constant(
         rng.integers(1, field.p, size=m, dtype=np.int64), s, field)
@@ -175,41 +172,53 @@ def blackbox_inverse_apply(A: BlackBoxOperator, M: np.ndarray,
 
 
 def _solve(A: BlackBoxOperator, M: np.ndarray | None, cfg):
-    """Both entry points, one attempt body under ``run_attempts``: A^{-1}
-    when M is None, else A^{-1} M for an int64 n x k block M."""
+    """Both entry points: ``_inverse_attempt`` under ``run_attempts``, A^{-1}
+    when M is None, else A^{-1} M for an int64 n x k block M.
+
+    Raises FieldTooSmall, before any application, when p is below the
+    2 (m+1) N ceil(log2 N) bound for A padded to order N = m s."""
     cfg = cfg or InversionConfig()
+    s = cfg.block_size(A.n)
+    m = (A.n + s - 1) // s
+    bound = field_size_bound(m * s, m)
+    if A.field.p <= bound:
+        raise FieldTooSmall(A.field.p, bound)
+    X, stats = run_attempts(A, cfg, lambda rng: _inverse_attempt(A, M, s, rng), s=s, m=m)
+    return InversionResult(matrix=X, stats=stats)
+
+
+def _inverse_attempt(A: BlackBoxOperator, M: np.ndarray | None, s: int, rng):
+    """One attempt of the pipeline with blocking factor s: the verified
+    A^{-1} (M None) or A^{-1} M, else None when the verification fails.  A
+    degenerate H raises HankelSingular once ``_kernel_certificate`` has
+    read its generator, or the SingularMatrix that read certifies.  Checks
+    no field-size bound; its draws come from ``rng``."""
     n = A.n
-    s = cfg.block_size(n)
     work = EmbeddedOperator(A, (n + s - 1) // s * s) if n % s else A
     P = BlockProjection(work.n, s)
     k = n if M is None else M.shape[1]
     width = max(1, PANEL_ELEMENTS // work.n)
-
-    def attempt(rng):
-        B, D, U, unwrap = precondition(work, s, rng)
-        H, Kl = build_hankel(B, P, keep_left=M is None)
-        try:
-            rep = hankel_inverse_rep(H, rng)
-        except HankelSingular as exc:
-            _kernel_certificate(A, B, P.u_matrix(), exc.generator, D, rng)
-            raise
-        if M is None:
-            # K_l D U in place: (K_l D) U = (U.T (K_l D).T).T
-            Kl *= D.d
-            Z = U.apply_transpose_in_place(reduce_in_place(Kl, A.field.p).T).T
-            left = lambda V: V
-        else:
-            Z = reduce_in_place(np.pad(M, ((0, work.n - n), (0, 0))), A.field.p)
-            left = lambda V: krylov_apply_left(B, P, D.apply_matrix(U.apply_matrix(V)))
-        # each column panel of Z is overwritten by K_r H^{-1} (its left block)
-        for lo in range(0, Z.shape[1], width):
-            panel = Z[:, lo:lo + width]
-            panel[...] = krylov_apply_right(B, P, hankel_inverse_apply(rep, left(panel)))
-        X = unwrap(Z)[:n, :k]
-        return X if verify_inverse(A, X, M) else None
-
-    X, stats = run_attempts(A, cfg, attempt, s=s, m=P.m)
-    return InversionResult(matrix=X, stats=stats)
+    B, D, U, unwrap = precondition(work, s, rng)
+    H, Kl = build_hankel(B, P, keep_left=M is None)
+    try:
+        rep = hankel_inverse_rep(H)
+    except HankelSingular as exc:
+        _kernel_certificate(A, B, P.u_matrix(), exc.generator, D, rng)
+        raise
+    if M is None:
+        # K_l D U in place: (K_l D) U = (U.T (K_l D).T).T
+        Kl *= D.d
+        Z = U.apply_transpose_in_place(reduce_in_place(Kl, A.field.p).T).T
+        left = lambda V: V
+    else:
+        Z = reduce_in_place(np.pad(M, ((0, work.n - n), (0, 0))), A.field.p)
+        left = lambda V: krylov_apply_left(B, P, D.apply_matrix(U.apply_matrix(V)))
+    # each column panel of Z is overwritten by K_r H^{-1} (its left block)
+    for lo in range(0, Z.shape[1], width):
+        panel = Z[:, lo:lo + width]
+        panel[...] = krylov_apply_right(B, P, hankel_inverse_apply(rep, left(panel)))
+    X = unwrap(Z)[:n, :k]
+    return X if verify_inverse(A, X, M) else None
 
 
 def run_attempts(A: BlackBoxOperator, cfg: InversionConfig, attempt,

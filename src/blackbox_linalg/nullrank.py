@@ -20,14 +20,18 @@ unconditional:
   * r >= n: the run's q- and v-families pass the Hankel certificate, which
     proves H = K_u^T B K_v, hence B and A, nonsingular: rank n, with no
     field-size bound.
-  * r < n: a solve with the leading r x r minor A0 builds n - r independent
-    columns N with A N = 0 (checked with n - r applications), so
-    rank A <= r.  The solve returns only after ``hankel_inverse_rep`` has
-    succeeded on its own Hankel matrix of A0 (preconditioned and padded),
-    so by the same argument A0 is nonsingular, and rank A >= r.
+  * r < n: one inverse attempt (``inverse._inverse_attempt``) solves
+    with the leading r x r minor A0 and builds n - r independent columns N
+    with A N = 0 (checked with n - r applications), so rank A <= r.  The
+    attempt answers only after ``hankel_inverse_rep`` has proved its own
+    Hankel matrix of A0 (preconditioned and padded) nonsingular by the same
+    certificate, so A0 is nonsingular and rank A >= r, at any p.  That A0
+    is nonsingular when r is the rank is the generic rank profile of A~
+    (Chen et al.); the proof needs no field-size bound.
 
-A wrong estimate fails its certificate and retries with fresh randomness
-(``inverse.run_attempts``).
+A wrong estimate, or a minor attempt that degenerates, fails its
+verification or certifies A0 singular, costs one retry with fresh
+randomness (``inverse.run_attempts``).
 """
 from __future__ import annotations
 
@@ -35,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldTooSmall, RetriesExhausted, SingularMatrix
+from .errors import SingularMatrix
 from .hankel import _block_wiedemann
-from .inverse import (InversionConfig, RunStats, blackbox_inverse_apply,
-                      run_attempts)
+from .inverse import InversionConfig, RunStats, _inverse_attempt, run_attempts
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, EmbeddedOperator, LeadingMinorOperator)
 
@@ -74,23 +77,20 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
     """Rank and nullspace basis of a black-box matrix (Las Vegas).
 
     Rank n costs the estimate's sweep (2N applications) and its Hankel
-    certificate, and needs no field-size bound.  A rank deficiency needs
-    the bound of its minor solve: below it the attempt retries, and when
-    every attempt fails the minor solve's FieldTooSmall is raised.  Never
-    returns an uncertified answer; raises RetriesExhausted when the rank
-    estimate or the random conditioning keeps failing.  Either error
-    carries the run's stats as ``.stats``."""
+    certificate; a rank r < n adds one inverse attempt on the r x r minor
+    and the A N = 0 check.  Neither needs a field-size bound: a small field
+    only makes retries likelier.  Never returns an uncertified answer: when
+    the rank estimate or the random conditioning keeps failing,
+    ``run_attempts`` raises once the attempts run out, with the run's stats
+    as ``.stats``."""
     cfg = cfg or InversionConfig()
-    field = A.field
-    p = field.p
+    p = A.field.p
     n = A.n
     s = cfg.block_size(n)
     m = (n + s - 1) // s
-    too_small = []  # FieldTooSmall of the minor solves, raised if all fail
 
     def attempt(rng):
         B, Vt, D, v = _rank_preconditioner(A, s, rng)
-        sub_seed = int(rng.integers(0, 2**63 - 1))  # every attempt: fixed draw order
         degrees, certified, _ = _block_wiedemann(B, v)
         r = max(sum(degrees) - (m * s - n), 0)
         if r >= n:
@@ -102,25 +102,15 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
             A0 = LeadingMinorOperator(B, r)
             A1 = B.apply_matrix(np.eye(m * s, n - r, -r, dtype=np.int64))[:r]
             try:
-                W = blackbox_inverse_apply(A0, A1, InversionConfig(
-                    seed=sub_seed, max_retries=max(2, cfg.max_retries // 2))).matrix
-            except (RetriesExhausted, SingularMatrix):
+                W = _inverse_attempt(A0, A1, InversionConfig().block_size(r), rng)
+            except SingularMatrix:
                 return None
-            except FieldTooSmall as exc:
-                # in a small field the estimate of a full rank falls short
-                # more often, and rank n needs no bound: retry
-                too_small.append(exc)
+            if W is None:
                 return None
         N_tilde = np.concatenate([W, (p - 1) * np.eye(n - r, dtype=np.int64) % p])
         N = Vt.apply_matrix(D.apply_matrix(N_tilde))
         # Schur complement certificate: A N (= U^-1 A~ N~) must vanish whole
         return None if np.any(A.apply_matrix(N)) else (r, N)
 
-    try:
-        (r, N), stats = run_attempts(A, cfg, attempt, s=s, m=m)
-    except RetriesExhausted as exc:
-        if too_small:
-            too_small[0].stats = exc.stats
-            raise too_small[0] from None
-        raise
+    (r, N), stats = run_attempts(A, cfg, attempt, s=s, m=m)
     return RankCertificate(rank=r, nullspace=N, stats=stats)

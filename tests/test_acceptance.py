@@ -113,7 +113,7 @@ def test_criterion_3_hankel_reconstruction():
         H = BlockHankel(s=s, m=m, alpha=alpha, p=P)
         if dense_rank(hankel_to_dense(H), P) < H.n:
             continue
-        rep = hankel_inverse_rep(H, rng)
+        rep = hankel_inverse_rep(H)
         got = hankel_inverse_apply(rep, np.eye(H.n, dtype=np.int64))
         ok = (np.array_equal(got, dense_inverse(hankel_to_dense(H), P))
               and _pade_constraints_hold(H, rep))

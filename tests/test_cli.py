@@ -104,18 +104,22 @@ def test_nullspace_command(tmp_path):
 
 def test_rank_below_field_bound(tmp_path):
     # rank n is certified by the Hankel certificate of the rank estimate's
-    # own run, with no field bound; a rank deficiency still needs the bound
-    # for its minor solve
+    # own run, and a rank deficiency by one inverse attempt on the minor,
+    # proved by the same certificate: neither has a field bound
     full = [(0, 0, 1), (1, 1, 2), (2, 2, 3), (0, 2, 1)]
-    src = write_coordinate(tmp_path / "f5.mtx", 3, full)
-    for argv in (["rank"], ["nullspace", "--out", str(tmp_path / "n5.mtx")]):
-        code, report = run_command(argv + [src, "--prime", "5"])
-        assert code == 0, argv
-        assert report.extra == {"rank": 3, "nullity": 0}
-    src = write_coordinate(tmp_path / "s5.mtx", 3, full[:2] + full[3:])
-    code, report = run_command(["rank", src, "--prime", "5"])
-    assert code == 2
-    assert report.outcome.startswith("failed: field size 5 below")
+    out = tmp_path / "n5.mtx"
+    for triples, rank in ((full, 3), (full[:2] + full[3:], 2)):
+        src = write_coordinate(tmp_path / f"r{rank}.mtx", 3, triples)
+        for argv in (["rank"], ["nullspace", "--out", str(out)]):
+            code, report = run_command(argv + [src, "--prime", "5"])
+            assert code == 0, argv
+            assert report.extra == {"rank": rank, "nullity": 3 - rank}
+        A = np.zeros((3, 3), dtype=np.int64)
+        for i, j, v in triples:
+            A[i, j] = v
+        N = to_dense_residues(read_matrix_market(out), PrimeField(5))
+        assert N.shape == (3, 3 - rank)
+        assert not (A @ N % 5).any()
 
 
 def test_det_command(tmp_path):
@@ -345,9 +349,9 @@ def test_json_reports_carry_schema_3_and_run_stats(tmp_path, monkeypatch, capsys
 
 def test_failed_runs_report_their_stats(tmp_path, monkeypatch, capsys):
     # a run that applied A reports what it spent, whatever its exit code:
-    # a certified singular input (1), and a rank deficiency below the field
-    # bound or attempts that all degenerate (2); stats are null only where
-    # A was never applied, the inverse's up-front field bound and bench
+    # a certified singular input (1), and attempts that all degenerate (2);
+    # stats are null only where A was never applied, the inverse's up-front
+    # field bound and bench
     n = 6
     triples = [(i, i, i + 2) for i in range(n)] + [(0, n - 1, 5)]
     src = write_coordinate(tmp_path / "a.mtx", n, triples)
@@ -368,15 +372,15 @@ def test_failed_runs_report_their_stats(tmp_path, monkeypatch, capsys):
     # (argv, exit code, outcome, whether A is applied)
     runs = [(["invert", singular], 1, "singular", True),
             (["apply-inverse", singular, rhs], 1, "singular", True),
-            (["nullspace", singular, "--prime", "5"], 2, too_small, True),
-            (["rank", singular, "--prime", "5"], 2, too_small, True),
+            (["nullspace", singular, "--retries", "2"], 2, "failed: 2 attempts", True),
+            (["rank", singular, "--retries", "2"], 2, "failed: 2 attempts", True),
             (["det", src, "--retries", "2"], 2, "failed: 2 attempts", True),
             (["invert", src, "--prime", "5"], 2, too_small, False),
             (["bench", "invert", "--sizes", "16", "--prime", "5"], 2, too_small, False)]
     for argv, want_code, want_outcome, applies in runs:
         made.clear()
         with monkeypatch.context() as m:
-            if argv[0] == "det":  # every projection degenerates
+            if argv[0] in ("nullspace", "rank", "det"):  # every projection degenerates
                 m.setattr(hankel, "_family", degenerate)
             code, report = run_command(argv + ["--json"])
         printed = json.loads(capsys.readouterr().out.splitlines()[-1])

@@ -302,13 +302,13 @@ def test_rep_m1_single_block():
     while dense_rank(a0, P) < 3:
         a0 = rng.integers(0, P, size=(3, 3), dtype=np.int64)
     H = BlockHankel(s=3, m=1, alpha=[a0], p=P)
-    rep = hankel_inverse_rep(H, rng)
+    rep = hankel_inverse_rep(H)
     M = rng.integers(0, P, size=(3, 4), dtype=np.int64)
     assert np.array_equal(hankel_inverse_apply(rep, M),
                           matmul_mod(dense_inverse(a0, P), M, P))
     a0[2] = (a0[0] + a0[1]) % P  # dependent rows: alpha_0 singular
     with pytest.raises(HankelSingular):
-        hankel_inverse_rep(BlockHankel(s=3, m=1, alpha=[a0], p=P), rng)
+        hankel_inverse_rep(BlockHankel(s=3, m=1, alpha=[a0], p=P))
 
 
 def test_rep_scalar_m2_frozen_example():
@@ -318,7 +318,7 @@ def test_rep_scalar_m2_frozen_example():
              rng.integers(0, 7, size=(1, 1)).astype(np.int64),
              rng.integers(0, 7, size=(1, 1)).astype(np.int64)]
     H = BlockHankel(s=1, m=2, alpha=alpha, p=7)
-    rep = hankel_inverse_rep(H, np.random.default_rng(1))
+    rep = hankel_inverse_rep(H)
     got = hankel_inverse_apply(rep, np.eye(2, dtype=np.int64))
     assert np.array_equal(got, np.array([[5, 5], [5, 1]], dtype=np.int64))
 
@@ -326,7 +326,7 @@ def test_rep_scalar_m2_frozen_example():
 def test_rep_reconstructs_random_s2_m3():
     rng = np.random.default_rng(57)
     H = random_nonsingular_hankel(rng, 2, 3)
-    rep = hankel_inverse_rep(H, rng)
+    rep = hankel_inverse_rep(H)
     got = hankel_inverse_apply(rep, np.eye(H.n, dtype=np.int64))
     assert np.array_equal(matmul_mod(got, hankel_to_dense(H), P),
                           np.eye(H.n, dtype=np.int64))
@@ -335,7 +335,7 @@ def test_rep_reconstructs_random_s2_m3():
 def test_apply_on_materialized_h_gives_identity():
     rng = np.random.default_rng(58)
     H = random_nonsingular_hankel(rng, 2, 4)
-    rep = hankel_inverse_rep(H, rng)
+    rep = hankel_inverse_rep(H)
     assert np.array_equal(hankel_inverse_apply(rep, hankel_to_dense(H)),
                           np.eye(H.n, dtype=np.int64))
 
@@ -343,7 +343,7 @@ def test_apply_on_materialized_h_gives_identity():
 def test_apply_random_rhs_vs_dense():
     rng = np.random.default_rng(59)
     H = random_nonsingular_hankel(rng, 2, 4)
-    rep = hankel_inverse_rep(H, rng)
+    rep = hankel_inverse_rep(H)
     M = rng.integers(0, P, size=(H.n, 5), dtype=np.int64)
     expect = matmul_mod(dense_inverse(hankel_to_dense(H), P), M, P)
     assert np.array_equal(hankel_inverse_apply(rep, M), expect)
@@ -352,7 +352,7 @@ def test_apply_random_rhs_vs_dense():
 def test_apply_equals_materialized_formula_times_m():
     rng = np.random.default_rng(60)
     H = random_nonsingular_hankel(rng, 3, 3)
-    rep = hankel_inverse_rep(H, rng)
+    rep = hankel_inverse_rep(H)
     Hinv = hankel_inverse_apply(rep, np.eye(H.n, dtype=np.int64))
     M = rng.integers(0, P, size=(H.n, 4), dtype=np.int64)
     assert np.array_equal(hankel_inverse_apply(rep, M), matmul_mod(Hinv, M, P))
@@ -387,7 +387,7 @@ def test_pade_residuals_and_degrees_sweep():
     for s in (1, 2, 3, 4):
         for m in (2, 3, 6):
             H = random_nonsingular_hankel(rng, s, m)
-            rep = hankel_inverse_rep(H, rng)
+            rep = hankel_inverse_rep(H)
             check_pade_constraints(H, rep)
 
 
@@ -397,7 +397,7 @@ def test_reconstruction_sweep_100_random():
         s = int(rng.integers(1, 5))
         m = int(rng.integers(2, 7))
         H = random_nonsingular_hankel(rng, s, m)
-        rep = hankel_inverse_rep(H, rng)
+        rep = hankel_inverse_rep(H)
         got = hankel_inverse_apply(rep, np.eye(H.n, dtype=np.int64))
         assert np.array_equal(got, dense_inverse(hankel_to_dense(H), P)), \
             f"trial {trial}: s={s} m={m}"
@@ -421,8 +421,40 @@ def test_singular_hankel_raises(monkeypatch):
 
     monkeypatch.setattr(hankel, "_mbasis", counted)
     with pytest.raises(HankelSingular):
-        hankel_inverse_rep(H, rng)
+        hankel_inverse_rep(H)
     assert len(runs) == 1
+
+
+def test_rep_certificate_failure_stops_before_the_star_side(monkeypatch):
+    # transposed-side families that fail the exact certificate (one entry of
+    # q_0 off) raise HankelSingular with that side's generator attached,
+    # and the star side's order basis never runs
+    H = random_nonsingular_hankel(np.random.default_rng(68), 3, 4)
+    sides, generators = [], []
+    real_side, real_generator = hankel._pade_side, hankel._generator
+
+    def side(*args):
+        sides.append(args)
+        return real_side(*args)
+
+    def forged(*args):
+        degrees, families, F = real_generator(*args)
+        generators.append(F)
+
+        def off_by_one():
+            q_t, v_t = families()
+            q_t[0, 1, 2] = (q_t[0, 1, 2] + 1) % P
+            return q_t, v_t
+        return degrees, off_by_one, F
+    monkeypatch.setattr(hankel, "_pade_side", side)
+    hankel_inverse_rep(H)
+    assert len(sides) == 2
+    sides.clear()
+    monkeypatch.setattr(hankel, "_generator", forged)
+    with pytest.raises(HankelSingular) as exc:
+        hankel_inverse_rep(H)
+    assert len(sides) == 1
+    assert exc.value.generator is generators[0]
 
 
 def test_rep_ignores_trailing_block():
@@ -433,9 +465,9 @@ def test_rep_ignores_trailing_block():
         tail = rng.integers(0, P, size=(s, s), dtype=np.int64)
         H_tail = BlockHankel(s=s, m=m, alpha=H.alpha + [tail], p=P)
         I = np.eye(H.n, dtype=np.int64)
-        got = hankel_inverse_apply(hankel_inverse_rep(H, rng), I)
+        got = hankel_inverse_apply(hankel_inverse_rep(H), I)
         assert np.array_equal(
-            hankel_inverse_apply(hankel_inverse_rep(H_tail, rng), I), got)
+            hankel_inverse_apply(hankel_inverse_rep(H_tail), I), got)
         assert np.array_equal(got, dense_inverse(hankel_to_dense(H), P))
 
 
@@ -455,7 +487,7 @@ def test_rep_handles_singular_leading_subblocks():
         H = BlockHankel(s=s, m=m, alpha=alpha, p=P)
         if dense_rank(hankel_to_dense(H), P) < H.n:
             continue
-        rep = hankel_inverse_rep(H, rng)
+        rep = hankel_inverse_rep(H)
         got = hankel_inverse_apply(rep, np.eye(H.n, dtype=np.int64))
         assert np.array_equal(got, dense_inverse(hankel_to_dense(H), P))
         done += 1
@@ -483,7 +515,7 @@ def test_inverse_apply_one_product_per_coefficient_and_panel(monkeypatch, s, m):
     # one limb product per column panel (coefficient pairs would be ~2m^2)
     rng = np.random.default_rng(66)
     H = random_nonsingular_hankel(rng, s, m)
-    rep = hankel_inverse_rep(H, rng)
+    rep = hankel_inverse_rep(H)
     M = rng.integers(0, P, size=(H.n, 5), dtype=np.int64)
     # every right operand is m coefficients of s rows
     calls = _count_products(monkeypatch, s, m)

@@ -44,16 +44,19 @@ def test_precondition_materializes_to_duad():
 
 
 def test_precondition_field_bound():
-    small = PrimeField(13)
-    rng = np.random.default_rng(72)
-    A = IdentityOperator(16, small)
-    with pytest.raises(FieldTooSmall):
-        precondition(A, 4, rng)
-    # the bound comes before any application, also for a singular input
+    # both entry points check the field-size bound once, before any
+    # attempt and any application, also for a singular input, and attach
+    # no stats; precondition itself checks no bound
+    A = IdentityOperator(16, PrimeField(13))
+    precondition(A, 4, np.random.default_rng(72))
     S = DenseOperator(np.array([[1, 2, 0], [2, 4, 0], [0, 0, 3]]), PrimeField(5))
-    with pytest.raises(FieldTooSmall):
-        blackbox_inverse(S)
-    assert S.total_applications == 0
+    for op in (A, S):
+        for run in (blackbox_inverse,
+                    lambda op: blackbox_inverse_apply(op, np.ones(op.n, dtype=np.int64))):
+            with pytest.raises(FieldTooSmall) as exc:
+                run(op)
+            assert exc.value.stats is None
+        assert op.total_applications == 0
 
 
 def test_butterfly_leading_minor_property():
@@ -225,7 +228,7 @@ def test_panel_steps_equal_the_whole_block_on_strided_columns():
     P = BlockProjection(24, 4)
     B, D, U, unwrap = precondition(A, 4, rng)
     H, _ = build_hankel(B, P)
-    rep = hankel_inverse_rep(H, rng)
+    rep = hankel_inverse_rep(H)
     V = rng.integers(0, BIG.p, size=(24, 17), dtype=np.int64)
     keep = V.copy()
     for step in (lambda W: hankel_inverse_apply(rep, W),
@@ -410,7 +413,7 @@ def test_unlucky_draw_certifies_once_then_inverts(monkeypatch):
 
 @pytest.mark.parametrize("failure", ["hankel", "verify"])
 def test_all_attempts_fail_certificate_runs_once(monkeypatch, failure):
-    # every Hankel inverse fails its random check (each attempt reads its
+    # every Hankel inverse fails its certificate (each attempt reads its
     # own generator once and finds nothing) or every verification fails
     # (no kernel read runs): all 8 attempts, then RetriesExhausted
     rng = np.random.default_rng(85)
@@ -418,10 +421,8 @@ def test_all_attempts_fail_certificate_runs_once(monkeypatch, failure):
     reps = []
     _counting(monkeypatch, inverse, "hankel_inverse_rep", reps)
     if failure == "hankel":
-        # the check fails after both sides of the families have succeeded
-        inner = hankel.hankel_inverse_apply
-        monkeypatch.setattr(hankel, "hankel_inverse_apply",
-                            lambda rep, M: (inner(rep, M) + 1) % rep.p)
+        # the certificate fails after the transposed side's families succeeded
+        _counting(monkeypatch, hankel, "_hankel_certificate", [], fail=lambda call: True)
     else:
         monkeypatch.setattr(inverse, "verify_inverse", lambda *args: False)
     kernels = _kernel_reads(monkeypatch, inverse)

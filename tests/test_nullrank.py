@@ -162,17 +162,42 @@ def test_nullspace_random_low_rank():
 
 
 def test_nullspace_small_field_fails_loudly():
-    # a field below the inversion bound must fail with a hard error,
-    # never return an uncertified answer
-    from blackbox_linalg.errors import FieldTooSmall
+    # a small field may cost retries but never gives an uncertified answer,
+    # and rank has no field-size bound: a certified answer or
+    # RetriesExhausted, never FieldTooSmall
     small = PrimeField(5)
     A = DenseOperator(np.array([[1, 2], [2, 4]], dtype=np.int64), small)
     try:
         cert = nullspace_rank(A, InversionConfig(seed=0, max_retries=1))
-    except (RetriesExhausted, FieldTooSmall):
+    except RetriesExhausted:
         return
     assert cert.rank == 1
     assert not matmul_mod(A.matrix, cert.nullspace, 5).any()
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_rank_deficiency_certified_below_the_inverse_bound(p):
+    # sweep-family inputs (tests/test_sweep.py) whose minor solve once
+    # raised FieldTooSmall at these primes: one inverse attempt per rank
+    # attempt, proved by its Hankel certificate, needs no field-size bound.
+    # Over GF(5) the preconditioned leading minor is often singular: two of
+    # these 24 calls use up their 8 attempts
+    from test_sweep import FAMILIES, family
+    field = PrimeField(p)
+    for name in ("duplicated row", "nilpotent shift"):
+        f = FAMILIES.index(name)
+        for n in (6, 8, 9, 12, 16, 17):
+            for seed in (0, 1):
+                M = family(name, n, p, np.random.default_rng([f, p, n, seed]))
+                where = (name, n, seed)
+                try:
+                    cert = nullspace_rank(DenseOperator(M, field), InversionConfig(seed=seed))
+                except RetriesExhausted:
+                    assert p == 5, where
+                    continue
+                assert cert.rank == dense_rank(M, p) < n, where
+                assert not matmul_mod(M, cert.nullspace, p).any(), where
+                assert dense_rank(cert.nullspace, p) == n - cert.rank, where
 
 
 @pytest.mark.parametrize("n, applications", [(9, 18), (10, 24)])
@@ -190,7 +215,7 @@ def test_full_rank_certified_by_the_hankel_certificate(monkeypatch, n, applicati
     def spy(*args, **kwargs):
         solves.append(args)
         raise AssertionError("no inversion may run")
-    monkeypatch.setattr(nullrank, "blackbox_inverse_apply", spy)
+    monkeypatch.setattr(nullrank, "_inverse_attempt", spy)
     monkeypatch.setattr(inverse, "_solve", spy)
     log = _spy_estimates(monkeypatch, certificates=hankels)
     cert = nullspace_rank(A, InversionConfig(seed=1))
@@ -257,7 +282,12 @@ def test_forged_estimates_fail_their_certificates(monkeypatch):
         assert [total for _, total in log][:forged] == [9] * forged
 
 
-def test_minor_failures_recover(monkeypatch):
+def test_minor_failures_recover():
+    # each way a minor attempt can fail costs exactly one outer retry, with
+    # a fresh rank estimate: a degenerate Hankel inverse (the first
+    # certificate forced to fail; the kernel read of the nonsingular r x r
+    # minor finds nothing), a failed verification, and a minor proved
+    # singular
     import blackbox_linalg.hankel as hankel
     import blackbox_linalg.inverse as inverse
     import blackbox_linalg.nullrank as nullrank
@@ -266,47 +296,52 @@ def test_minor_failures_recover(monkeypatch):
     M = _low_rank(np.random.default_rng(8), n, r)
     A = DenseOperator(M, BIG)
 
-    # a failed first Hankel inverse in the minor solve (its random check
-    # forced to fail) reads a kernel vector of the r x r minor off its own
-    # generator and finds none, as the minor is nonsingular; the solve's
-    # next attempt succeeds within the same outer attempt
-    checks, reads = [], []
-    inner_check = hankel.hankel_inverse_apply
+    def degenerate(*args):
+        raise HankelSingular("forced")
+
+    def singular(*args):
+        raise SingularMatrix(np.zeros(r, dtype=np.int64))
+    failures = [(hankel, "_hankel_certificate", degenerate),
+                (inverse, "verify_inverse", lambda *args: False),
+                (nullrank, "_inverse_attempt", singular)]
+    reads = []
     inner_read = inverse._kernel_certificate
+    for module, name, failure in failures:
+        with pytest.MonkeyPatch.context() as mp:
+            log = _spy_estimates(mp)
+            calls = []
+            inner = getattr(module, name)
 
-    def check(rep, X):
-        checks.append(rep)
-        Y = inner_check(rep, X)
-        return (Y + 1) % rep.p if len(checks) == 1 else Y
+            def first_fails(*args, **kwargs):
+                calls.append(args)
+                return (failure if len(calls) == 1 else inner)(*args, **kwargs)
+            mp.setattr(module, name, first_fails)
+            reads.clear()
+            mp.setattr(inverse, "_kernel_certificate",
+                       lambda A0, *args: reads.append(A0.n) or inner_read(A0, *args))
+            cert = nullspace_rank(A, InversionConfig(seed=0))
+        assert (cert.rank, cert.stats.retries) == (r, 1), name
+        assert log == [(n, r)] * 2, name
+        assert reads == ([r] if name == "_hankel_certificate" else []), name
+        assert not matmul_mod(M, cert.nullspace, P).any()
+        assert dense_rank(cert.nullspace, P) == n - r
 
-    def read(A0, *args):
-        reads.append(A0.n)
-        return inner_read(A0, *args)
-    monkeypatch.setattr(hankel, "hankel_inverse_apply", check)
-    monkeypatch.setattr(inverse, "_kernel_certificate", read)
-    cert = nullspace_rank(A, InversionConfig(seed=0))
-    assert reads == [r]
-    assert len(checks) == 2
-    assert (cert.rank, cert.stats.retries) == (r, 0)
-    assert not matmul_mod(M, cert.nullspace, P).any()
-    assert dense_rank(cert.nullspace, P) == n - r
-    monkeypatch.undo()
 
-    # a minor proved singular costs exactly one outer retry
-    inner_solve = nullrank.blackbox_inverse_apply
-    solves = []
-
-    def singular_first(*args, **kwargs):
-        solves.append(args)
-        if len(solves) == 1:
-            raise SingularMatrix(np.zeros(r, dtype=np.int64))
-        return inner_solve(*args, **kwargs)
-    monkeypatch.setattr(nullrank, "blackbox_inverse_apply", singular_first)
-    cert = nullspace_rank(A, InversionConfig(seed=0))
-    assert len(solves) == 2
-    assert (cert.rank, cert.stats.retries) == (r, 1)
-    assert not matmul_mod(M, cert.nullspace, P).any()
-    assert dense_rank(cert.nullspace, P) == n - r
+def test_minor_attempts_spend_the_rank_budget(monkeypatch):
+    # a rank attempt makes one minor attempt and no retry loop of its own:
+    # with every minor verification failing, max_retries = 3 makes three
+    # preconditionings of the inverse in all, one per rank attempt
+    import blackbox_linalg.inverse as inverse
+    A = DenseOperator(_low_rank(np.random.default_rng(8), 20, 13), BIG)
+    preconditionings = []
+    inner = inverse.precondition
+    monkeypatch.setattr(inverse, "verify_inverse", lambda *args: False)
+    monkeypatch.setattr(inverse, "precondition",
+                        lambda *args: preconditionings.append(args) or inner(*args))
+    with pytest.raises(RetriesExhausted) as exc:
+        nullspace_rank(A, InversionConfig(seed=0, max_retries=3))
+    assert len(preconditionings) == 3
+    assert exc.value.stats.retries == 3
 
 
 def test_butterflies_keep_generic_rank_profile_on_dead_rows_and_columns(monkeypatch):

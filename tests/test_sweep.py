@@ -2,9 +2,10 @@
 grid of structured inputs, each answer checked against the dense oracles.
 
 Every call either answers exactly or raises a documented error under its
-documented condition: FieldTooSmall only below the bound of the stage that
-raised it, RetriesExhausted only in fields of at most 5 elements, and the
-inverse's SingularMatrix exactly when det A = 0, with a kernel vector.
+documented condition: FieldTooSmall only from the inverse and below its
+bound (det and rank have none), RetriesExhausted only in fields of at most
+5 elements, and the inverse's SingularMatrix exactly when det A = 0, with a
+kernel vector.
 Run with ``-s`` for the table of outcomes per pipeline and prime; their
 rates are printed, not asserted.
 """
@@ -91,8 +92,8 @@ def _run(pipeline, M, p, seed):
     except SingularMatrix:
         assert pipeline == "inverse", where
         return "singular"
-    except FieldTooSmall as exc:  # det's kernel read needs no bound
-        assert pipeline != "det" and exc.p == p <= exc.required, where
+    except FieldTooSmall as exc:  # det and rank certify at any p
+        assert pipeline == "inverse" and exc.p == p <= exc.required, where
         return "FieldTooSmall"
     except RetriesExhausted:
         assert p <= 5, where
