@@ -58,7 +58,7 @@ def det_mod_p(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> int:
         U = ButterflyOperator(n, field, rng)
         v = rng.integers(0, p, size=(n, s), dtype=np.int64)
         B = ComposedOperator([D1, U, work, D2])
-        _, certified, F = _block_wiedemann(B, v)
+        _, certified, F, _ = _block_wiedemann(B, v)
         try:
             v_t = certified()[1]
         except HankelSingular:

@@ -55,6 +55,15 @@ determinant, the rank and the inverse:
   * its v-run's row degree sum, the degree of the minimal right generator
     F of the alpha_k, is the dimension of the projected Krylov space of
     B v: the rank estimate;
+  * the row degrees d_i of all 2s rows of the v-run's basis give the rank
+    of the (m+1) x m block-Hankel matrix [alpha_{i+j}], i <= m, j < m,
+    exactly: m s - sum_i max(0, m - d_i) (``_hankel_rank``).  A y in its
+    kernel maps one-to-one to an approximant (y, z) of order 2m with
+    shifted degree at most m - 1, and the basis is shift-reduced, so by the
+    predictable-degree property (Beckermann and Labahn) those
+    approximants form a space of dimension sum_i max(0, m - d_i).  The
+    matrix is K_u'^T B K_v (K_u' stacking u^T B^i, i <= m), so its rank
+    bounds rank B from below, with no field-size bound;
   * ``_hankel_certificate``: if its q- and v-families solve H Q = E_m, the
     last s columns of I_N, and H V = -h = -[alpha_m; ...; alpha_{2m-1}]
     exactly for H = K_u^T B K_v, then H is nonsingular.  A y with y H = 0
@@ -72,7 +81,9 @@ determinant, the rank and the inverse:
     (``inverse._kernel_certificate``).  A column with
     y^T B w_c = sum_j (y^T B^{j+1} v) F_j e_c != 0 cannot give one, so a
     random probe y (deg F + 1 transposed applications of one vector)
-    spares the read forming such columns.
+    spares the read forming such columns.  The rank reads a whole kernel
+    basis sum_j B^j v F_j C off F, C a random s x k block, when the
+    nullity k is at most s (both reads are ``projection.krylov_horner``).
 """
 from __future__ import annotations
 
@@ -309,9 +320,10 @@ def _pade_side(alpha, s: int, m: int, p: int):
     degree at most k) meets them.  Each run takes its s basis rows of least
     degree (ties by lowest index).
 
-    Returns the v-run's row degrees, ``families()``, which gives (q, v) or
-    raises HankelSingular, the signature of a singular H, and the v-run's
-    rows (s x s x 2m+1)."""
+    Returns the row degrees of all 2s rows of the v-run's basis (in row
+    order; its s selected rows have the s least, ascending), ``families()``,
+    which gives (q, v) or raises HankelSingular, the signature of a
+    singular H, and the v-run's selected rows (s x s x 2m+1)."""
     def pick(basis, degs, *resid):
         sel = sorted(range(2 * s), key=lambda i: (degs[i], i))[:s]
         return (basis[sel], [degs[i] for i in sel], *[r[sel] for r in resid])
@@ -324,7 +336,7 @@ def _pade_side(alpha, s: int, m: int, p: int):
         # at x^{2m-2}; v-family: order 2m, degree <= m, by the constant term
         return (_family(Mq, degq, m - 1, Eq, p, "q"),
                 _family(Mv, degv, m, Mv[:, :, 0], p, "v"))
-    return degv, families, Mv
+    return deg, families, Mv
 
 
 def _hankel_certificate(alpha, q_t, v_t, p: int) -> None:
@@ -339,17 +351,19 @@ def _hankel_certificate(alpha, q_t, v_t, p: int) -> None:
 
 
 def _generator(alpha, s: int, m: int, p: int):
-    """``_pade_side`` on the transposed blocks of alpha: its v-run's row
-    degrees, ``families()`` (q, v of alpha^T, or HankelSingular) and the
-    minimal right generator F of the alpha_k, a (max degree + 1, s, s)
-    array: column c has degree degrees[c], and sum_j alpha_{i+j} F_j e_c = 0
-    for 0 <= i < 2m - degrees[c] (absent blocks read as zero)."""
-    degrees, families, rows = _pade_side([a.T for a in alpha], s, m, p)
+    """``_pade_side`` on the transposed blocks of alpha: the row degrees of
+    all 2s rows of its v-run, ``families()`` (q, v of alpha^T, or
+    HankelSingular) and the minimal right generator F of the alpha_k, a
+    (max degree + 1, s, s) array: column c has degree d_c, the c-th least
+    row degree, and sum_j alpha_{i+j} F_j e_c = 0 for 0 <= i < 2m - d_c
+    (absent blocks read as zero)."""
+    row_degrees, families, rows = _pade_side([a.T for a in alpha], s, m, p)
+    degrees = sorted(row_degrees)[:s]
     # column c of F_k is row c of the basis at position degrees[c] - k
     F = np.zeros((max(degrees) + 1, s, s), dtype=np.int64)
     for c, d in enumerate(degrees):
         F[:d + 1, :, c] = rows[c, :, d::-1].T
-    return degrees, families, F
+    return row_degrees, families, F
 
 
 def _block_wiedemann(B: BlackBoxOperator, v: np.ndarray):
@@ -360,18 +374,37 @@ def _block_wiedemann(B: BlackBoxOperator, v: np.ndarray):
     Returns the row degrees of the minimal right generator F of the
     alpha_k, ``certified()``, which gives the families (q, v) of alpha^T
     once ``_hankel_certificate`` has proved B nonsingular (else raises
-    HankelSingular), and F."""
+    HankelSingular), F, and the row degrees of all 2s rows of the v-run's
+    basis (``_hankel_rank`` reads them)."""
     p, (N, s) = B.field.p, v.shape
     m = N // s
     alpha = krylov_apply_left(B, BlockProjection(N, s), v, terms=2 * m + 1)[s:]
     alpha = alpha.reshape(2 * m, s, s)
-    degrees, families, F = _generator(alpha, s, m, p)
+    row_degrees, families, F = _generator(alpha, s, m, p)
 
     def certified():
         q_t, v_t = families()
         _hankel_certificate(alpha, q_t, v_t, p)
         return q_t, v_t
-    return degrees, certified, F
+    return sorted(row_degrees)[:s], certified, F, row_degrees
+
+
+def _hankel_rank(row_degrees, m: int) -> int:
+    """The rank of the (m+1) x m block-Hankel matrix [alpha_{i+j}],
+    i <= m, j < m, read off a v-run to order 2m on alpha^T whose 2s basis
+    rows have the (shifted) degrees ``row_degrees``: exactly
+    m s - sum_i max(0, m - d_i).
+
+    A column y = (y_0; ...; y_{m-1}) of its kernel is one approximant
+    (Y, Z) of [A'; -I] to order 2m, A'(x) = sum_k alpha_k^T x^k, of shifted
+    degree at most m - 1: Y(x) = sum_j y_{m-1-j}^T x^j, Z = Y A' mod
+    x^{m-1}, the m + 1 block equations being the coefficients m-1..2m-1 of
+    Y A'; and every such approximant comes from one y.  The basis is
+    shift-reduced, so by the predictable-degree property (Beckermann and
+    Labahn, SIAM J. Matrix Anal. Appl. 1994) those approximants are the
+    sums of lambda_i times row i with deg lambda_i <= m - 1 - d_i, a space
+    of dimension sum_i max(0, m - d_i)."""
+    return m * (len(row_degrees) // 2) - sum(max(0, m - d) for d in row_degrees)
 
 
 def hankel_inverse_rep(H: BlockHankel) -> HankelInverseRep:

@@ -52,7 +52,8 @@ from .field import (PANEL_ELEMENTS, as_int64, matmul_mod, reduce_in_place,
 from .hankel import build_hankel, hankel_inverse_apply, hankel_inverse_rep
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, EmbeddedOperator)
-from .projection import BlockProjection, krylov_apply_left, krylov_apply_right
+from .projection import (BlockProjection, krylov_apply_left, krylov_apply_right,
+                         krylov_horner)
 
 
 @dataclass
@@ -303,12 +304,7 @@ def _kernel_certificate(A: BlackBoxOperator, B: BlackBoxOperator, v: np.ndarray,
             probes[:, j] = matmul_mod(y.T, v, p)
         t = matmul_mod(probes.reshape(b, -1), F.reshape(-1, s), p)
     for c in np.flatnonzero(~t.any(axis=0)):
-        d = degrees[c]
-        G = matmul_mod(v, F[d::-1, :, c].T, p)  # column i is v F_{d-i} e_c
-        w = G[:, :1]
-        for i in range(1, d + 1):
-            w = reduce_in_place(B.apply_matrix(w) + G[:, i:i + 1], p)
-        w = D.apply_matrix(w)[:, 0]
+        w = D.apply_matrix(krylov_horner(B, v, F[:degrees[c] + 1, :, c:c + 1]))[:, 0]
         k = w[:n].copy()
         if not w[n:].any() and k.any() and not A.apply(k).any():
             raise SingularMatrix(k)

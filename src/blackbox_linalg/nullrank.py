@@ -20,18 +20,36 @@ unconditional:
   * r >= n: the run's q- and v-families pass the Hankel certificate, which
     proves H = K_u^T B K_v, hence B and A, nonsingular: rank n, with no
     field-size bound.
-  * r < n: one inverse attempt (``inverse._inverse_attempt``) solves
-    with the leading r x r minor A0 and builds n - r independent columns N
-    with A N = 0 (checked with n - r applications), so rank A <= r.  The
-    attempt answers only after ``hankel_inverse_rep`` has proved its own
-    Hankel matrix of A0 (preconditioned and padded) nonsingular by the same
+  * r < n with nullity k = n - r <= s: the same run gives both bounds.
+    Rank at least r: a kernel vector y of the (m+1) x m block-Hankel
+    matrix [alpha_{i+j}] = K_u'^T B K_v (K_u' stacking u^T B^i, i <= m)
+    is one approximant (y, z) of the v-run's order 2m with shifted degree
+    at most m - 1, and back.  The run's basis is shift-reduced, so by the
+    predictable-degree property its 2s row degrees d_i count those
+    approximants exactly (``hankel._hankel_rank``): rho =
+    N - sum_i max(0, m - d_i) is that matrix's rank, at most
+    rank B = rank A + N - n, and rho - (N - n) >= r proves rank A >= r, at
+    any p.  Rank at most r: where the run's minimal generator F also
+    generates the unprojected B^{k+1} v, K = sum_j B^j v F_j C, for a
+    random s x k block C drawn after v, spans ker B when k <= s
+    (Kaltofen), formed by one Horner sweep of deg F * k applications
+    (``projection.krylov_horner``).  K (-K_bot^{-1}), K_bot its rows
+    r..n-1, is the unique basis N~ = [W; -I] of ker A~ with that bottom
+    block, the same that the minor solve below gives; A N = 0 (checked
+    with k applications) proves rank A <= r.
+  * r < n with k > s: one inverse attempt (``inverse._inverse_attempt``)
+    solves with the leading r x r minor A0 and builds the same N~, with
+    W = A0^{-1} A1, checked by A N = 0, so rank A <= r.  The attempt
+    answers only after ``hankel_inverse_rep`` has proved its own Hankel
+    matrix of A0 (preconditioned and padded) nonsingular by the Hankel
     certificate, so A0 is nonsingular and rank A >= r, at any p.  That A0
     is nonsingular when r is the rank is the generic rank profile of A~
     (Chen et al.); the proof needs no field-size bound.
 
-A wrong estimate, or a minor attempt that degenerates, fails its
-verification or certifies A0 singular, costs one retry with fresh
-randomness (``inverse.run_attempts``).
+A wrong estimate, a degree count below r, a kernel read with nonzero
+padding rows or a singular K_bot, or a minor attempt that degenerates,
+fails its verification or certifies A0 singular, costs one retry with
+fresh randomness (``inverse.run_attempts``).
 """
 from __future__ import annotations
 
@@ -39,11 +57,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrix
-from .hankel import _block_wiedemann
+from .dense import dense_inverse
+from .errors import Singular, SingularMatrix
+from .field import matmul_mod
+from .hankel import _block_wiedemann, _hankel_rank
 from .inverse import InversionConfig, RunStats, _inverse_attempt, run_attempts
 from .operators import (BlackBoxOperator, ButterflyOperator, ComposedOperator,
                         DiagonalOperator, EmbeddedOperator, LeadingMinorOperator)
+from .projection import krylov_horner
 
 
 @dataclass
@@ -77,12 +98,14 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
     """Rank and nullspace basis of a black-box matrix (Las Vegas).
 
     Rank n costs the estimate's sweep (2N applications) and its Hankel
-    certificate; a rank r < n adds one inverse attempt on the r x r minor
-    and the A N = 0 check.  Neither needs a field-size bound: a small field
-    only makes retries likelier.  Never returns an uncertified answer: when
-    the rank estimate or the random conditioning keeps failing,
-    ``run_attempts`` raises once the attempts run out, with the run's stats
-    as ``.stats``."""
+    certificate.  A rank r < n adds the A N = 0 check (n - r applications)
+    to the kernel read of the same run (deg F (n - r) applications) when
+    the nullity n - r is at most s, and to one inverse attempt on the
+    r x r minor otherwise.  No certificate needs a field-size bound: a
+    small field only makes retries likelier.  Never returns an uncertified
+    answer: when the rank estimate or the random conditioning keeps
+    failing, ``run_attempts`` raises once the attempts run out, with the
+    run's stats as ``.stats``."""
     cfg = cfg or InversionConfig()
     p = A.field.p
     n = A.n
@@ -91,23 +114,36 @@ def nullspace_rank(A: BlackBoxOperator, cfg: InversionConfig | None = None) -> R
 
     def attempt(rng):
         B, Vt, D, v = _rank_preconditioner(A, s, rng)
-        degrees, certified, _ = _block_wiedemann(B, v)
+        degrees, certified, F, row_degrees = _block_wiedemann(B, v)
         r = max(sum(degrees) - (m * s - n), 0)
         if r >= n:
             certified()  # raises HankelSingular unless B is nonsingular
             return n, np.zeros((n, 0), dtype=np.int64)
+        k = n - r
         W = np.zeros((0, n), dtype=np.int64)  # rank 0: N~ = -I
-        if r:
+        if r and k <= s:
+            # the degree count proves rank A >= rho - (N - n)
+            if _hankel_rank(row_degrees, m) - (m * s - n) < r:
+                return None
+            C = rng.integers(0, p, size=(s, k), dtype=np.int64)
+            K = krylov_horner(B, v, matmul_mod(F.reshape(-1, s), C, p).reshape(len(F), s, k))
+            if K[n:].any():
+                return None
+            try:  # N~ = K (-K_bot^{-1}), K_bot its rows r..n-1
+                W = matmul_mod(K[:r], (-dense_inverse(K[r:n], p)) % p, p)
+            except Singular:
+                return None
+        elif r:
             # A~'s leading minor and its columns r..n-1, read through B
             A0 = LeadingMinorOperator(B, r)
-            A1 = B.apply_matrix(np.eye(m * s, n - r, -r, dtype=np.int64))[:r]
+            A1 = B.apply_matrix(np.eye(m * s, k, -r, dtype=np.int64))[:r]
             try:
                 W = _inverse_attempt(A0, A1, InversionConfig().block_size(r), rng)
             except SingularMatrix:
                 return None
             if W is None:
                 return None
-        N_tilde = np.concatenate([W, (p - 1) * np.eye(n - r, dtype=np.int64) % p])
+        N_tilde = np.concatenate([W, (p - 1) * np.eye(k, dtype=np.int64) % p])
         N = Vt.apply_matrix(D.apply_matrix(N_tilde))
         # Schur complement certificate: A N (= U^-1 A~ N~) must vanish whole
         return None if np.any(A.apply_matrix(N)) else (r, N)

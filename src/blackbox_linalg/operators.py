@@ -260,17 +260,23 @@ class ButterflyOperator(BlackBoxOperator):
     def __init__(self, n: int, field: PrimeField, rng):
         super().__init__(n, field)
         p = field.p
-        plan = []
-        span = 1
         i = np.arange(n)
+        stages = []  # (lo rows, hi rows, a, b, c), drawn stage by stage
+        span = 1
         while span < n:
             los = i[((i // span) % 2 == 0) & (i + span < n)]
-            his = los + span
-            k = len(los)
-            a = rng.integers(1, p, size=k, dtype=np.int64)
-            b = rng.integers(0, p, size=k, dtype=np.int64)
-            c = rng.integers(0, p, size=k, dtype=np.int64)
-            d = (1 + b * c % p) % p * field.inv_vec(a) % p
+            a = rng.integers(1, p, size=len(los), dtype=np.int64)
+            b = rng.integers(0, p, size=len(los), dtype=np.int64)
+            c = rng.integers(0, p, size=len(los), dtype=np.int64)
+            stages.append((los, los + span, a, b, c))
+            span *= 2
+        # one Fermat ladder inverts the a's of every stage
+        a_all = [np.empty(0, np.int64)] + [a for _, _, a, _, _ in stages]
+        inv_a = field.inv_vec(np.concatenate(a_all))
+        plan, start = [], 0
+        for los, his, a, b, c in stages:
+            d = (1 + b * c % p) % p * inv_a[start:start + len(a)] % p
+            start += len(a)
             partner = i.copy()
             partner[los], partner[his] = his, los
             own = np.ones((n, 1), dtype=np.int64)
@@ -278,7 +284,6 @@ class ButterflyOperator(BlackBoxOperator):
             other = np.zeros((n, 1), dtype=np.int64)
             other[los, 0], other[his, 0] = b, c
             plan.append((partner, own, other))
-            span *= 2
         self._plans = [plan, None]
 
     def transpose(self) -> "ButterflyOperator":

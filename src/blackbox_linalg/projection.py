@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .field import reduce_in_place, reduce_mod
+from .field import PANEL_ELEMENTS, matmul_mod, reduce_in_place, reduce_mod
 from .operators import BlackBoxOperator
 
 
@@ -72,6 +72,24 @@ def krylov_apply_right(B: BlackBoxOperator, P: BlockProjection,
         slices = R.reshape(m, s, -1)  # a view: R is contiguous
         slices += M[i * s:(i + 1) * s]
         reduce_in_place(R, p)
+    return R
+
+
+def krylov_horner(B: BlackBoxOperator, v: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """[v, Bv, ..., B^d v] @ G, that is sum_j B^j v G_j for the
+    (d + 1, s, k) coefficients G of an N x s block v, by the Horner scheme:
+    d k applications.  The terms v G_j are formed by one ``matmul_mod`` per
+    run of coefficients, as many as ``PANEL_ELEMENTS`` entries of terms
+    hold (at least one), so the sweep holds one such panel beside R."""
+    p, (N, s), k = B.field.p, v.shape, G.shape[2]
+    run = max(1, PANEL_ELEMENTS // (N * k))
+    R = None
+    for hi in range(len(G), 0, -run):
+        lo = max(0, hi - run)
+        VG = matmul_mod(v, G[lo:hi].transpose(1, 0, 2).reshape(s, -1), p)
+        for j in range(hi - lo - 1, -1, -1):
+            term = VG[:, j * k:(j + 1) * k]
+            R = term.copy() if R is None else reduce_in_place(B.apply_matrix(R) + term, p)
     return R
 
 

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from blackbox_linalg import (RunStats, read_matrix_market, to_dense_residues,
                              to_sparse_operator, PrimeField)
-from blackbox_linalg import cli, hankel
+from blackbox_linalg import cli, hankel, nullrank
 from blackbox_linalg.cli import run_command
-from blackbox_linalg.errors import HankelSingular, SingularMatrix
+from blackbox_linalg.errors import HankelSingular, Singular, SingularMatrix
 
 from _oracles import bareiss_det
 
@@ -349,9 +349,11 @@ def test_json_reports_carry_schema_3_and_run_stats(tmp_path, monkeypatch, capsys
 
 def test_failed_runs_report_their_stats(tmp_path, monkeypatch, capsys):
     # a run that applied A reports what it spent, whatever its exit code:
-    # a certified singular input (1), and attempts that all degenerate (2);
-    # stats are null only where A was never applied, the inverse's up-front
-    # field bound and bench
+    # a certified singular input (1), and attempts that all degenerate (2:
+    # for det every projection, for rank and nullspace every kernel read of
+    # the nullity-1 input, whose bottom block is made singular); stats are
+    # null only where A was never applied, the inverse's up-front field
+    # bound and bench
     n = 6
     triples = [(i, i, i + 2) for i in range(n)] + [(0, n - 1, 5)]
     src = write_coordinate(tmp_path / "a.mtx", n, triples)
@@ -367,6 +369,9 @@ def test_failed_runs_report_their_stats(tmp_path, monkeypatch, capsys):
     def degenerate(*args):
         raise HankelSingular("forced")
 
+    def singular_bottom(*args):
+        raise Singular(0)
+
     monkeypatch.setattr(cli, "to_sparse_operator", counted_operator)
     too_small = "failed: field size 5"
     # (argv, exit code, outcome, whether A is applied)
@@ -380,8 +385,10 @@ def test_failed_runs_report_their_stats(tmp_path, monkeypatch, capsys):
     for argv, want_code, want_outcome, applies in runs:
         made.clear()
         with monkeypatch.context() as m:
-            if argv[0] in ("nullspace", "rank", "det"):  # every projection degenerates
+            if argv[0] == "det":  # every projection degenerates
                 m.setattr(hankel, "_family", degenerate)
+            if argv[0] in ("nullspace", "rank"):  # every K_bot is singular
+                m.setattr(nullrank, "dense_inverse", singular_bottom)
             code, report = run_command(argv + ["--json"])
         printed = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert (code, report.outcome) == (want_code, printed["outcome"]), argv

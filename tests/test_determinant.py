@@ -24,7 +24,7 @@ def test_generator_scalar_geometric():
     p = 10007
     c = 123
     B = DenseOperator(c * np.eye(4, dtype=np.int64), PrimeField(p))
-    degrees, _, F = _block_wiedemann(B, np.ones((4, 1), dtype=np.int64))
+    degrees, _, F, _ = _block_wiedemann(B, np.ones((4, 1), dtype=np.int64))
     assert degrees == [1]
     monic0 = int(F[0, 0, 0]) * pow(int(F[1, 0, 0]), p - 2, p) % p
     assert monic0 == (-c) % p
@@ -34,7 +34,7 @@ def test_generator_zero_sequence_degenerate():
     p = 10007
     B = SparseOperator(8, [], PrimeField(p))  # the zero matrix
     v = np.random.default_rng(89).integers(0, p, size=(8, 2), dtype=np.int64)
-    degrees, certified, _ = _block_wiedemann(B, v)
+    degrees, certified, _, _ = _block_wiedemann(B, v)
     assert sum(degrees) == 0
     with pytest.raises(HankelSingular):
         certified()
@@ -48,7 +48,7 @@ def test_generator_diagonal_block_det():
     d = np.array([3, 7, 11, 19], dtype=np.int64)
     B = DenseOperator(np.diag(d), PrimeField(p))
     v = rng.integers(0, p, size=(4, 2), dtype=np.int64)
-    degrees, certified, _ = _block_wiedemann(B, v)
+    degrees, certified, _, _ = _block_wiedemann(B, v)
     assert degrees == [2, 2]
     assert dense_det(certified()[1][2], p) == int(np.prod(d)) % p
 
@@ -60,7 +60,7 @@ def test_generator_annihilation_invariant():
     m = n // s
     B = DenseOperator(rng.integers(0, p, size=(n, n), dtype=np.int64), PrimeField(p))
     v = rng.integers(0, p, size=(n, s), dtype=np.int64)
-    degrees, _, F = _block_wiedemann(B, v)
+    degrees, _, F, _ = _block_wiedemann(B, v)
     # alpha_k = u^T B^{k+1} v, k < 2m, by plain repeated application
     u = np.tile(np.eye(s, dtype=np.int64), (m, 1))
     alpha, w = [], v

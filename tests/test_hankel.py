@@ -6,10 +6,11 @@ import pytest
 import blackbox_linalg.hankel as hankel
 import blackbox_linalg.polymat as polymat
 from blackbox_linalg import (BlockHankel, BlockProjection, DenseOperator,
-                             PrimeField, build_hankel, dense_inverse,
-                             hankel_inverse_apply, hankel_inverse_rep,
-                             matmul_mod, polymat_mul)
+                             InversionConfig, PrimeField, build_hankel,
+                             dense_inverse, hankel_inverse_apply,
+                             hankel_inverse_rep, matmul_mod, polymat_mul)
 from blackbox_linalg.errors import HankelSingular
+from blackbox_linalg.nullrank import _rank_preconditioner
 
 from _oracles import (IdentityOperator, dense_rank, hankel_to_dense,
                       krylov_sequence, mbasis_reference,
@@ -293,6 +294,60 @@ def test_hankel_certificate_rejects_a_perturbed_family():
         with pytest.raises(HankelSingular):
             hankel._hankel_certificate(alpha, q_t, v_t, P)
         family[k, 1, 2] = (family[k, 1, 2] - 1) % P
+
+
+def _tall_hankel_rank(alpha, m, p):
+    """Dense rank of the (m+1) x m block-Hankel matrix [alpha_{i+j}], i <= m, j < m."""
+    return dense_rank(np.block([[alpha[i + j] for j in range(m)]
+                                for i in range(m + 1)]), p)
+
+
+@pytest.mark.parametrize("p", [7, 101, 2147483629])
+def test_row_degrees_count_the_rank_of_the_tall_hankel_matrix(p):
+    # the 2s row degrees d_i of a v-run to order 2m give the rank of
+    # [alpha_{i+j}] (i <= m, j < m) as m s - sum_i max(0, m - d_i): on
+    # random sequences, with or without a zero last row in every block,
+    # whole or cut short by zero blocks, and on the sequences
+    # alpha_k = u^T B^{k+1} v (plain repeated application) of the rank's
+    # own preconditioned B for rank-deficient A, with N = n (n = 12, s = 3)
+    # and N > n (n = 10 pads to 12), where the count less N - n bounds
+    # rank A from below.  With zero last rows (s = 2, m = 4) a row of degree
+    # below m lies outside the s selected ones: the count reads all 2s rows
+    rng = np.random.default_rng([69, p])
+    field = PrimeField(p)
+    deficient = unselected = 0
+    for s, m in ((1, 4), (2, 3), (2, 4), (3, 3), (4, 2)):
+        for trial in range(12):
+            alpha = rng.integers(0, p, size=(2 * m, s, s), dtype=np.int64)
+            if trial % 2:
+                alpha[:, -1] = 0
+            alpha[2 * m - trial % 3 * (m // 2 + 1):] = 0
+            row_degrees = hankel._generator(list(alpha), s, m, p)[0]
+            want = _tall_hankel_rank(alpha, m, p)
+            assert hankel._hankel_rank(row_degrees, m) == want, (s, m, trial)
+            deficient += want < m * s
+            unselected += sorted(row_degrees)[s] < m
+    assert unselected > 0
+    for n in (12, 10):
+        s = InversionConfig().block_size(n)
+        for r in (0, 3, 7, 9):
+            for seed in (0, 1):
+                M = matmul_mod(rng.integers(0, p, size=(n, r), dtype=np.int64),
+                               rng.integers(0, p, size=(r, n), dtype=np.int64), p)
+                B, _, _, v = _rank_preconditioner(DenseOperator(M, field), s,
+                                                  np.random.default_rng(seed))
+                N, m = B.n, B.n // s
+                u = np.tile(np.eye(s, dtype=np.int64), (m, 1))
+                alpha, w = [], v
+                for _ in range(2 * m):
+                    w = B.apply_matrix(w)
+                    alpha.append(matmul_mod(u.T, w, p))
+                row_degrees = hankel._block_wiedemann(B, v)[3]
+                count = hankel._hankel_rank(row_degrees, m)
+                assert count == _tall_hankel_rank(alpha, m, p), (n, r, seed)
+                assert count - (N - n) <= dense_rank(M, p), (n, r, seed)
+                deficient += count < N
+    assert deficient >= 20
 
 
 def test_rep_m1_single_block():

@@ -9,7 +9,8 @@ from blackbox_linalg import (BlockHankel, DenseOperator, InversionConfig,
 from blackbox_linalg.errors import HankelSingular, RetriesExhausted
 from blackbox_linalg.hankel import _hankel_certificate, _pade_side
 
-from _oracles import IdentityOperator, dense_rank, hankel_to_dense, pade_families
+from _oracles import (IdentityOperator, dense_rank, dense_solve, hankel_to_dense,
+                      materialize, pade_families)
 
 BIG = PrimeField(2147483629)
 P = BIG.p
@@ -38,7 +39,7 @@ def _spy_estimates(monkeypatch, degrees=None, certificates=None):
     log = []
 
     def spy(B, v):
-        degs, certified, F = inner(B, v)
+        degs, certified, F, row_degrees = inner(B, v)
         if degrees is not None:
             degs = degrees(len(log), B.n // v.shape[1], degs)
         log.append((B.n, sum(degs)))
@@ -46,7 +47,7 @@ def _spy_estimates(monkeypatch, degrees=None, certificates=None):
         def counted():
             certificates.append(B.n)
             return certified()
-        return degs, certified if certificates is None else counted, F
+        return degs, certified if certificates is None else counted, F, row_degrees
     monkeypatch.setattr(nullrank, "_block_wiedemann", spy)
     return log
 
@@ -178,10 +179,10 @@ def test_nullspace_small_field_fails_loudly():
 @pytest.mark.parametrize("p", [5, 7, 101])
 def test_rank_deficiency_certified_below_the_inverse_bound(p):
     # sweep-family inputs (tests/test_sweep.py) whose minor solve once
-    # raised FieldTooSmall at these primes: one inverse attempt per rank
-    # attempt, proved by its Hankel certificate, needs no field-size bound.
-    # Over GF(5) the preconditioned leading minor is often singular: two of
-    # these 24 calls use up their 8 attempts
+    # raised FieldTooSmall at these primes: the rank's certificates need no
+    # field-size bound.  Both families have nullity 1, which each attempt
+    # reads off its own block Wiedemann run, and all 24 calls answer within
+    # their 8 attempts, over GF(5) too
     from test_sweep import FAMILIES, family
     field = PrimeField(p)
     for name in ("duplicated row", "nilpotent shift"):
@@ -190,11 +191,7 @@ def test_rank_deficiency_certified_below_the_inverse_bound(p):
             for seed in (0, 1):
                 M = family(name, n, p, np.random.default_rng([f, p, n, seed]))
                 where = (name, n, seed)
-                try:
-                    cert = nullspace_rank(DenseOperator(M, field), InversionConfig(seed=seed))
-                except RetriesExhausted:
-                    assert p == 5, where
-                    continue
+                cert = nullspace_rank(DenseOperator(M, field), InversionConfig(seed=seed))
                 assert cert.rank == dense_rank(M, p) < n, where
                 assert not matmul_mod(M, cert.nullspace, p).any(), where
                 assert dense_rank(cert.nullspace, p) == n - cert.rank, where
@@ -251,7 +248,7 @@ def test_full_rank_runs_one_order_basis(monkeypatch):
 
 def test_forged_estimates_fail_their_certificates(monkeypatch):
     # the estimate certifies nothing.  A short degree sum on a nonsingular
-    # input runs the minor solve, and its kernel check fails: one retry
+    # input runs the kernel read, which finds no kernel: one retry
     A = DenseOperator(_nonsingular(np.random.default_rng(6), 9), BIG)
     log = _spy_estimates(monkeypatch, lambda call, m, degs:
                          [d - (call == 0 and c == 0) for c, d in enumerate(degs)])
@@ -342,6 +339,79 @@ def test_minor_attempts_spend_the_rank_budget(monkeypatch):
         nullspace_rank(A, InversionConfig(seed=0, max_retries=3))
     assert len(preconditionings) == 3
     assert exc.value.stats.retries == 3
+
+
+def _rank_r(rng, n, r, p):
+    """A random n x n matrix of rank exactly r over GF(p)."""
+    while True:
+        M = matmul_mod(rng.integers(0, p, size=(n, r), dtype=np.int64),
+                       rng.integers(0, p, size=(r, n), dtype=np.int64), p)
+        if dense_rank(M, p) == r:
+            return M
+
+
+@pytest.mark.parametrize("p", [7, 101])
+def test_nullity_up_to_s_is_read_off_the_rank_run(monkeypatch, p):
+    # nullity k = 1..s (n = 16, s = 4, and n = 14 padded to N = 16): the
+    # accepted attempt runs no minor solve and spends the sweep (2N), the
+    # Horner sweep of the generator (deg F per kernel column) and the
+    # A N = 0 check (k); its nullspace is the unique basis V^T D [W; -I]
+    # of ker A~ with W = A0^{-1} A1, formed here by the dense oracle from
+    # the attempt's own draws
+    import blackbox_linalg.nullrank as nullrank
+
+    def no_minor(*args):
+        raise AssertionError("no minor solve may run")
+    monkeypatch.setattr(nullrank, "_inverse_attempt", no_minor)
+    draws, runs = [], []  # each attempt's (B, V^T, D, v) and its run
+    inner_draws, inner_run = nullrank._rank_preconditioner, nullrank._block_wiedemann
+    monkeypatch.setattr(nullrank, "_rank_preconditioner",
+                        lambda *args: draws.append(inner_draws(*args)) or draws[-1])
+    monkeypatch.setattr(nullrank, "_block_wiedemann",
+                        lambda B, v: runs.append(inner_run(B, v)) or runs[-1])
+    field = PrimeField(p)
+    rng = np.random.default_rng([70, p])
+    for n in (16, 14):
+        for k in range(1, 5):
+            r = n - k
+            M = _rank_r(rng, n, r, p)
+            cert = nullspace_rank(DenseOperator(M, field), InversionConfig(seed=k))
+            assert cert.rank == r, (n, k)
+            (B, Vt, D, _), F = draws[-1], runs[-1][2]
+            assert cert.stats.bb_applies_last_attempt == 2 * B.n + (len(F) - 1) * k + k
+            At = materialize(B)[:n, :n]
+            N_tilde = np.concatenate([dense_solve(At[:r, :r], At[:r, r:], p),
+                                      (p - 1) * np.eye(k, dtype=np.int64) % p])
+            assert np.array_equal(cert.nullspace, Vt.apply_matrix(D.apply_matrix(N_tilde)))
+
+
+def test_a_high_estimate_fails_the_degree_count(monkeypatch):
+    # rank 13 of n = 16 (s = 4) with the first estimate forged to 14: the
+    # generator's kernel read would give 2 of the 3 kernel vectors, which
+    # pass A N = 0, so only the degree count (the Hankel rank, at most
+    # rank A + N - n) rejects the attempt: one retry, then the true rank
+    M = _low_rank(np.random.default_rng(72), 16, 13)
+    log = _spy_estimates(monkeypatch, lambda call, m, degs:
+                         [d + (call == 0 and c == 0) for c, d in enumerate(degs)])
+    cert = nullspace_rank(DenseOperator(M, BIG), InversionConfig(seed=0))
+    assert [total for _, total in log] == [14, 13]
+    assert (cert.rank, cert.stats.retries) == (13, 1)
+    assert not matmul_mod(M, cert.nullspace, P).any()
+
+
+def test_nullity_above_s_runs_one_minor_solve(monkeypatch):
+    # nullity s + 1 (n = 16, s = 4, rank 11) keeps the minor solve: one
+    # inverse attempt on the 11 x 11 minor
+    import blackbox_linalg.nullrank as nullrank
+    calls = []
+    inner = nullrank._inverse_attempt
+    monkeypatch.setattr(nullrank, "_inverse_attempt",
+                        lambda A0, *args: calls.append(A0.n) or inner(A0, *args))
+    M = _low_rank(np.random.default_rng(71), 16, 11)
+    cert = nullspace_rank(DenseOperator(M, BIG), InversionConfig(seed=0))
+    assert (cert.rank, cert.stats.retries) == (11, 0)
+    assert calls == [11]
+    assert not matmul_mod(M, cert.nullspace, P).any()
 
 
 def test_butterflies_keep_generic_rank_profile_on_dead_rows_and_columns(monkeypatch):

@@ -133,6 +133,31 @@ def test_krylov_apply_right_against_materialization():
     assert np.array_equal(got, matmul_mod(K, M, P))
 
 
+@pytest.mark.parametrize("panel", [1 << 16, 60])
+def test_krylov_horner_against_repeated_application(monkeypatch, panel):
+    # sum_j B^j v G_j for d + 1 = 1, 2 and 6 coefficients of k = 1 and 3
+    # columns, against plain repeated application: d k applications, with
+    # the terms v G_j in one panel, or with a panel budget of 60 entries
+    # (runs of one coefficient at k = 3, of five at k = 1)
+    import blackbox_linalg.projection as projection
+    from blackbox_linalg.projection import krylov_horner
+    monkeypatch.setattr(projection, "PANEL_ELEMENTS", panel)
+    rng = np.random.default_rng(38)
+    n, s = 12, 3
+    B = DenseOperator(rng.integers(0, P, size=(n, n), dtype=np.int64), F)
+    v = rng.integers(0, P, size=(n, s), dtype=np.int64)
+    for d in (0, 1, 5):
+        for k in (1, 3):
+            G = rng.integers(0, P, size=(d + 1, s, k), dtype=np.int64)
+            want, w = np.zeros((n, k), dtype=np.int64), v
+            for j in range(d + 1):
+                want = (want + matmul_mod(w, G[j], P)) % P
+                w = matmul_mod(B.matrix, w, P)
+            before = B.apply_count
+            assert np.array_equal(krylov_horner(B, v, G), want), (d, k)
+            assert B.apply_count - before == d * k
+
+
 def test_krylov_apply_left_m1_identity_and_random():
     rng = np.random.default_rng(37)
     bp1 = BlockProjection(4, 4)

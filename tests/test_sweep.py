@@ -3,8 +3,8 @@ grid of structured inputs, each answer checked against the dense oracles.
 
 Every call either answers exactly or raises a documented error under its
 documented condition: FieldTooSmall only from the inverse and below its
-bound (det and rank have none), RetriesExhausted only in fields of at most
-5 elements, and the inverse's SingularMatrix exactly when det A = 0, with a
+bound (det and rank have none), RetriesExhausted only in the field of 3
+elements, and the inverse's SingularMatrix exactly when det A = 0, with a
 kernel vector.
 Run with ``-s`` for the table of outcomes per pipeline and prime; their
 rates are printed, not asserted.
@@ -96,7 +96,7 @@ def _run(pipeline, M, p, seed):
         assert pipeline == "inverse" and exc.p == p <= exc.required, where
         return "FieldTooSmall"
     except RetriesExhausted:
-        assert p <= 5, where
+        assert p == 3, where
         return "RetriesExhausted"
     return "answered"
 
